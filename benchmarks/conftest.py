@@ -8,7 +8,6 @@ logging.getLogger("repro").setLevel(logging.CRITICAL)
 
 
 def kernel_event_throughput(
-    fast_paths: bool = True,
     n_threads: int = 200,
     wakeups_per_thread: int = 500,
     zero_delay: bool = True,
@@ -20,15 +19,11 @@ def kernel_event_throughput(
     path) or on a tiny positive delay (the heap path) — and reports the
     scheduler's own :class:`~repro.simenv.kernel.KernelStats` numbers.
     Use it to cite before/after figures for scheduler changes without
-    any protocol stack in the loop::
-
-        fast = kernel_event_throughput(fast_paths=True)
-        legacy = kernel_event_throughput(fast_paths=False)
-        speedup = fast["events_per_sec"] / legacy["events_per_sec"]
+    any protocol stack in the loop.
 
     Returns the ``stats_snapshot()`` dict of the finished kernel.
     """
-    kernel = Kernel(fast_paths=fast_paths)
+    kernel = Kernel()
 
     def worker(tick: float):
         for _ in range(wakeups_per_thread):

@@ -310,8 +310,6 @@ class ErrMgr:
     def _persist(self) -> None:
         """Journal lineages, budgets, and the episode log to the store."""
         store = self.hnp.statestore
-        if not store.enabled:
-            return
         store.put(
             "errmgr", "lineage",
             {str(k): v for k, v in self._lineage.items()},

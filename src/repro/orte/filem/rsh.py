@@ -150,23 +150,15 @@ class RshFILEM(FILEMComponent):
             )
             yield Delay(self.session_cost_s)
             link_ok()
-            if hnp.proc.kernel.fast_paths:
-                # one aggregate wire delay + one batched store write:
-                # O(1) kernel events per entry instead of O(chunks)
-                ordered = [
-                    (manifest.hashes[i], payloads[i]) for i in sorted(payloads)
-                ]
-                moved = sum(len(data) for _, data in ordered)
-                if moved:
-                    yield Delay(moved / eth)
-                yield from store.put_many(ordered)
-            else:
-                moved = 0
-                for index in sorted(payloads):
-                    data = payloads[index]
-                    yield Delay(len(data) / eth)
-                    yield from store.put(manifest.hashes[index], data)
-                    moved += len(data)
+            # one aggregate wire delay + one batched store write:
+            # O(1) kernel events per entry instead of O(chunks)
+            ordered = [
+                (manifest.hashes[i], payloads[i]) for i in sorted(payloads)
+            ]
+            moved = sum(len(data) for _, data in ordered)
+            if moved:
+                yield Delay(moved / eth)
+            yield from store.put_many(ordered)
             inner.end(bytes=moved)
             return moved
 
@@ -201,17 +193,10 @@ class RshFILEM(FILEMComponent):
             meta_raw = yield from stable.read(vpath.join(src_dir, LOCAL_META))
             yield Delay(self.session_cost_s)
             link_ok()
-            if hnp.proc.kernel.fast_paths:
-                parts = yield from store.get_many(list(manifest.hashes))
-                wire = sum(len(data) for data in parts)
-                if wire:
-                    yield Delay(wire / eth)
-            else:
-                parts = []
-                for digest in manifest.hashes:
-                    data = yield from store.get(digest)
-                    yield Delay(len(data) / eth)
-                    parts.append(data)
+            parts = yield from store.get_many(list(manifest.hashes))
+            wire = sum(len(data) for data in parts)
+            if wire:
+                yield Delay(wire / eth)
             blob = b"".join(parts)
             if len(blob) != manifest.total_bytes:
                 raise SnapshotError(

@@ -225,9 +225,8 @@ class HNP:
         failed = payload.get("failed", False)
         job.note_exit(rank, payload.get("result"), failed)
         self.ckpt_ready.get(jobid, set()).discard(rank)
-        if self.statestore.enabled:
-            self._persist_job(job)
-            self._persist_ready(jobid)
+        self._persist_job(job)
+        self._persist_ready(jobid)
         if failed:
             init_queue = self._init_queues.get(jobid)
             if init_queue is not None:
@@ -249,8 +248,7 @@ class HNP:
             ready.add(payload["rank"])
         else:
             ready.discard(payload["rank"])
-        if self.statestore.enabled:
-            self._persist_ready(payload["jobid"])
+        self._persist_ready(payload["jobid"])
         yield from ()
         return None
 

@@ -144,11 +144,8 @@ class CheckpointScheduler:
 
     def _persist_cadence(self, root: int) -> None:
         """Journal *root*'s cadence observations to the state store."""
-        store = self.hnp.statestore
-        if not store.enabled:
-            return
         est = self._estimators.get(root)
-        store.put(
+        self.hnp.statestore.put(
             "sched",
             str(root),
             {

@@ -108,6 +108,61 @@ class StagingRecord:
     def settled(self) -> bool:
         return self.state != STAGE_STAGING
 
+    def to_durable(self) -> dict:
+        """The lifecycle state journalled to the control-plane store."""
+        return {
+            "jobid": self.jobid,
+            "interval": self.interval,
+            "path": self.ref.path,
+            "kind": self.kind,
+            "base_chain": list(self.base_chain),
+            "compact": self.compact,
+            "gather_entries": [list(e) for e in self.gather_entries],
+            "cas": self.cas,
+            "terminate": self.terminate,
+            "state": self.state,
+            "error": self.error,
+            "committed_at": self.committed_at,
+        }
+
+    @classmethod
+    def from_durable(
+        cls,
+        value: dict,
+        *,
+        meta: GlobalSnapshotMeta,
+        done: "SimEvent",
+        now: float,
+        **overrides,
+    ) -> "StagingRecord":
+        """Rebuild a record from its :meth:`to_durable` form.
+
+        *meta*, *done* and *now* are the fields that never persist;
+        *overrides* replace decoded fields (a lost interval is rebuilt
+        as ``state=failed``).
+        """
+        fields = {
+            "jobid": int(value["jobid"]),
+            "interval": int(value["interval"]),
+            "ref": GlobalSnapshotRef(value["path"]),
+            "meta": meta,
+            "kind": value.get("kind", meta.kind),
+            "base_chain": list(value.get("base_chain", [])),
+            "compact": bool(value.get("compact", False)),
+            "gather_entries": [
+                tuple(e) for e in value.get("gather_entries", [])
+            ],
+            "terminate": bool(value.get("terminate", False)),
+            "done": done,
+            "enqueued_at": now,
+            "cas": bool(value.get("cas", False)),
+            "state": value.get("state", STAGE_STAGING),
+            "error": value.get("error"),
+            "committed_at": value.get("committed_at"),
+        }
+        fields.update(overrides)
+        return cls(**fields)
+
 
 @dataclass
 class _JobStaging:
@@ -257,26 +312,10 @@ class StagingCoordinator:
         which intervals were in flight and which are durable — the
         COMMITTED set in the store is the never-re-ship contract.
         """
-        store = self.hnp.statestore
-        if not store.enabled:
-            return
-        store.put(
+        self.hnp.statestore.put(
             "staging",
             f"{record.jobid}.{record.interval}",
-            {
-                "jobid": record.jobid,
-                "interval": record.interval,
-                "path": record.ref.path,
-                "kind": record.kind,
-                "base_chain": list(record.base_chain),
-                "compact": record.compact,
-                "gather_entries": [list(e) for e in record.gather_entries],
-                "cas": record.cas,
-                "terminate": record.terminate,
-                "state": record.state,
-                "error": record.error,
-                "committed_at": record.committed_at,
-            },
+            record.to_durable(),
         )
 
     # -- dispatch ------------------------------------------------------------
@@ -803,35 +842,25 @@ class StagingCoordinator:
     ) -> None:
         """Reinstate a COMMITTED/FAILED record without touching bytes."""
         interval = int(value["interval"])
-        ref = GlobalSnapshotRef(value["path"])
-        done = self._kernel.event(f"snapc.commit.job{st.jobid}.{interval}")
-        record = StagingRecord(
-            jobid=st.jobid,
-            interval=interval,
-            ref=ref,
+        record = StagingRecord.from_durable(
+            value,
             meta=self._stub_meta(st.jobid, interval),
-            kind=value.get("kind", "full"),
-            base_chain=list(value.get("base_chain", [])),
-            compact=bool(value.get("compact", False)),
+            done=self._kernel.event(
+                f"snapc.commit.job{st.jobid}.{interval}"
+            ),
+            now=self._kernel.now,
             gather_entries=[],
-            terminate=bool(value.get("terminate", False)),
-            done=done,
-            enqueued_at=self._kernel.now,
-            cas=bool(value.get("cas", False)),
-            state=value["state"],
-            error=value.get("error"),
-            committed_at=value.get("committed_at"),
         )
-        done.fire(record.state)
+        record.done.fire(record.state)
         st.records[interval] = record
         if record.state == STAGE_FAILED:
-            st.failed_dirs.add(ref.path)
+            st.failed_dirs.add(record.ref.path)
         elif job is not None and all(
-            s.path != ref.path for s in job.snapshots
+            s.path != record.ref.path for s in job.snapshots
         ):
             # Records arrive in interval order, so the newest committed
             # interval lands last — exactly what restart picks.
-            job.snapshots.append(ref)
+            job.snapshots.append(record.ref)
 
     def _restage(self, st: _JobStaging, value: dict) -> SimGen:
         """Re-dispatch one in-flight interval; True if it re-entered
@@ -846,23 +875,13 @@ class StagingCoordinator:
                 st, value, f"global metadata lost across failover: {exc}"
             )
             return False
-        record = StagingRecord(
-            jobid=st.jobid,
-            interval=interval,
-            ref=ref,
+        record = StagingRecord.from_durable(
+            value,
             meta=meta,
-            kind=value.get("kind", meta.kind),
-            base_chain=list(value.get("base_chain", [])),
-            compact=bool(value.get("compact", False)),
-            gather_entries=[
-                tuple(e) for e in value.get("gather_entries", [])
-            ],
-            terminate=bool(value.get("terminate", False)),
             done=self._kernel.event(
                 f"snapc.commit.job{st.jobid}.{interval}"
             ),
-            enqueued_at=self._kernel.now,
-            cas=bool(value.get("cas", False)),
+            now=self._kernel.now,
         )
         if record.cas:
             error = yield from self._rebuild_manifests(record, meta)
@@ -893,7 +912,6 @@ class StagingCoordinator:
         never clobbered with an empty stub).
         """
         interval = int(value["interval"])
-        ref = GlobalSnapshotRef(value["path"])
         if meta is None:
             meta = self._stub_meta(st.jobid, interval)
         meta.staging = {
@@ -901,26 +919,20 @@ class StagingCoordinator:
             "committed_sim_time": None,
             "error": error,
         }
-        done = self._kernel.event(f"snapc.commit.job{st.jobid}.{interval}")
-        record = StagingRecord(
-            jobid=st.jobid,
-            interval=interval,
-            ref=ref,
+        record = StagingRecord.from_durable(
+            value,
             meta=meta,
-            kind=value.get("kind", "full"),
-            base_chain=list(value.get("base_chain", [])),
-            compact=bool(value.get("compact", False)),
+            done=self._kernel.event(
+                f"snapc.commit.job{st.jobid}.{interval}"
+            ),
+            now=self._kernel.now,
             gather_entries=[],
-            terminate=bool(value.get("terminate", False)),
-            done=done,
-            enqueued_at=self._kernel.now,
-            cas=bool(value.get("cas", False)),
             state=STAGE_FAILED,
             error=error,
         )
-        done.fire(record.state)
+        record.done.fire(record.state)
         st.records[interval] = record
-        st.failed_dirs.add(ref.path)
+        st.failed_dirs.add(record.ref.path)
         st.force_full = True
         self._persist_record(record)
         try:

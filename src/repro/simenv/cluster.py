@@ -35,10 +35,6 @@ class ClusterSpec:
     local_disk_Bps: float = 240e6
     stable_Bps: float = 200e6
     os_tags: list[str] = field(default_factory=list)
-    #: ``False`` selects the legacy (pre-optimization) kernel scheduling
-    #: discipline — per-resume heap closures, watcher-thread combinators,
-    #: per-item transfer delays — for A/B benchmarking (see SIMULATOR.md)
-    fast_paths: bool = True
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -50,7 +46,7 @@ class Cluster:
 
     def __init__(self, spec: ClusterSpec | None = None):
         self.spec = spec or ClusterSpec()
-        self.kernel = Kernel(fast_paths=self.spec.fast_paths)
+        self.kernel = Kernel()
         self.nodes: list[Node] = []
         self._nodes_by_name: dict[str, Node] = {}
         self.fabrics: dict[str, Fabric] = {}

@@ -23,10 +23,7 @@ deque*.  Resumes and zero-delay wakeups go onto the ready deque as
 plain ``(seq, thread, value, exc)`` tuples — no heap traffic, no
 closure allocation — while future wakeups go onto the heap.  Because
 both structures carry the global sequence number, the total execution
-order is identical to a heap-only kernel.  ``fast_paths=False``
-restores the pre-optimization behaviour (heap-only scheduling,
-watcher-thread combinators, per-file transfer delays downstream) for
-A/B measurement; determinism holds in both modes.
+order is identical to a heap-only kernel.
 
 Determinism: there is no real time anywhere in the scheduling logic,
 and time ties are broken by ``seq``, so two runs with the same inputs
@@ -179,16 +176,15 @@ class SimEvent:
 
 
 class _MultiWait:
-    """One registration across several events (WaitAny/WaitAll).
+    """One blocked thread's registration across several events
+    (WaitAny/WaitAll).
 
-    Completion either resumes a blocked thread (the syscall path) or
-    settles an output :class:`SimEvent` (the ``first_of``/``join_all``
-    combinators).  No watcher threads are involved: the wait registers
-    ``(self, index)`` entries directly in each event's waiter list and
-    detaches the leftovers when it settles.
+    No watcher threads are involved: the wait registers
+    ``(self, index)`` entries directly in each event's waiter list,
+    resumes the thread when it settles and detaches the leftovers.
     """
 
-    __slots__ = ("kernel", "mode", "thread", "target", "settled",
+    __slots__ = ("kernel", "mode", "thread", "settled",
                  "remaining", "results", "_regs")
 
     def __init__(
@@ -196,19 +192,16 @@ class _MultiWait:
         kernel: "Kernel",
         events: "list[SimEvent]",
         mode: str,
-        thread: "SimThread | None" = None,
-        target: "SimEvent | None" = None,
+        thread: "SimThread",
     ):
         self.kernel = kernel
         self.mode = mode  # "any" | "all"
         self.thread = thread
-        self.target = target
         self.settled = False
         self.remaining = len(events)
         self.results: list[Any] = [None] * len(events)
         self._regs: list = []
-        if thread is not None:
-            thread._waiting = self
+        thread._waiting = self
         if mode == "all" and not events:
             self._complete([], None)
             return
@@ -238,13 +231,7 @@ class _MultiWait:
     def _complete(self, value: Any, exc: BaseException | None) -> None:
         self.settled = True
         self._detach()
-        if self.thread is not None:
-            self.kernel._resume(self.thread, value, exc)
-        elif exc is not None:
-            if not self.target._fired:
-                self.target.fail(exc)
-        elif not self.target._fired:
-            self.target.fire(value)
+        self.kernel._resume(self.thread, value, exc)
 
     def _detach(self) -> None:
         for event, entry in self._regs:
@@ -478,20 +465,12 @@ class KernelStats:
 
 
 class Kernel:
-    """The discrete-event scheduler.
+    """The discrete-event scheduler."""
 
-    ``fast_paths=False`` selects the legacy scheduling discipline
-    (every resume through the heap as a closure, watcher-thread
-    combinators, per-item transfer delays in the vfs/netsim layers) so
-    benchmarks can measure the fast path against its predecessor inside
-    one process.  Both modes are individually deterministic.
-    """
-
-    def __init__(self, fast_paths: bool = True) -> None:
+    def __init__(self) -> None:
         from repro.obs.trace import TraceRecorder
 
         self.now: float = 0.0
-        self.fast_paths = fast_paths
         self._pq: list[tuple] = []
         #: same-timestamp run queue: (seq, thread, value, exc)
         self._ready: deque[tuple] = deque()
@@ -607,10 +586,7 @@ class Kernel:
     ) -> None:
         thread.blocked_on = None
         thread._waiting = None
-        if self.fast_paths:
-            self._ready_push(thread, value, exc)
-        else:
-            self.call_at(self.now, lambda: self._step(thread, value, exc))
+        self._ready_push(thread, value, exc)
 
     def _step(
         self, thread: SimThread, value: Any, exc: BaseException | None
@@ -653,7 +629,7 @@ class Kernel:
         thread.blocked_on = syscall
         if isinstance(syscall, Delay):
             seconds = syscall.seconds
-            if seconds == 0.0 and self.fast_paths:
+            if seconds == 0.0:
                 self._ready_push(thread, None, None)
             else:
                 self._push(self.now + seconds, thread)
@@ -661,33 +637,15 @@ class Kernel:
             syscall.event._add_waiter(thread)
         elif isinstance(syscall, WaitAny):
             self.stats.waits_any += 1
-            if self.fast_paths:
-                _MultiWait(self, syscall.events, "any", thread=thread)
-            else:
-                _watcher_first_of(self, syscall.events, "waitany")._add_waiter(
-                    thread
-                )
+            _MultiWait(self, syscall.events, "any", thread)
         elif isinstance(syscall, WaitAll):
             self.stats.waits_all += 1
-            if self.fast_paths:
-                _MultiWait(self, syscall.events, "all", thread=thread)
-            else:
-                _watcher_join_all(syscall.events, self, "waitall")._add_waiter(
-                    thread
-                )
+            _MultiWait(self, syscall.events, "all", thread)
         else:
             error = SimError(
                 f"thread {thread.name} yielded non-syscall {syscall!r}"
             )
-            if self.fast_paths:
-                self._ready_push(thread, None, error)
-            else:
-                self.call_at(self.now, lambda: self._step(thread, None, error))
-
-    def _step_if_alive(self, thread: SimThread) -> None:
-        if thread.alive:
-            thread.blocked_on = None
-            self._step(thread, None, None)
+            self._ready_push(thread, None, error)
 
     # -- run loop -------------------------------------------------------------
 
@@ -792,94 +750,3 @@ class Kernel:
         out["threads_dead"] = len(self._threads) - live
         return out
 
-
-def first_of(
-    kernel: Kernel, events: "list[SimEvent]", name: str = "first"
-) -> SimEvent:
-    """Return an event firing with ``(index, value, exc)`` of whichever
-    input settles first (failures settle too, with ``exc`` set).
-
-    Threads that are about to block on the result should yield
-    :class:`WaitAny` directly; this combinator exists for callers that
-    need a composable :class:`SimEvent`.  It spawns no watcher threads.
-    """
-    if not kernel.fast_paths:
-        return _watcher_first_of(kernel, events, name)
-    winner = kernel.event(name)
-    _MultiWait(kernel, events, "any", target=winner)
-    return winner
-
-
-def join_all(events: "list[SimEvent]", kernel: Kernel, name: str = "join") -> SimEvent:
-    """Return an event that fires when every input event has fired.
-
-    If any input fails, the join fails with the first failure.  Like
-    :func:`first_of` this spawns no watcher threads; blocking callers
-    should prefer yielding :class:`WaitAll`.
-    """
-    if not kernel.fast_paths:
-        return _watcher_join_all(events, kernel, name)
-    joined = kernel.event(name)
-    _MultiWait(kernel, events, "all", target=joined)
-    return joined
-
-
-# -- legacy (pre-fast-path) combinators, kept for A/B benchmarking ----------
-
-
-def _watcher_first_of(
-    kernel: Kernel, events: "list[SimEvent]", name: str = "first"
-) -> SimEvent:
-    """Watcher-thread ``first_of``: one daemon thread per input event."""
-    winner = kernel.event(name)
-
-    def make_watcher(i: int, ev: SimEvent) -> SimGen:
-        def watcher() -> SimGen:
-            try:
-                value = yield WaitEvent(ev)
-            except SimInterrupt:
-                raise
-            except BaseException as exc:
-                if not winner.fired:
-                    winner.fire((i, None, exc))
-                return
-            if not winner.fired:
-                winner.fire((i, value, None))
-
-        return watcher()
-
-    for i, ev in enumerate(events):
-        kernel.spawn(make_watcher(i, ev), name=f"{name}-w{i}", daemon=True)
-    return winner
-
-
-def _watcher_join_all(
-    events: "list[SimEvent]", kernel: Kernel, name: str = "join"
-) -> SimEvent:
-    """Watcher-thread ``join_all``: one daemon thread per input event."""
-    joined = kernel.event(name)
-    remaining = {"n": len(events)}
-    if not events:
-        joined.fire([])
-        return joined
-    results: list[Any] = [None] * len(events)
-
-    def make_watcher(i: int, ev: SimEvent) -> SimGen:
-        def watcher() -> SimGen:
-            try:
-                results[i] = yield WaitEvent(ev)
-            except SimInterrupt:
-                raise
-            except BaseException as exc:
-                if not joined.fired:
-                    joined.fail(exc)
-                return
-            remaining["n"] -= 1
-            if remaining["n"] == 0 and not joined.fired:
-                joined.fire(list(results))
-
-        return watcher()
-
-    for i, ev in enumerate(events):
-        kernel.spawn(make_watcher(i, ev), name=f"{name}-w{i}", daemon=True)
-    return joined

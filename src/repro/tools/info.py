@@ -18,10 +18,18 @@ KNOWN_PARAMS: dict[str, list[tuple[str, str, str]]] = {
     "crs": [
         ("crs", "simcr", "force CRS component selection"),
         ("crs_simcr_portable", "1", "allow simcr images to restart across OS tags"),
+        ("crs_base_chunk_bytes", "65536", "chunk size images are split into for hashing, deltas and CAS staging (bytes)"),
+        ("crs_base_hash_Bps", "4e9", "simulated chunk-hashing throughput, bytes/sec (0 = free)"),
     ],
     "snapc": [
         ("snapc", "full", "force SNAPC component selection"),
         ("snapc_full_ready_grace", "0.05", "seconds to wait for in-flight readiness"),
+        ("snapc_full_stage_depth", "2", "intervals one job may have in flight (queued or staging) before a new checkpoint request blocks"),
+        ("snapc_full_stage_retries", "1", "retries of a failed staging transfer before the interval is FAILED"),
+        ("snapc_full_interval_every", "1", "full-image cadence: every Nth interval is full, the rest are deltas (1 = always full)"),
+        ("snapc_full_max_chain", "4", "delta-chain length past which the newest interval is compacted to a full image at commit"),
+        ("snapc_full_cas", "0", "stage intervals through the content-addressed store (needs a FILEM component with CAS support)"),
+        ("snapc_full_cas_root", "/cas", "stable-storage directory of the content-addressed chunk store"),
         ("snapc_full_checkpoint_every", "0", "periodic checkpoint cadence in sim seconds (0 = off; the adaptive scheduler's cold-start fallback)"),
         ("snapc_sched_adaptive", "0", "re-tune the cadence per tick to the Young/Daly interval sqrt(2*MTBF*C)"),
         ("snapc_sched_min_every", "0.05", "lower clamp of the adaptive cadence (sim seconds)"),
@@ -40,6 +48,7 @@ KNOWN_PARAMS: dict[str, list[tuple[str, str, str]]] = {
         ("plm_rsh_num_concurrent", "8", "concurrent node contacts"),
         ("plm_slurm_jobid", "", "set to select the slurm launcher"),
         ("plm_slurm_step_cost", "0.005", "slurm step latency (s)"),
+        ("plm_slurm_num_concurrent", "64", "concurrent node contacts under slurm"),
     ],
     "pml": [
         ("pml", "ob1", "force PML component selection"),
@@ -62,6 +71,7 @@ KNOWN_PARAMS: dict[str, list[tuple[str, str, str]]] = {
 #: non-framework (base) parameters
 BASE_PARAMS: list[tuple[str, str, str]] = [
     ("ompi_cr_enabled", "1", "build with C/R support (wrapper PML installed)"),
+    ("obs_trace_enabled", "0", "enable the structured span/counter tracer at universe start"),
     ("orte_errmgr_autorecover", "0", "restart failed jobs from their last snapshot"),
     ("orte_errmgr_max_recoveries", "5", "restart attempts allowed per job lineage"),
     ("orte_errmgr_backoff", "0.05", "base recovery retry backoff in sim seconds (doubles per retry)"),

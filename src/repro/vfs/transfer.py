@@ -59,10 +59,10 @@ def copy_tree(
     """Copy every file under *src_prefix*; returns total bytes copied.
 
     The destination layout mirrors the source subtree under
-    *dst_prefix*.  On a fast-path kernel the whole tree moves under
-    three aggregate delays (batched read, network stream, batched
-    write) whose total equals the per-file loop exactly — N files cost
-    O(1) kernel events instead of O(N).
+    *dst_prefix*.  The whole tree moves under three aggregate delays
+    (batched read, network stream, batched write) whose total equals
+    a per-file :func:`copy_file` loop exactly — N files cost O(1)
+    kernel events instead of O(N).
     """
     src_norm = vpath.normalize(src_prefix)
     paths = src_fs.list_tree(src_norm)
@@ -74,20 +74,6 @@ def copy_tree(
             if rel
             else vpath.join(dst_prefix, vpath.basename(path))
         )
-
-    if not src_fs.kernel.fast_paths:
-        total = 0
-        for path, dst_path in zip(paths, dst_paths):
-            total += yield from copy_file(
-                src_fs,
-                path,
-                dst_fs,
-                dst_path,
-                extra_net_Bps=extra_net_Bps,
-                extra_latency_s=extra_latency_s,
-                link_ok=link_ok,
-            )
-        return total
 
     if not paths:
         return 0
@@ -101,13 +87,11 @@ def copy_tree(
     if net_time:
         yield Delay(net_time)
     pairs = list(zip(dst_paths, blobs))
-    # The per-file loop reads from the source until just before the
-    # final write, so the last destination file doubles as the "copy
-    # completed" marker (the staging retry logic relies on this).
-    # Preserve that: write everything but the last file, re-check the
-    # source, and only then write the marker — a source that died at
-    # any point during the copy leaves the destination incomplete and
-    # fails the batched form too.
+    # The last destination file doubles as the "copy completed" marker
+    # (the staging retry logic relies on this): write everything but
+    # the last file, re-check the source, and only then write the
+    # marker — a source that died at any point during the copy leaves
+    # the destination incomplete and fails the copy.
     yield from dst_fs.write_many(pairs[:-1])
     src_fs._check()
     if link_ok is not None:

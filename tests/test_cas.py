@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.opal.crs import chunks as chunkstore
+from repro.simenv.kernel import Kernel
 from repro.snapshot import parse_global_dirname, read_global_meta
 from repro.tools.api import (
     checkpoint_ref,
@@ -67,6 +68,46 @@ class TestChunkStore:
         assert second == 0  # dedup hit: no bytes written
         assert blob == data
         assert store.has(digest)
+
+    def test_put_many_get_many_cost_the_single_item_loop(self):
+        """Batching preserves sim time and bytes: ``put_many`` equals a
+        ``put`` per chunk (a stored chunk and an in-batch repeat are
+        both dedup hits), ``get_many`` a ``get`` per *unique* digest.
+        Power-of-two FS parameters make every delay sum exactly."""
+        payloads = [b"a" * 1024, b"b" * 2048, b"a" * 1024, b"c" * 512]
+        chunks = [(chunk_digest(p), p) for p in payloads]
+        digests = [d for d, _ in chunks]
+        stores = []
+        for _ in range(2):
+            fs = FS(Kernel(), "stable", bandwidth_Bps=2.0**20, op_latency_s=2.0**-10)
+            store = ChunkStore(fs, root="/cas")
+            run_gen(fs.kernel, store.put(*chunks[1]))  # pre-stored: a dedup hit
+            stores.append(store)
+        loop, batch = stores
+
+        def one_by_one():
+            written = 0
+            for digest, data in chunks:
+                written += yield from loop.put(digest, data)
+            put_at = loop.fs.kernel.now
+            blobs = {}
+            for digest in dict.fromkeys(digests):
+                blobs[digest] = yield from loop.get(digest)
+            return written, put_at, [blobs[d] for d in digests]
+
+        def batched():
+            written = yield from batch.put_many(chunks)
+            put_at = batch.fs.kernel.now
+            blobs = yield from batch.get_many(digests)
+            return written, put_at, blobs
+
+        expected = run_gen(loop.fs.kernel, one_by_one())
+        assert run_gen(batch.fs.kernel, batched()) == expected
+        assert expected[0] == 1024 + 512 and expected[2] == payloads
+        assert batch.fs.kernel.now == loop.fs.kernel.now
+        assert batch.fs.bytes_written == loop.fs.bytes_written
+        assert batch.fs.bytes_read == loop.fs.bytes_read
+        assert batch.fs._files == loop.fs._files
 
     def test_put_rejects_mismatched_digest(self, kernel, store):
         def main():

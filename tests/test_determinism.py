@@ -1,19 +1,12 @@
-"""Same-seed determinism regression for the fast-path kernel work.
+"""Same-seed determinism regression for the kernel and everything above it.
 
 Runs an E9-style fault-injection campaign (periodic checkpoints,
 autorecovery, MTBF-driven node crashes) twice from identical seeds and
 asserts the two runs are indistinguishable: identical kernel event
 sequences, identical final clocks, identical campaign reports.
-
-Parametrized over both scheduling disciplines, so the test guards the
-old API surface (heap-only resumes, watcher-thread ``first_of``/
-``join_all`` over Delay/WaitEvent) *and* the new one (ready deque,
-native WaitAny/WaitAll, batched transfers).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.simenv import CampaignSpec, FaultSpec, run_campaign
 from repro.tools.api import ompi_run
@@ -24,14 +17,13 @@ N_NODES = 6
 NP = 4
 
 
-def _campaign_run(fast_paths: bool) -> tuple[list, float, dict]:
+def _campaign_run() -> tuple[list, float, dict]:
     universe = make_universe(
         N_NODES,
         {
             "orte_errmgr_autorecover": "1",
             "snapc_full_checkpoint_every": "0.15",
         },
-        fast_paths=fast_paths,
     )
     kernel = universe.kernel
     events: list = []
@@ -42,10 +34,9 @@ def _campaign_run(fast_paths: bool) -> tuple[list, float, dict]:
     return events, kernel.now, report.to_dict()
 
 
-@pytest.mark.parametrize("fast_paths", [True, False], ids=["fast", "legacy"])
-def test_same_seed_campaign_runs_identically(fast_paths):
-    events_a, clock_a, report_a = _campaign_run(fast_paths)
-    events_b, clock_b, report_b = _campaign_run(fast_paths)
+def test_same_seed_campaign_runs_identically():
+    events_a, clock_a, report_a = _campaign_run()
+    events_b, clock_b, report_b = _campaign_run()
 
     assert report_a["completed"], report_a
     assert report_a["restarts"] >= 1
@@ -55,15 +46,6 @@ def test_same_seed_campaign_runs_identically(fast_paths):
     assert clock_a == clock_b
     assert events_a == events_b
     assert report_a == report_b
-
-
-def test_fast_and_legacy_agree_on_outcome():
-    """The two disciplines schedule differently but must agree on what
-    happened: same failures, same restarts, same completion."""
-    _, _, fast = _campaign_run(True)
-    _, _, legacy = _campaign_run(False)
-    for key in ("completed", "restarts", "failures", "final_state"):
-        assert fast[key] == legacy[key], key
 
 
 def _mixed_fault_run() -> tuple[list, float, dict]:

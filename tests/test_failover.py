@@ -16,6 +16,7 @@ import pytest
 
 from repro.obs.report import filter_spans
 from repro.orte.snapc.admission import StagingAdmission
+from repro.orte.snapc.staging import StagingRecord
 from repro.orte.statestore import StateStore
 from repro.simenv.campaign import (
     FAULT_HNP_CRASH,
@@ -25,7 +26,13 @@ from repro.simenv.campaign import (
     follow_lineage,
     run_campaign,
 )
-from repro.snapshot import STAGE_COMMITTED, GlobalSnapshotRef, read_global_meta
+from repro.simenv.kernel import Kernel
+from repro.snapshot import (
+    STAGE_COMMITTED,
+    GlobalSnapshotMeta,
+    GlobalSnapshotRef,
+    read_global_meta,
+)
 from repro.tools.api import ompi_restart, ompi_run
 from tests.conftest import make_universe, run_gen
 
@@ -184,6 +191,39 @@ class TestStateStore:
         run_gen(universe.kernel, store.flush(), name="flush")
         fresh = self._replay(universe)
         assert fresh.tables["t"]["k"] == {"i": 0}
+
+
+@pytest.mark.parametrize("cas", [False, True], ids=["plain", "cas"])
+def test_staging_record_durable_roundtrip(cas):
+    """``from_durable(to_durable(r))`` restores every persisted field,
+    through the store's own JSON encoding."""
+    kernel = Kernel()
+    meta = GlobalSnapshotMeta(
+        jobid=3, interval=2, n_procs=2, sim_time=0.4, app_name="churn"
+    )
+    record = StagingRecord(
+        jobid=3,
+        interval=2,
+        ref=GlobalSnapshotRef("/snapshots/job3/2"),
+        meta=meta,
+        kind="delta",
+        base_chain=["/snapshots/job3/1"],
+        compact=True,
+        gather_entries=[("node1", "/tmp/r0", "/snapshots/job3/2/r0")],
+        terminate=True,
+        done=kernel.event("done"),
+        enqueued_at=0.5,
+        cas=cas,
+        state=STAGE_COMMITTED,
+        error="late",
+        committed_at=0.75,
+    )
+    value = json.loads(json.dumps(record.to_durable()))
+    again = StagingRecord.from_durable(
+        value, meta=meta, done=record.done, now=record.enqueued_at
+    )
+    assert again == record
+    assert again.to_durable() == value
 
 
 def test_reclaim_all_returns_tokens_and_clears_dead_waiters():

@@ -1,8 +1,12 @@
 """Heterogeneous-cluster restart gating (paper section 4) and the
 command-line tool entry points."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.mca.params import MCAParams
 from repro.orte.universe import Universe
 from repro.simenv.cluster import Cluster, ClusterSpec
@@ -14,6 +18,7 @@ from repro.tools.api import (
     ompi_restart,
     ompi_run,
 )
+from repro.tools.info import render_info
 from repro.util.errors import RestartError
 from tests.conftest import make_universe
 
@@ -150,3 +155,18 @@ class TestCLI:
         assert cli.main_migrate(["--np", "4", "--nodes", "4"]) == 0
         out = capsys.readouterr().out
         assert "migrated to job" in out
+
+
+def test_every_read_mca_param_is_listed():
+    """``ompi-info`` must document every MCA parameter the code reads."""
+    read_site = re.compile(r'params\.get\w*\(\s*"([a-z]+_\w+)"')
+    src = pathlib.Path(repro.__file__).parent
+    read = {
+        name
+        for path in src.rglob("*.py")
+        for name in read_site.findall(path.read_text())
+    }
+    assert len(read) > 30  # the scan found the read sites at all
+    listing = render_info()
+    unlisted = sorted(n for n in read if f" {n} (default " not in listing)
+    assert unlisted == []

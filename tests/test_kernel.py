@@ -8,8 +8,6 @@ from repro.simenv.kernel import (
     WaitAll,
     WaitAny,
     WaitEvent,
-    first_of,
-    join_all,
 )
 from repro.util.errors import DeadlockError, SimError
 from tests.conftest import run_gen
@@ -280,63 +278,6 @@ class TestQueue:
         assert results == [("first", "a"), ("second", "b")]
 
 
-class TestCombinators:
-    def test_join_all_collects_results(self, kernel):
-        events = [kernel.event(f"e{i}") for i in range(3)]
-        joined = join_all(events, kernel)
-        for i, event in enumerate(events):
-            kernel.call_later(0.1 * (i + 1), lambda e=event, i=i: e.fire(i * 10))
-
-        def waiter():
-            values = yield WaitEvent(joined)
-            return values
-
-        assert run_gen(kernel, waiter()) == [0, 10, 20]
-
-    def test_join_all_empty_fires_immediately(self, kernel):
-        joined = join_all([], kernel)
-        assert joined.fired
-
-    def test_join_all_propagates_failure(self, kernel):
-        events = [kernel.event("a"), kernel.event("b")]
-        joined = join_all(events, kernel)
-        kernel.call_later(0.1, lambda: events[0].fail(RuntimeError("x")))
-        kernel.call_later(0.2, lambda: events[1].fire(1))
-
-        def waiter():
-            try:
-                yield WaitEvent(joined)
-            except RuntimeError:
-                return "failed"
-
-        assert run_gen(kernel, waiter()) == "failed"
-
-    def test_first_of_reports_winner(self, kernel):
-        events = [kernel.event("slow"), kernel.event("fast")]
-        race = first_of(kernel, events)
-        kernel.call_later(0.2, lambda: events[0].fire("s"))
-        kernel.call_later(0.1, lambda: events[1].fire("f"))
-
-        def waiter():
-            outcome = yield WaitEvent(race)
-            return outcome
-
-        index, value, exc = run_gen(kernel, waiter())
-        assert (index, value, exc) == (1, "f", None)
-
-    def test_first_of_captures_failure(self, kernel):
-        events = [kernel.event("a")]
-        race = first_of(kernel, events)
-        kernel.call_later(0.1, lambda: events[0].fail(ValueError("v")))
-
-        def waiter():
-            outcome = yield WaitEvent(race)
-            return outcome
-
-        index, value, exc = run_gen(kernel, waiter())
-        assert index == 0 and value is None and isinstance(exc, ValueError)
-
-
 class TestDeterminism:
     def test_identical_runs_schedule_identically(self):
         def build_and_run():
@@ -369,6 +310,9 @@ class TestWaitSyscalls:
             return outcome
 
         assert run_gen(kernel, waiter()) == (1, "f", None)
+        # only the one waiter thread exists; no per-event watchers
+        assert kernel.stats.threads_spawned == 1
+        assert kernel.stats.waits_any == 1 and kernel.stats.waits_all == 0
 
     def test_waitany_captures_failure(self, kernel):
         events = [kernel.event("a"), kernel.event("b")]
@@ -403,6 +347,8 @@ class TestWaitSyscalls:
             return values
 
         assert run_gen(kernel, waiter()) == [0, 10, 20]
+        assert kernel.stats.threads_spawned == 1
+        assert kernel.stats.waits_all == 1 and kernel.stats.waits_any == 0
 
     def test_waitall_empty_completes_immediately(self, kernel):
         def waiter():
@@ -446,69 +392,6 @@ class TestWaitSyscalls:
         assert not thread.alive
         assert events[0]._waiters == [] and events[1]._waiters == []
 
-    def test_no_watcher_threads_spawned(self, kernel):
-        """Acceptance: first_of/join_all must not spawn threads."""
-        events = [kernel.event(f"e{i}") for i in range(8)]
-        joined = join_all(events, kernel)
-        race = first_of(kernel, events)
-
-        def waiter():
-            yield WaitAny(events)
-            yield WaitAll(events)
-            yield WaitEvent(race)
-            yield WaitEvent(joined)
-            return "ok"
-
-        thread = kernel.spawn(waiter(), "w")
-        for i, event in enumerate(events):
-            kernel.call_later(0.1 * (i + 1), lambda e=event, i=i: e.fire(i))
-        kernel.run()
-        assert thread.result == "ok"
-        # only the one waiter thread exists; no per-event watchers
-        assert kernel.stats.threads_spawned == 1
-        assert kernel.stats.waits_any == 1 and kernel.stats.waits_all == 1
-
-    def test_legacy_mode_spawns_watchers(self):
-        """fast_paths=False keeps the pre-change watcher combinators."""
-        kernel = Kernel(fast_paths=False)
-        events = [kernel.event(f"e{i}") for i in range(4)]
-        joined = join_all(events, kernel)
-
-        def waiter():
-            values = yield WaitEvent(joined)
-            return values
-
-        thread = kernel.spawn(waiter(), "w")
-        for i, event in enumerate(events):
-            kernel.call_later(0.1, lambda e=event, i=i: e.fire(i))
-        kernel.run()
-        assert thread.result == [0, 1, 2, 3]
-        # one watcher per event, plus the waiter
-        assert kernel.stats.threads_spawned == 1 + len(events)
-
-    def test_legacy_waitany_translates(self):
-        kernel = Kernel(fast_paths=False)
-        events = [kernel.event("a"), kernel.event("b")]
-        kernel.call_later(0.1, lambda: events[1].fire("f"))
-
-        def waiter():
-            outcome = yield WaitAny(events)
-            return outcome
-
-        assert run_gen(kernel, waiter()) == (1, "f", None)
-
-    def test_legacy_waitall_translates(self):
-        kernel = Kernel(fast_paths=False)
-        events = [kernel.event("a"), kernel.event("b")]
-        kernel.call_later(0.1, lambda: events[0].fire(1))
-        kernel.call_later(0.2, lambda: events[1].fire(2))
-
-        def waiter():
-            values = yield WaitAll(events)
-            return values
-
-        assert run_gen(kernel, waiter()) == [1, 2]
-
 
 class TestKernelStats:
     def test_ready_path_bypasses_heap(self, kernel):
@@ -521,19 +404,6 @@ class TestKernelStats:
         assert kernel.stats.ready_hits >= 50
         # zero-delay wakeups must not touch the heap
         assert kernel.stats.heap_pushes < 10
-
-    def test_legacy_mode_uses_heap(self):
-        kernel = Kernel(fast_paths=False)
-
-        def chatty():
-            for _ in range(50):
-                yield Delay(0)
-            return "done"
-
-        thread = kernel.spawn(chatty(), "c")
-        kernel.run_until_complete(thread)
-        assert kernel.stats.ready_hits == 0
-        assert kernel.stats.heap_pushes >= 50
 
     def test_snapshot_shape(self, kernel):
         def main():

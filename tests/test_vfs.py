@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simenv.kernel import Kernel
 from repro.vfs import path as vpath
 from repro.vfs.fsbase import FS
 from repro.vfs.sharedfs import SharedFS
@@ -145,6 +146,69 @@ class TestFS:
         kernel.run()
         assert thread.done.fired
         assert not thread.alive
+
+
+class TestBatchedEqualsLoop:
+    """The batched forms cost exactly the sum of the single-item calls
+    they replace, and move the same bytes.  Parameters are powers of
+    two so every delay sums without rounding."""
+
+    FILES = [(f"/snap/d{i % 2}/f{i}", bytes([i]) * (512 * (i + 1))) for i in range(5)]
+
+    @staticmethod
+    def _fs(kernel, name):
+        return FS(kernel, name, bandwidth_Bps=2.0**20, op_latency_s=2.0**-10)
+
+    def test_write_many_read_many(self):
+        loop, batch = self._fs(Kernel(), "loop"), self._fs(Kernel(), "batch")
+        paths = [path for path, _ in self.FILES]
+
+        def one_by_one():
+            for path, data in self.FILES:
+                yield from loop.write(path, data)
+            written_at = loop.kernel.now
+            blobs = []
+            for path in paths:
+                blobs.append((yield from loop.read(path)))
+            return written_at, blobs
+
+        def batched():
+            yield from batch.write_many(self.FILES)
+            written_at = batch.kernel.now
+            blobs = yield from batch.read_many(paths)
+            return written_at, blobs
+
+        assert run_gen(batch.kernel, batched()) == run_gen(loop.kernel, one_by_one())
+        assert batch.kernel.now == loop.kernel.now > 0
+        assert batch.bytes_written == loop.bytes_written
+        assert batch.bytes_read == loop.bytes_read
+        assert batch._files == loop._files
+
+    def test_copy_tree(self):
+        link = {"extra_net_Bps": 2.0**18, "extra_latency_s": 2.0**-6}
+
+        def file_by_file(src, dst):
+            total = 0
+            for path, _ in self.FILES:
+                total += yield from copy_file(
+                    src, path, dst, path.replace("/snap", "/out"), **link
+                )
+            return total
+
+        def whole_tree(src, dst):
+            return copy_tree(src, "/snap", dst, "/out", **link)
+
+        def outcome(copier):
+            kernel = Kernel()
+            src, dst = self._fs(kernel, "src"), self._fs(kernel, "dst")
+            for path, data in self.FILES:
+                src.poke(path, data)
+            moved = run_gen(kernel, copier(src, dst))
+            return moved, kernel.now, src.bytes_read, dst.bytes_written, dst._files
+
+        expected = outcome(file_by_file)
+        assert outcome(whole_tree) == expected
+        assert expected[0] == sum(len(data) for _, data in self.FILES)
 
 
 class TestSharedFS:
