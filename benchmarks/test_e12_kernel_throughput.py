@@ -53,8 +53,8 @@ BASELINE_EVENTS_PER_SEC = 8_000.0
 REGRESSION_FLOOR = 0.7
 #: the sweep's deterministic kernel counters (``KernelStats`` fields)
 PINNED_COUNTS = {
-    "events": 54214,
-    "threads_spawned": 9473,
+    "events": 49487,
+    "threads_spawned": 6529,
     "waits_any": 244,
     "waits_all": 304,
 }

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.ft_event import FTState
 from repro.mca.component import Component
 from repro.netsim.transport import Endpoint
 from repro.simenv.kernel import SimGen
-from repro.util.errors import NetworkError, SimInterrupt
+from repro.util.errors import NetworkError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.transport import Fabric
     from repro.mca.registry import FrameworkRegistry
     from repro.ompi.layer import OmpiLayer
     from repro.ompi.pml.ob1 import Ob1PML
@@ -28,8 +29,9 @@ class BTLComponent(Component):
         super().__init__(params)
         self.ompi: "OmpiLayer | None" = None
         self.pml: "Ob1PML | None" = None
+        self.fabric: "Fabric | None" = None
         self.ep: Endpoint | None = None
-        self._pump = None
+        self._attached = False
         self.sent_msgs = 0
         self.sent_bytes = 0
 
@@ -47,11 +49,7 @@ class BTLComponent(Component):
     def setup(self, ompi: "OmpiLayer", pml: "Ob1PML") -> None:
         self.ompi = ompi
         self.pml = pml
-
-    @property
-    def fabric(self):
-        assert self.ompi is not None
-        return self.ompi.cluster.fabric(self.fabric_name)
+        self.fabric = ompi.cluster.fabric(self.fabric_name)
 
     def port_name(self) -> str:
         assert self.ompi is not None
@@ -59,31 +57,36 @@ class BTLComponent(Component):
         return f"mpi.{proc.name.jobid}.{proc.name.vpid}.{proc.pid}.{self.name}"
 
     def open_endpoint(self) -> str:
-        """Bind the receive endpoint and start the progress pump.
+        """Bind the receive endpoint and attach the progress handler.
 
         Returns the port name for the modex business card.  Reopening
-        after :meth:`close_endpoint` resumes processing of any frames
-        that queued while the endpoint was down (peers re-establishing
-        a connection do not lose traffic — they handshake).
+        after :meth:`close_endpoint` first handles, in order, the
+        frames that queued while the endpoint was down (peers
+        re-establishing a connection do not lose traffic — they
+        handshake).
         """
         assert self.ompi is not None and self.pml is not None
         if self.ep is None:
             self.ep = self.fabric.bind(self.ompi.proc.node.name, self.port_name())
-        if self._pump is None:
-            self._pump = self.ompi.proc.spawn_thread(
-                self._pump_loop(), name=f"btl-{self.name}-pump", daemon=True
+        if not self._attached:
+            # A progress-engine failure corrupts the MPI library:
+            # SimProcess.handler kills the process loudly rather than
+            # dropping traffic.
+            self.fabric.attach_handler(
+                self.ep, self.ompi.proc.handler(self._progress)
             )
+            self._attached = True
         return self.ep.port
 
     def close_endpoint(self) -> None:
-        """Tear down the connection state (stop the progress pump).
+        """Tear down the connection state (detach the progress handler).
 
         The mailbox itself persists so in-flight frames from peers that
         resumed earlier wait for the reconnect instead of vanishing.
         """
-        if self._pump is not None:
-            self._pump.kill()
-            self._pump = None
+        if self._attached:
+            self.fabric.detach_handler(self.ep)
+            self._attached = False
 
     def teardown(self) -> None:
         """Full teardown (MPI_FINALIZE / process halt): unbind too."""
@@ -92,24 +95,12 @@ class BTLComponent(Component):
             self.fabric.unbind(self.ep)
             self.ep = None
 
-    def _pump_loop(self) -> SimGen:
-        ep = self.ep
-        assert ep is not None
-        while True:
-            dgram = yield from self.fabric.recv(ep)
-            try:
-                self.pml.handle_incoming(dgram.payload)
-            except (GeneratorExit, SimInterrupt):  # pragma: no cover
-                raise
-            except BaseException as exc:  # noqa: BLE001
-                # A progress-engine failure corrupts the MPI library;
-                # kill the process loudly rather than dropping traffic.
-                self.ompi.proc.kill(exc)
-                return None
+    def _progress(self, dgram) -> None:
+        self.pml.handle_incoming(dgram.payload)
 
     @property
     def is_connected(self) -> bool:
-        return self.ep is not None and self._pump is not None
+        return self.ep is not None and self._attached
 
     # -- data path ---------------------------------------------------------------
 
@@ -129,6 +120,33 @@ class BTLComponent(Component):
         return self.name in ports
 
     def send_msg(self, peer_card: dict, msg, wire_bytes: int) -> SimGen:
+        """Blocking send: returns once *msg* is on the wire."""
+        dst, msg = self._frame(peer_card, msg, wire_bytes)
+        yield from self.fabric.send(self.ep, dst, msg, wire_bytes)
+        self.sent_msgs += 1
+        self.sent_bytes += wire_bytes
+        return None
+
+    def post_msg(
+        self, peer_card: dict, msg, wire_bytes: int, on_wire: Callable[[], None]
+    ) -> None:
+        """Callback form of :meth:`send_msg`: returns at once and calls
+        ``on_wire()`` when *msg* is on the wire — never, if the sending
+        process dies first (the frame is then not delivered)."""
+        dst, msg = self._frame(peer_card, msg, wire_bytes)
+        proc = self.ompi.proc
+
+        def sent(dgram) -> None:
+            self.sent_msgs += 1
+            self.sent_bytes += wire_bytes
+            on_wire()
+
+        self.fabric.post(
+            self.ep, dst, msg, wire_bytes, sent, lambda: proc.alive
+        )
+
+    def _frame(self, peer_card: dict, msg, wire_bytes: int):
+        """Destination endpoint and wire form of *msg*."""
         if self.ep is None:
             raise NetworkError(f"BTL {self.name} endpoint is closed")
         dst = Endpoint(peer_card["node"], peer_card["ports"][self.name])
@@ -143,10 +161,7 @@ class BTLComponent(Component):
                 import dataclasses
 
                 msg = dataclasses.replace(msg, payload=copied)
-        yield from self.fabric.send(self.ep, dst, msg, wire_bytes)
-        self.sent_msgs += 1
-        self.sent_bytes += wire_bytes
-        return None
+        return dst, msg
 
     @staticmethod
     def _buffer_copy(payload):

@@ -59,7 +59,7 @@ class PMLComponent(Component):
     def iprobe(self, comm: "Communicator", src: int, tag: int):
         raise NotImplementedError
 
-    # -- progress (synchronous, called by BTL pumps) ---------------------------
+    # -- progress (synchronous, called from the BTLs' fabric handlers) ---------
 
     def handle_incoming(self, msg: Any) -> None:
         raise NotImplementedError

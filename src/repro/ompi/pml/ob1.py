@@ -9,22 +9,29 @@ Implements the classic Open MPI ob1 design over BTLs:
   send completes once the data is on the wire, the receive when it
   lands.
 
-Progress is driven by per-BTL pump threads calling
-:meth:`handle_incoming`; sends run on short-lived helper threads so
-``isend`` returns immediately (MPI semantics).
+The PML is callback-driven and owns no thread.  Each BTL hands an
+arriving fragment straight to :meth:`handle_incoming` from the fabric's
+delivery callback, and ``isend`` posts a send's first fragment (the
+eager fragment, or the RTS) in the caller, so sends reach the wire in
+program order and ``isend`` returns immediately (MPI semantics).  An
+eager send completes from the BTL's on-wire callback.  Only a
+rendezvous takes short-lived helper threads: the sender's blocks until
+the CTS arrives and then sends the DATA, and the receiver sends that
+CTS from one.
 
 Checkpoint/restart integration (used by the CRCP ``coord`` component):
 
 * ``enter_drain``/``leave_drain`` — while draining, unmatched RTS
   fragments are CTSed immediately so their payloads land in the
   unexpected queue (the channel must be empty in the global snapshot);
-* ``quiesce_sends`` — wait for every in-flight send helper to finish;
+* ``quiesce_sends`` — wait until every started send is on the wire;
 * ``capture_state``/``restore_state`` — the PML's part of the process
   image: matching queues, request table, sequence counters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.mca.component import component_of
@@ -101,81 +108,99 @@ class Ob1PML(PMLComponent):
         self.send_seq[key] = seq + 1
         if self.send_hook is not None:
             self.send_hook(comm.world_rank(dst))
-        self.active_sends += 1
-        self.ompi.proc.spawn_thread(
-            self._send_thread(req, comm, dst, tag, payload, seq),
-            name=f"ob1-send-{req.id}",
-            daemon=True,
-        )
+        nbytes = nbytes_of(payload)
+        eager = nbytes <= self.eager_limit
+        if eager:
+            # The payload is copied now: the sender's buffer is
+            # reusable as soon as isend returns.
+            first = MPIMsg(
+                "eager",
+                comm.cid,
+                comm.rank,
+                dst,
+                tag,
+                seq,
+                nbytes,
+                payload=copy_payload(payload),
+                src_world=comm.my_world_rank,
+            )
+            wire_bytes = MSG_HEADER_BYTES + nbytes
+
+            def on_wire() -> None:
+                self.stats["eager_sent"] += 1
+                req.complete_ok(None)
+                self._send_done()
+
+        else:
+            first = MPIMsg(
+                "rts",
+                comm.cid,
+                comm.rank,
+                dst,
+                tag,
+                seq,
+                nbytes,
+                msg_id=self.next_msg_id,
+                src_world=comm.my_world_rank,
+            )
+            self.next_msg_id += 1
+            wire_bytes = MSG_HEADER_BYTES
+
+            def on_wire() -> None:
+                pass  # a rendezvous completes when its DATA is on the wire
+
+        # The first fragment of either protocol is posted here, in the
+        # caller, so that sends to one peer reserve the NIC in program
+        # order (MPI non-overtaking: matching is in arrival order).
+        try:
+            card = self.ompi.peer_card(comm.world_rank(dst))
+            self.select_btl(card).post_msg(card, first, wire_bytes, on_wire)
+        except NetworkError as exc:
+            req.complete_error(f"send failed: {exc}")
+        else:
+            self.active_sends += 1
+            if not eager:
+                self._await_cts(req, card, first, payload)
         if False:  # pragma: no cover - keeps this a generator function
             yield
         return req.id
 
-    def _send_thread(self, req, comm, dst, tag, payload, seq) -> SimGen:
+    def _await_cts(self, req, card, rts: MPIMsg, payload) -> None:
+        """The rest of a rendezvous (RTS → CTS → DATA) once the RTS is
+        posted.  The wait for the CTS blocks, so it runs on a helper
+        thread."""
+        cts_event = self.ompi.kernel.event(f"cts-{rts.msg_id}")
+        self.pending_cts[rts.msg_id] = cts_event
+        data = dataclasses.replace(rts, kind="data", payload=payload)
+        self.ompi.proc.spawn_thread(
+            self._rendezvous_thread(req, card, cts_event, data),
+            name=f"ob1-rndv-{req.id}",
+            daemon=True,
+        )
+
+    def _rendezvous_thread(self, req, card, cts_event, data: MPIMsg) -> SimGen:
         try:
-            nbytes = nbytes_of(payload)
-            card = self.ompi.peer_card(comm.world_rank(dst))
-            if nbytes <= self.eager_limit:
-                msg = MPIMsg(
-                    "eager",
-                    comm.cid,
-                    comm.rank,
-                    dst,
-                    tag,
-                    seq,
-                    nbytes,
-                    payload=copy_payload(payload),
-                    src_world=comm.my_world_rank,
-                )
-                btl = self.select_btl(card)
-                yield from btl.send_msg(card, msg, MSG_HEADER_BYTES + nbytes)
-                self.stats["eager_sent"] += 1
-            else:
-                msg_id = self.next_msg_id
-                self.next_msg_id += 1
-                rts = MPIMsg(
-                    "rts",
-                    comm.cid,
-                    comm.rank,
-                    dst,
-                    tag,
-                    seq,
-                    nbytes,
-                    msg_id=msg_id,
-                    src_world=comm.my_world_rank,
-                )
-                cts_event = self.ompi.kernel.event(f"cts-{msg_id}")
-                self.pending_cts[msg_id] = cts_event
-                btl = self.select_btl(card)
-                yield from btl.send_msg(card, rts, MSG_HEADER_BYTES)
-                yield WaitEvent(cts_event)
-                data = MPIMsg(
-                    "data",
-                    comm.cid,
-                    comm.rank,
-                    dst,
-                    tag,
-                    seq,
-                    nbytes,
-                    payload=payload,
-                    msg_id=msg_id,
-                    src_world=comm.my_world_rank,
-                )
-                # Re-select: the preferred BTL may have been shut down
-                # between RTS and CTS by a concurrent checkpoint.
-                btl = self.select_btl(card)
-                yield from btl.send_msg(card, data, MSG_HEADER_BYTES + nbytes)
-                self.stats["rndv_sent"] += 1
+            yield WaitEvent(cts_event)
+            # Select only now: the preferred BTL may have been shut
+            # down between RTS and CTS by a concurrent checkpoint.
+            btl = self.select_btl(card)
+            yield from btl.send_msg(card, data, MSG_HEADER_BYTES + data.nbytes)
+            self.stats["rndv_sent"] += 1
             req.complete_ok(None)
         except NetworkError as exc:
             req.complete_error(f"send failed: {exc}")
         finally:
-            self.active_sends -= 1
-            if self.active_sends == 0 and self._quiet_event is not None:
-                event, self._quiet_event = self._quiet_event, None
-                if not event.fired:
-                    event.fire(None)
+            self._send_done()
         return None
+
+    def _send_done(self) -> None:
+        """One send left the ``active_sends`` set (on the wire, failed,
+        or its helper was killed); wake ``quiesce_sends`` at zero."""
+        self.active_sends -= 1
+        if self.active_sends == 0 and self._quiet_event is not None:
+            event, self._quiet_event = self._quiet_event, None
+            if not event.fired:
+                event.fire(None)
 
     def select_btl(self, card: dict):
         my_node = self.ompi.proc.node.name
@@ -260,7 +285,7 @@ class Ob1PML(PMLComponent):
         return None
 
     # ------------------------------------------------------------------
-    # progress (called from BTL pump threads)
+    # progress (called from the BTLs' fabric handlers: must not block)
     # ------------------------------------------------------------------
 
     def handle_incoming(self, msg: MPIMsg) -> None:
@@ -353,7 +378,7 @@ class Ob1PML(PMLComponent):
         self.drain_mode = False
 
     def quiesce_sends(self) -> SimGen:
-        """Block until every in-flight send helper has finished."""
+        """Block until every started send is on the wire (or failed)."""
         while self.active_sends > 0:
             if self._quiet_event is None:
                 self._quiet_event = self.ompi.kernel.event("ob1-quiet")

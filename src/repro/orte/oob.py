@@ -5,7 +5,9 @@ snapshot progress reports) travel out-of-band over TCP, not over the
 MPI data path.  Here every runtime-visible process binds one endpoint
 on the Ethernet fabric; the RML (routing message layer) multiplexes
 *tags* over it and offers blocking ``send``/``recv`` plus a
-correlation-id RPC helper.
+correlation-id RPC helper.  The endpoint owns no thread: arriving
+messages are filed under their tag from the fabric's delivery callback
+(``Fabric.attach_handler``).
 
 Message payloads are ordinary picklable dicts; transfer cost is the
 pickled size over the Ethernet model, so control-plane chatter has a
@@ -82,7 +84,7 @@ class RML:
         self._queues: dict[str, Queue] = {}
         self._rpc_waiters: dict[int, object] = {}
         self._closed = False
-        self._pump = proc.spawn_thread(self._pump_loop(), name="rml-pump", daemon=True)
+        self.fabric.attach_handler(self.ep, proc.handler(self._route))
         proc.register_service("rml", self)
 
     # -- internals ------------------------------------------------------------
@@ -94,20 +96,20 @@ class RML:
             self._queues[tag] = queue
         return queue
 
-    def _pump_loop(self) -> SimGen:
-        while True:
-            dgram = yield from self.fabric.recv(self.ep)
-            tag = dgram.meta.get("tag", "?")
-            payload = dgram.payload
-            # RPC replies are routed straight to their waiter so that
-            # concurrent RPCs on the same reply tag cannot consume each
-            # other's replies.
-            if isinstance(payload, dict) and "rpc_id" in payload:
-                waiter = self._rpc_waiters.pop(payload["rpc_id"], None)
-                if waiter is not None:
-                    waiter.fire((dgram.meta.get("from"), payload))
-                    continue
-            self._queue(tag).put((dgram.meta.get("from"), payload))
+    def _route(self, dgram) -> None:
+        """Fabric handler: file one arriving message under its tag."""
+        payload = dgram.payload
+        # RPC replies are routed straight to their waiter so that
+        # concurrent RPCs on the same reply tag cannot consume each
+        # other's replies.
+        if isinstance(payload, dict) and "rpc_id" in payload:
+            waiter = self._rpc_waiters.pop(payload["rpc_id"], None)
+            if waiter is not None:
+                waiter.fire((dgram.meta.get("from"), payload))
+                return
+        self._queue(dgram.meta.get("tag", "?")).put(
+            (dgram.meta.get("from"), payload)
+        )
 
     # -- API -----------------------------------------------------------------
 
@@ -142,7 +144,7 @@ class RML:
         """
         from repro.simenv.kernel import WaitEvent
 
-        # kernel-scoped: universe-unique (the pump routes any payload
+        # kernel-scoped: universe-unique (_route hands any payload
         # carrying a known rpc_id to its waiter) yet deterministic
         # across universes in one session
         rpc_id = self.proc.kernel.next_id("rml.rpc")
@@ -168,4 +170,3 @@ class RML:
         if not self._closed:
             self._closed = True
             self.fabric.unbind(self.ep)
-            self._pump.kill()

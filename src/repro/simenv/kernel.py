@@ -310,7 +310,7 @@ class SimThread:
 
     ``daemon`` threads do not keep the simulation alive and are not
     counted by deadlock detection — the runtime's service loops (orted
-    message pumps, coordinator listeners) are daemons.
+    tag servers, coordinator listeners) are daemons.
     """
 
     def __init__(

@@ -67,6 +67,25 @@ class SimProcess:
     def live_threads(self) -> list[SimThread]:
         return [t for t in self.threads if t.alive]
 
+    def handler(self, fn: Callable[[Any], None]) -> Callable[[Any], None]:
+        """Wrap *fn* as a transport handler owned by this process
+        (``Fabric.attach_handler``): it runs inside a kernel timer, not
+        a thread, so the thread rules are restated here — a dead
+        process handles nothing, and an exception kills the process
+        instead of escaping ``Kernel.run``."""
+
+        def handle(dgram: Any) -> None:
+            if not self.alive:
+                return
+            try:
+                fn(dgram)
+            except (SimInterrupt, KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException as exc:  # noqa: BLE001
+                self.kill(exc)
+
+        return handle
+
     # -- lifecycle ---------------------------------------------------------
 
     def exit(self, result: Any = None) -> None:

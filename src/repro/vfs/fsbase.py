@@ -237,7 +237,10 @@ class FS:
             self._files.pop(path, None)
             self._mtimes.pop(path, None)
         norm = vpath.normalize(prefix)
-        self._dirs = {d for d in self._dirs if not vpath.is_under(d, norm)}
+        inside = norm.rstrip("/") + "/"
+        self._dirs = {
+            d for d in self._dirs if not (d == norm or d.startswith(inside))
+        }
         return len(victims)
 
     # -- instantaneous metadata operations --------------------------------------
@@ -266,8 +269,12 @@ class FS:
     def list_tree(self, prefix: str = "/") -> list[str]:
         """All file paths under *prefix*, sorted."""
         self._check()
+        # vpath.is_under, minus re-normalising keys that already are
         norm = vpath.normalize(prefix)
-        return sorted(f for f in self._files if vpath.is_under(f, norm))
+        inside = norm.rstrip("/") + "/"
+        return sorted(
+            f for f in self._files if f == norm or f.startswith(inside)
+        )
 
     def size_tree(self, prefix: str = "/") -> int:
         return sum(len(self._files[f]) for f in self.list_tree(prefix))

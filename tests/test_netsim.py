@@ -5,6 +5,7 @@ import pytest
 from repro.netsim.models import LinkModel, ethernet_1g, infiniband, loopback
 from repro.netsim.transport import Endpoint
 from repro.simenv.cluster import Cluster, ClusterSpec
+from repro.simenv.kernel import Delay
 from repro.util.errors import NetworkError
 from tests.conftest import run_gen
 
@@ -192,6 +193,216 @@ class TestFabric:
         nic_b = cluster.node("node01").nics["eth"]
         assert nic_a.tx_msgs == 1 and nic_a.tx_bytes == 123
         assert nic_b.rx_msgs == 1 and nic_b.rx_bytes == 123
+
+
+class TestPostAndSenderDeath:
+    """``post`` is the callback form of ``send``; a sender that dies
+    before its message is serialized puts nothing on the wire."""
+
+    def _pair(self, cluster):
+        eth = cluster.eth
+        return eth, eth.bind("node00", "pA"), eth.bind("node01", "pB")
+
+    def test_post_times_and_delivers_like_send(self, cluster):
+        eth, a, b = self._pair(cluster)
+        kernel = cluster.kernel
+        on_wire = []
+        eth.post(a, b, "m", 1000, lambda d: on_wire.append((kernel.now, d.payload)),
+                 lambda: True)
+        assert eth.in_flight == 1 and not on_wire  # post never blocks
+        kernel.run()
+        assert on_wire == [(eth.model.transmit_time(1000), "m")]
+        assert kernel.now == eth.model.transfer_time(1000)
+        assert eth.in_flight == 0 and eth.delivered == 1
+        ok, dgram = eth.try_recv(b)
+        assert ok and dgram.payload == "m" and dgram.send_time == 0.0
+
+    def test_post_and_send_queue_on_the_same_nic(self, cluster):
+        eth, a, b = self._pair(cluster)
+        size = 1_000_000
+        times = []
+        eth.post(a, b, "first", size, lambda d: times.append(cluster.kernel.now),
+                 lambda: True)
+
+        def main():
+            yield from eth.send(a, b, "second", size)
+            times.append(cluster.kernel.now)
+
+        run_gen(cluster.kernel, main())
+        one_tx = eth.model.transmit_time(size)
+        assert times == [one_tx, 2 * one_tx]
+        assert [eth.try_recv(b)[1].payload for _ in range(2)] == ["first", "second"]
+
+    def test_post_from_down_node_raises(self, cluster):
+        eth, a, b = self._pair(cluster)
+        cluster.node("node00").crash()
+        with pytest.raises(NetworkError):
+            eth.post(a, b, "x", 10, lambda d: None, lambda: True)
+        assert eth.in_flight == 0
+
+    def test_posting_sender_dies_mid_serialization(self, cluster):
+        eth, a, b = self._pair(cluster)
+        alive = [True]
+        on_wire = []
+        eth.post(a, b, "x", 1_000_000, on_wire.append, lambda: alive[0])
+        cluster.kernel.call_later(
+            eth.model.transmit_time(1_000_000) / 2, lambda: alive.__setitem__(0, False)
+        )
+        cluster.kernel.run()
+        assert not on_wire
+        assert eth.in_flight == 0
+        assert (eth.delivered, eth.dropped, eth.pending(b)) == (0, 1, 0)
+
+    def test_sending_thread_killed_mid_serialization(self, cluster):
+        eth, a, b = self._pair(cluster)
+
+        def main():
+            yield from eth.send(a, b, "x", 1_000_000)
+
+        thread = cluster.kernel.spawn(main(), "sender")
+        cluster.kernel.call_later(
+            eth.model.transmit_time(1_000_000) / 2, thread.kill
+        )
+        cluster.kernel.run()
+        assert eth.in_flight == 0
+        assert (eth.delivered, eth.dropped, eth.pending(b)) == (0, 1, 0)
+
+
+class TestHandlers:
+    def _pair(self, cluster):
+        eth = cluster.eth
+        return eth, eth.bind("node00", "pA"), eth.bind("node01", "pB")
+
+    def test_handler_runs_at_delivery_time_and_bypasses_mailbox(self, cluster):
+        eth, a, b = self._pair(cluster)
+        kernel = cluster.kernel
+        got = []
+        eth.attach_handler(b, lambda d: got.append((kernel.now, d.payload)))
+
+        def main():
+            yield from eth.send(a, b, "m", 100)
+
+        spawned = kernel.stats.threads_spawned
+        run_gen(kernel, main())
+        kernel.run()
+        assert got == [(eth.model.transfer_time(100), "m")]
+        assert eth.pending(b) == 0 and eth.delivered == 1
+        # nothing but the sender ran: a handler is not a thread
+        assert kernel.stats.threads_spawned == spawned + 1
+
+    def test_queued_frames_handled_in_order_at_attach_time(self, cluster):
+        eth, a, b = self._pair(cluster)
+        kernel = cluster.kernel
+        got = []
+
+        def sender():
+            for i in range(3):
+                yield from eth.send(a, b, i, 50)
+
+        run_gen(kernel, sender())
+        kernel.run()
+        assert eth.pending(b) == 3
+        t_attach = kernel.now + 1.0
+
+        def late_sender():
+            yield from eth.send(a, b, "late", 50)
+
+        def attach():
+            eth.attach_handler(b, lambda d: got.append((kernel.now, d.payload)))
+            # not yet: the handler takes over from a zero-delay callback
+            assert got == []
+            kernel.spawn(late_sender(), "late")
+
+        kernel.call_at(t_attach, attach)
+        kernel.run()
+        assert [p for _, p in got] == [0, 1, 2, "late"]
+        assert [t for t, _ in got[:3]] == [t_attach] * 3
+        assert got[3][0] == pytest.approx(t_attach + eth.model.transfer_time(50))
+        assert eth.pending(b) == 0
+
+    def test_frame_arriving_between_attach_and_install_keeps_its_place(self, cluster):
+        eth, a, b = self._pair(cluster)
+        kernel = cluster.kernel
+        got = []
+
+        def sender():
+            yield from eth.send(a, b, "old", 50)
+            yield from eth.send(a, b, "new", 50)
+
+        kernel.spawn(sender(), "s")
+        # attach at the very instant "old" is delivered, from a callback
+        # scheduled before the delivery timer: "old" lands in the
+        # mailbox after attach_handler() and before the install
+        kernel.call_at(
+            eth.model.transfer_time(50),
+            lambda: eth.attach_handler(b, lambda d: got.append(d.payload)),
+        )
+        kernel.run()
+        assert got == ["old", "new"]
+
+    def test_detach_falls_back_to_mailbox(self, cluster):
+        eth, a, b = self._pair(cluster)
+        got = []
+        eth.attach_handler(b, lambda d: got.append(d.payload))
+
+        def main():
+            yield from eth.send(a, b, 1, 10)
+            yield Delay(1.0)
+            eth.detach_handler(b)
+            yield from eth.send(a, b, 2, 10)
+            dgram = yield from eth.recv(b)
+            return dgram.payload
+
+        assert run_gen(cluster.kernel, main()) == 2
+        assert got == [1]
+
+    def test_detach_before_install_cancels_it(self, cluster):
+        eth, a, b = self._pair(cluster)
+        got = []
+        eth.attach_handler(b, got.append)
+        eth.detach_handler(b)
+
+        def main():
+            yield from eth.send(a, b, "m", 10)
+
+        run_gen(cluster.kernel, main())
+        cluster.kernel.run()
+        assert got == [] and eth.pending(b) == 1
+
+    def test_handler_detaching_itself_stops_the_drain(self, cluster):
+        eth, a, b = self._pair(cluster)
+        got = []
+
+        def sender():
+            for i in range(3):
+                yield from eth.send(a, b, i, 10)
+
+        run_gen(cluster.kernel, sender())
+        cluster.kernel.run()
+
+        def once(dgram):
+            got.append(dgram.payload)
+            eth.detach_handler(b)
+
+        eth.attach_handler(b, once)
+        cluster.kernel.run()
+        assert got == [0] and eth.pending(b) == 2
+
+    def test_attach_needs_a_bound_endpoint_and_unbind_detaches(self, cluster):
+        eth, a, b = self._pair(cluster)
+        with pytest.raises(NetworkError):
+            eth.attach_handler(Endpoint("node01", "ghost"), print)
+        got = []
+        eth.attach_handler(b, got.append)
+        cluster.kernel.run()
+        eth.unbind(b)
+
+        def main():
+            yield from eth.send(a, b, "m", 10)
+
+        run_gen(cluster.kernel, main())
+        cluster.kernel.run()
+        assert got == [] and eth.dropped == 1
 
 
 class TestClusterTopology:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.orte.oob import TAG_PS_REPLY, TAG_PS_REQUEST
+from repro.simenv.kernel import Delay
 from repro.util.errors import NetworkError
 from repro.util.ids import ProcessName, daemon_name, hnp_name
 from tests.conftest import make_universe, run_gen
@@ -84,8 +85,6 @@ class TestRML:
             orted = universe.orteds[node]
             sender, payload = yield from orted.rml.recv("echo.req")
             # Deliberately reply slowly and out of order.
-            from repro.simenv.kernel import Delay
-
             yield Delay(0.05 if payload["index"] == 0 else 0.01)
             yield from orted.rml.send(
                 sender, "echo.rep", orted.rml.reply_to(payload, payload)
@@ -96,6 +95,93 @@ class TestRML:
             universe.kernel.spawn(client(i, node), f"cli{i}")
         universe.kernel.run()
         assert replies == {0: 0, 1: 1}
+
+    def test_endpoint_owns_no_thread(self, universe):
+        """Routing runs in the fabric's delivery callback: building an
+        RML spawns nothing, and neither does receiving a message."""
+        from repro.orte.oob import RML
+        from repro.simenv.process import SimProcess
+
+        kernel = universe.kernel
+        proc = SimProcess(universe.cluster.node("node02"), ProcessName(55, 0))
+        spawned = kernel.stats.threads_spawned
+        rml = RML(universe, proc)
+        assert kernel.stats.threads_spawned == spawned
+
+        def sender():
+            for i in range(3):
+                yield from universe.hnp.rml.send(rml.proc.name, "t", {"i": i})
+
+        universe.register(proc)
+        run_gen(kernel, sender())
+        kernel.run()
+        assert kernel.stats.threads_spawned == spawned + 1  # the sender
+        assert [rml.try_recv("t")[1][1]["i"] for _ in range(3)] == [0, 1, 2]
+
+    def test_reply_without_a_waiter_falls_back_to_the_tag_queue(self, universe):
+        hnp_rml = universe.hnp.rml
+        orted = universe.orteds["node01"]
+        got = {}
+
+        def client():
+            got["rpc"] = yield from hnp_rml.rpc(
+                orted.proc.name, "echo.req", {"q": 1}, "echo.rep"
+            )
+
+        def server():
+            sender, request = yield from orted.rml.recv("echo.req")
+            yield from orted.rml.send(sender, "echo.rep", {"rpc_id": 10**9, "stray": 1})
+            yield from orted.rml.send(
+                sender, "echo.rep", orted.rml.reply_to(request, {"a": 2})
+            )
+
+        universe.kernel.spawn(server(), "srv")
+        universe.kernel.spawn(client(), "cli")
+        universe.kernel.run()
+        sender, reply = got["rpc"]
+        assert sender == orted.proc.name and reply["a"] == 2
+        # the matched reply went to its waiter only; the stray one,
+        # whose rpc_id nobody waits for, is an ordinary tagged message
+        ok, (_, stray) = hnp_rml.try_recv("echo.rep")
+        assert ok and stray["stray"] == 1
+        assert hnp_rml.try_recv("echo.rep") == (False, None)
+        assert hnp_rml._rpc_waiters == {}
+
+    def test_routing_failure_kills_the_process_not_the_run(self, universe):
+        orted = universe.orteds["node01"]
+
+        def boom(tag):
+            raise RuntimeError("routing table corrupt")
+
+        orted.rml._queue = boom
+
+        def sender():
+            yield from universe.hnp.rml.send(orted.proc.name, "t", {})
+
+        universe.kernel.spawn(sender(), "s")
+        universe.kernel.run()  # returns: the exception stayed inside
+        assert not orted.proc.alive
+        assert isinstance(orted.proc.exit_event._exc, RuntimeError)
+
+    def test_message_for_a_dead_process_is_not_routed(self, universe):
+        orted = universe.orteds["node01"]
+        eth = universe.cluster.eth
+        routed = []
+        queue_of = orted.rml._queue
+        orted.rml._queue = lambda tag: routed.append(tag) or queue_of(tag)
+
+        def sender():
+            yield from universe.hnp.rml.send(orted.proc.name, "first", {})
+            yield Delay(1.0)
+            yield from universe.hnp.rml.send(orted.proc.name, "second", {})
+            orted.proc.kill()  # "second" is on the wire, not yet delivered
+
+        delivered = eth.delivered
+        run_gen(universe.kernel, sender())
+        universe.kernel.run()
+        assert eth.delivered >= delivered + 2 and eth.in_flight == 0
+        # (the orted's own service loops look their tags up too)
+        assert [tag for tag in routed if tag in ("first", "second")] == ["first"]
 
     def test_ps_request_reply(self, universe):
         def main():

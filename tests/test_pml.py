@@ -4,6 +4,7 @@ selection, pre-init buffering."""
 import numpy as np
 
 from repro.apps.registry import _APPS
+from repro.core.ft_event import FTState
 from repro.mca.params import MCAParams
 from repro.tools.api import ompi_run
 from tests.conftest import make_universe
@@ -86,6 +87,31 @@ class TestEagerAndRendezvous:
         define_app("t_copy", main)
         job = ompi_run(universe, "t_copy", 2)
         assert job.results[1] == list(range(10))
+
+    def test_mixed_protocols_do_not_overtake(self):
+        """MPI non-overtaking: sends to one peer on one tag match in
+        program order even when they alternate between rendezvous and
+        eager (a small eager fragment must not pass an earlier RTS)."""
+        universe = make_universe(2)
+        sizes = [200_000, 5, 300_000, 7, 9, 100_000]
+
+        def main(ctx):
+            if ctx.rank == 0:
+                reqs = []
+                for n in sizes:
+                    reqs.append((yield ctx.isend(np.zeros(n, dtype=np.uint8), 1, 7)))
+                for req in reqs:
+                    yield ctx.wait(req)
+            else:
+                got = []
+                for _ in sizes:
+                    _, status = yield from ctx.recv(0, 7)
+                    got.append(status.nbytes)
+                return got
+
+        define_app("t_mixed_order", main)
+        job = ompi_run(universe, "t_mixed_order", 2)
+        assert job.results[1] == sizes
 
 
 class TestWildcardsAndProbe:
@@ -247,3 +273,110 @@ class TestPreInitBuffering:
         define_app("t_preinit", main)
         job = ompi_run(universe, "t_preinit", 4)
         assert [job.results[r] for r in (1, 2, 3)] == [11, 22, 33]
+
+
+class TestProgressHandlers:
+    """The BTLs hand arriving fragments to the PML from the fabric's
+    delivery callback; no thread is involved."""
+
+    def test_ib_closed_for_checkpoint_loses_nothing(self):
+        """Frames sent while the peer's ``ib`` endpoint is closed for a
+        checkpoint queue, and are handled in send order, before any
+        later frame, at the simulated time of the reopen."""
+        universe = make_universe(2)
+        seen = {}
+
+        def main(ctx):
+            if ctx.rank == 0:
+                yield from ctx.barrier()
+                for i in range(4):
+                    yield from ctx.send(i, 1, 7)
+                yield ctx.compute(seconds=2.0)
+                yield from ctx.send("late", 1, 7)
+                return None
+            ompi = ctx._runner.ompi
+            stats = ompi.pml_base.stats
+            ib = next(btl for btl in ompi.btls if btl.name == "ib")
+            yield from ctx.barrier()
+            before = stats["delivered"]
+            ib.ft_event(FTState.CHECKPOINT)
+            assert not ib.is_connected
+            yield ctx.compute(seconds=1.0)
+            seen["while_closed"] = (stats["delivered"] - before, ib.fabric.pending(ib.ep))
+            ib.ft_event(FTState.CONTINUE)
+            assert ib.is_connected
+            reopened = yield ctx.now()
+            got = []
+            for _ in range(4):
+                payload, _ = yield from ctx.recv(0, 7)
+                got.append(payload)
+            seen["drained_at"] = (yield ctx.now()) - reopened
+            seen["after_drain"] = (stats["delivered"] - before, ib.fabric.pending(ib.ep))
+            payload, _ = yield from ctx.recv(0, 7)
+            got.append(payload)
+            seen["late_at"] = (yield ctx.now()) - reopened
+            return got
+
+        define_app("t_ib_reopen", main)
+        job = ompi_run(universe, "t_ib_reopen", 2)
+        assert job.results[1] == [0, 1, 2, 3, "late"]
+        assert seen["while_closed"] == (0, 4)
+        assert seen["after_drain"] == (4, 0)
+        assert seen["drained_at"] == 0.0
+        assert seen["late_at"] > 0.9
+
+    def test_progress_failure_kills_the_process_not_the_run(self):
+        universe = make_universe(2)
+        procs = {}
+
+        def main(ctx):
+            procs[ctx.rank] = ctx._runner.proc
+            if ctx.rank == 0:
+                yield from ctx.barrier()
+                yield from ctx.send(b"x", 1, 1)
+                yield ctx.compute(seconds=1.0)
+            else:
+                yield from ctx.barrier()
+
+                def corrupt(msg):
+                    raise RuntimeError("matching engine corrupt")
+
+                ctx._runner.ompi.pml_base.handle_incoming = corrupt
+                yield ctx.compute(seconds=1.0)
+
+        define_app("t_progress_boom", main)
+        job = ompi_run(universe, "t_progress_boom", 2)  # returns normally
+        assert job.state.value == "failed"
+        assert not procs[1].alive
+        assert isinstance(procs[1].exit_event._exc, RuntimeError)
+        universe.kernel.run()
+
+    def test_fragment_for_a_dead_process_is_not_handled(self):
+        universe = make_universe(2)
+        ib = universe.cluster.fabric("ib")
+        handled = []
+        seen = {}
+        procs = {}
+
+        def main(ctx):
+            procs[ctx.rank] = ctx._runner.proc
+            pml = ctx._runner.ompi.pml_base
+            if ctx.rank == 1:
+                handle = pml.handle_incoming
+                pml.handle_incoming = lambda msg: handled.append(msg.tag) or handle(msg)
+                yield from ctx.recv(0, 1)
+                yield from ctx.barrier()
+                yield ctx.compute(seconds=1.0)
+                return None
+            yield from ctx.send(b"a", 1, 1)
+            yield from ctx.barrier()
+            procs[1].kill()
+            delivered = ib.delivered
+            yield from ctx.send(b"b", 1, 2)  # completes: eager, on the wire
+            yield ctx.compute(seconds=2e-5)  # > ib latency, < the job abort
+            seen["delivered"] = ib.delivered - delivered
+
+        define_app("t_dead_peer", main)
+        ompi_run(universe, "t_dead_peer", 2)
+        assert seen["delivered"] == 1  # the fabric did its part
+        assert 1 in handled and 2 not in handled

@@ -123,6 +123,38 @@ class TestFS:
         assert fs.list_tree("/d") == ["/d/sub/y", "/d/x"]
         assert fs.size_tree("/d") == 5
 
+    def test_tree_prefix_root_trailing_slash_and_siblings(self, kernel, fs):
+        for path in ("/d/x", "/d/sub/y", "/dx", "/d2/z", "/e"):
+            fs.poke(path, b"1")
+        fs.mkdir("/d/empty")
+        fs.mkdir("/d2/empty")
+        everything = ["/d/sub/y", "/d/x", "/d2/z", "/dx", "/e"]
+        assert fs.list_tree("/") == fs.list_tree() == everything
+        # a trailing slash or an unnormalised prefix names the same tree
+        assert fs.list_tree("/d/") == fs.list_tree("d//./") == ["/d/sub/y", "/d/x"]
+        # a file is "under" its own path; a sibling sharing the prefix
+        # string ("/dx", "/d2") is not under "/d"
+        assert fs.list_tree("/dx") == ["/dx"]
+        assert all(
+            vpath.is_under(f, "/d") == (f in fs.list_tree("/d")) for f in everything
+        )
+
+        def main():
+            count = yield from fs.remove_tree("/d/")
+            return count
+
+        assert run_gen(kernel, main()) == 2
+        assert fs.list_tree("/") == ["/d2/z", "/dx", "/e"]
+        assert not fs.isdir("/d") and not fs.isdir("/d/empty")
+        assert fs.isdir("/d2/empty")
+
+        def wipe():
+            count = yield from fs.remove_tree("/")
+            return count
+
+        assert run_gen(kernel, wipe()) == 3
+        assert fs.list_tree("/") == [] and not fs.isdir("/d2/empty")
+
     def test_unreachable_fs_rejects_everything(self, kernel, fs):
         fs.poke("/f", b"x")
         fs.mark_unreachable()
