@@ -62,7 +62,7 @@ def run_staged(cas: bool) -> dict:
         "bytes_logical": sum(r.bytes_logical for r in records),
     }
     if cas:
-        out["store"] = stager.store.stats()
+        out["store"] = stager.backends[True].store.stats()
     return out
 
 
@@ -77,7 +77,7 @@ def chunk_loss_repair(cas_run: dict) -> dict:
     universe = cas_run["universe"]
     ref = cas_run["first_ref"]
     stable = universe.cluster.stable_fs
-    store = universe.hnp.snapc.stager(universe.hnp).store
+    store = universe.hnp.snapc.stager(universe.hnp).backends[True].store
     manifest = run_gen(
         universe, chunkstore.read_manifest(stable, ref.local_dir(0))
     )

@@ -52,10 +52,8 @@ def measure(burst: int) -> dict:
     finish: dict = {}
 
     def watch():
-        from repro.simenv.kernel import Delay, WaitEvent
+        from repro.simenv.kernel import WaitEvent
 
-        while handle.done is None:
-            yield Delay(1e-4)
         yield WaitEvent(handle.done)
         finish["t"] = universe.kernel.now
         proc = universe.lookup(ProcessName(job.jobid, 1))

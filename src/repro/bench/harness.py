@@ -138,12 +138,6 @@ def run_and_checkpoint(
     finish: dict[str, float] = {}
 
     def watch():
-        # handle.done is created when the tool thread starts (at time
-        # `at`); poll cheaply until then, then wait for the reply.
-        from repro.simenv.kernel import Delay
-
-        while handle.done is None:
-            yield Delay(1e-4)
         yield WaitEvent(handle.done)
         finish["t"] = universe.kernel.now
         return None

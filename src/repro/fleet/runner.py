@@ -141,7 +141,7 @@ def run_cell(payload: dict) -> dict:
         out["kernel_stats"] = universe.kernel.stats.to_dict()
     except FleetTimeout as exc:
         out["error"] = f"timeout: {exc}"
-    except Exception as exc:
+    except Exception as exc:  # worker boundary: a cell's failure is a result row
         out["error"] = f"{type(exc).__name__}: {exc}"
     finally:
         _disarm_watchdog(token)

@@ -77,13 +77,6 @@ class Component:
         file handles) override it.
         """
 
-    # -- misc ------------------------------------------------------------
-
-    def param(self, suffix: str, default: str | None = None) -> str | None:
-        """Read ``<framework>_<name>_<suffix>`` from the parameter set."""
-        key = f"{self.framework_name}_{self.name}_{suffix}"
-        return self.params.get(key, default)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.framework_name}:{self.name}>"
 

@@ -48,10 +48,6 @@ class FrameworkRegistry:
     def open(self, name: str, params: MCAParams | None = None, context: object | None = None):
         return self.framework(name).open(params, context)
 
-    def close_all(self) -> None:
-        for fw in self._frameworks.values():
-            fw.close()
-
 
 def default_registry() -> FrameworkRegistry:
     """The full component set from the paper, wired into one registry.

@@ -102,9 +102,6 @@ class Fabric:
         node.nics[self.name] = nic
         return nic
 
-    def has_node(self, node_name: str) -> bool:
-        return node_name in self.nics
-
     # -- endpoints ----------------------------------------------------------
 
     def bind(self, node_name: str, port: str) -> Endpoint:
@@ -119,9 +116,6 @@ class Fabric:
     def unbind(self, ep: Endpoint) -> None:
         self.detach_handler(ep)
         self._mailboxes.pop(ep, None)
-
-    def is_bound(self, ep: Endpoint) -> bool:
-        return ep in self._mailboxes
 
     # -- handlers -------------------------------------------------------------
 

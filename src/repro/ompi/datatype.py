@@ -27,7 +27,7 @@ def nbytes_of(payload: Any) -> int:
         return 16
     try:
         return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
+    except (pickle.PicklingError, TypeError, AttributeError):
         return 64
 
 

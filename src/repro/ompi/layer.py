@@ -165,21 +165,10 @@ class OmpiLayer:
         except KeyError:
             raise MPIError(f"no modex entry for world rank {world_rank}") from None
 
-    def comm_by_cid(self, cid: int) -> Communicator:
-        try:
-            return self.comms[cid]
-        except KeyError:
-            raise MPIError(f"unknown communicator id {cid}") from None
-
     def register_comm(self, comm: Communicator) -> None:
         if comm.cid in self.comms:
             raise MPIError(f"communicator id {comm.cid} already in use")
         self.comms[comm.cid] = comm
-
-    def allocate_cid(self) -> int:
-        cid = self.next_cid
-        self.next_cid += 1
-        return cid
 
     # ------------------------------------------------------------------
     # INC

@@ -147,10 +147,6 @@ class MatchingEngine:
             if m.kind == "rts" and m.msg_id not in self.draining
         ]
 
-    @property
-    def unexpected_payloads(self) -> list[MPIMsg]:
-        return [m for m in self.unexpected if m.kind in ("eager", "data")]
-
     # -- image capture/restore ----------------------------------------------------
 
     def capture(self) -> dict:

@@ -82,7 +82,7 @@ class CRSComponent(Component):
         span = tracer.begin("crs.serialize", cat="crs", rank=rank, crs=self.name)
         try:
             blob = pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise CheckpointError(
                 f"{opal.proc.label}: image not picklable: {exc}"
             ) from exc
@@ -209,7 +209,7 @@ class CRSComponent(Component):
         )
         try:
             image = pickle.loads(blob)
-        except Exception as exc:
+        except Exception as exc:  # bytes read back from storage: anything can come out
             raise RestartError(
                 f"corrupt image at {newest.path}: {exc}"
             ) from exc

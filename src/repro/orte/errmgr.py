@@ -19,17 +19,16 @@ Schafer call out for C/R libraries):
   in flight fails that attempt; the next attempt re-plans placement,
   which only ever uses nodes that are still up.
 * **Snapshot walk-back** — the newest entry of ``job.snapshots`` may
-  be unusable (staging aborted, failed, or a delta whose base chain
-  broke); recovery walks back to the newest COMMITTED interval whose
-  base chain is intact on stable storage, verifying the persisted
-  metadata rather than trusting in-memory state.
+  be unusable (staging aborted, failed, or bytes it depends on gone);
+  recovery walks back to the newest interval the snapshot coordinator
+  calls usable, which verifies what is persisted on stable storage
+  rather than trusting in-memory state.
 * **No permanent blacklist** — a ref that fails a restart is skipped
   only for the remainder of that episode (and any interval chained on
   it is treated as broken too).  A later episode re-verifies from
   scratch: transient stable-storage faults do not poison a good
-  COMMITTED interval, and CAS-backed intervals are checked chunk by
-  chunk against the store, so a missing chunk repaired by re-staging
-  makes the interval usable again.
+  COMMITTED interval, and storage repaired by a later checkpoint makes
+  the interval usable again.
 * **Recovered jobs are seeded** — a restarted job begins life with the
   snapshot it came from (and its committed ancestors) as its recovery
   baseline, so a re-failure before its first checkpoint still has
@@ -46,12 +45,7 @@ from typing import TYPE_CHECKING
 
 from repro.orte.job import Job, JobState
 from repro.simenv.kernel import Delay, SimGen
-from repro.snapshot import (
-    STAGE_COMMITTED,
-    GlobalSnapshotRef,
-    parse_global_dirname,
-    read_global_meta,
-)
+from repro.snapshot import GlobalSnapshotRef, parse_global_dirname
 from repro.util.errors import ReproError, RestartError, SnapshotError
 from repro.util.ids import ProcessName
 from repro.util.logging import get_logger
@@ -271,9 +265,6 @@ class ErrMgr:
         """True while *job*'s lineage has a recovery in flight."""
         return self._root_of(job) in self._recovering
 
-    def attempts_spent(self, job: Job) -> int:
-        return self._attempts.get(self._root_of(job), 0)
-
     # -- outcome plumbing --------------------------------------------------------
 
     def recovery_outcome(self, jobid: int) -> "SimEvent":
@@ -430,7 +421,7 @@ class ErrMgr:
         # A dead job's staging pipeline must stop before anything else:
         # the stager would otherwise keep draining its intervals and
         # could append to job.snapshots after recovery has begun.
-        self._abort_staging(job)
+        self.hnp.snapc.abort_job(self.hnp, job.jobid)
         self._abort_survivors(job)
         in_recovery = root in self._recovering
         span.end(recovering=in_recovery)
@@ -443,11 +434,6 @@ class ErrMgr:
         else:
             self._settle(job.jobid, None)
         return None
-
-    def _abort_staging(self, job: Job) -> None:
-        stager_fn = getattr(self.hnp.snapc, "stager", None)
-        if stager_fn is not None:
-            stager_fn(self.hnp).abort_job(job.jobid)
 
     def _abort_survivors(self, job: Job) -> None:
         """mpirun aborts the whole job on any rank failure (MPI default)."""
@@ -566,92 +552,24 @@ class ErrMgr:
         """Newest usable ``(ref, meta)`` from *job*'s snapshot list.
 
         Walks ``job.snapshots`` newest-first, skipping refs that
-        already failed a restart this episode (*skip*), intervals whose
-        persisted staging state is not COMMITTED, delta intervals whose
-        base chain is no longer intact on stable storage *or* runs
-        through a ref in *skip*, and CAS intervals with chunks missing
-        from the store.  Returns None if nothing survives.
+        already failed a restart this episode (*skip*) and intervals
+        the snapshot coordinator cannot restart from right now: not
+        COMMITTED, or depending on bytes that are gone or on a ref in
+        *skip*.  Returns None if nothing survives.
         """
         skip = skip or set()
-        stable = self.hnp.universe.cluster.stable_fs
         for ref in list(reversed(job.snapshots)):
             if ref.path in skip:
                 continue
-            ok, meta = yield from self._verify_committed(stable, ref.path)
-            if not ok or meta is None:
-                log.warning(
-                    "job %d: snapshot %s is not committed; walking back",
-                    job.jobid, ref.path,
-                )
-                continue
-            intact = True
-            for dep in meta.base_chain:
-                if dep == ref.path:
-                    continue
-                # A dep that failed a restart this episode breaks every
-                # chain through it — selecting such a chain would just
-                # burn a recovery attempt on a known-bad base.
-                if dep in skip:
-                    intact = False
-                    break
-                dep_ok, _ = yield from self._verify_committed(stable, dep)
-                if not dep_ok:
-                    intact = False
-                    break
-            if intact and getattr(meta, "cas", False):
-                intact = yield from self._verify_cas_chunks(stable, ref, meta)
-            if intact:
+            meta, why = yield from self.hnp.snapc.usable_snapshot(
+                self.hnp, ref, skip
+            )
+            if meta is not None:
                 return ref, meta
             log.warning(
-                "job %d: snapshot %s has a broken base chain; walking back",
-                job.jobid, ref.path,
+                "job %d: snapshot %s %s; walking back", job.jobid, ref.path, why
             )
         return None
-
-    def _verify_cas_chunks(self, stable, ref, meta) -> SimGen:
-        """Presence check of a CAS interval's chunks in the store.
-
-        Content is verified chunk-by-chunk during the restart fetch;
-        this pre-check only keeps recovery from spending an attempt on
-        an interval whose chunks are already known to be gone.
-        """
-        from repro.opal.crs import chunks as chunkstore
-
-        stager_fn = getattr(self.hnp.snapc, "stager", None)
-        if stager_fn is None:
-            return True
-        store = stager_fn(self.hnp).store
-        for rank in sorted(meta.locals):
-            try:
-                manifest = yield from chunkstore.read_manifest(
-                    stable, ref.local_dir(rank)
-                )
-            except ReproError:
-                return False
-            if store.missing(manifest.hashes):
-                log.warning(
-                    "job %d: snapshot %s rank %d has chunks missing from "
-                    "the store; walking back",
-                    meta.jobid, ref.path, rank,
-                )
-                return False
-        return True
-
-    def _verify_committed(self, stable, path: str) -> SimGen:
-        """``(committed, meta)`` for a global snapshot directory."""
-        parsed = parse_global_dirname(path)
-        stager_fn = getattr(self.hnp.snapc, "stager", None)
-        if parsed is not None and stager_fn is not None:
-            live = stager_fn(self.hnp).record_for(*parsed)
-            if live is not None and live.state != STAGE_COMMITTED:
-                return False, None
-        try:
-            meta = yield from read_global_meta(stable, GlobalSnapshotRef(path))
-        except ReproError:
-            return False, None
-        staging = meta.staging or {}
-        state = staging.get("state", STAGE_COMMITTED)
-        return state == STAGE_COMMITTED, meta
 
     @staticmethod
     def _seed_baseline(old: Job, new_job: Job, ref: GlobalSnapshotRef) -> None:

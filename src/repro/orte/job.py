@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.simenv.kernel import SimGen
-from repro.util.ids import ProcessName
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simenv.process import SimProcess
@@ -79,11 +78,6 @@ class Job:
     @property
     def is_done(self) -> bool:
         return self.state in (JobState.FINISHED, JobState.FAILED, JobState.HALTED)
-
-    def rank_of(self, name: ProcessName) -> int:
-        if name.jobid != self.jobid:
-            raise ValueError(f"{name} is not in job {self.jobid}")
-        return name.vpid
 
     def note_exit(self, rank: int, result: Any, failed: bool) -> None:
         self.exited.add(rank)

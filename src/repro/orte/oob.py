@@ -68,8 +68,8 @@ def payload_nbytes(payload: Any) -> int:
     """Wire size estimate of a control message."""
     try:
         return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return 256
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return 256  # unpicklable in-process payload (a closure, a generator)
 
 
 class RML:

@@ -47,6 +47,16 @@ class SNAPCComponent(Component):
         raise NotImplementedError
         yield  # pragma: no cover
 
+    def abort_job(self, hnp: "HNP", jobid: int) -> None:
+        """Stop background aggregation for a failed job (called by the
+        error manager before recovery walks ``job.snapshots``)."""
+
+    def usable_snapshot(self, hnp: "HNP", ref: "GlobalSnapshotRef", skip: set[str]) -> SimGen:
+        """``(meta, None)`` if *ref* can be restarted from right now,
+        else ``(None, why)``; *skip* holds refs known bad this episode."""
+        raise NotImplementedError
+        yield  # pragma: no cover
+
     # -- local coordinator side (orted) --------------------------------------
 
     def local_checkpoint(self, orted: "Orted", payload: dict) -> SimGen:

@@ -33,8 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.mca.component import component_of
 from repro.mca.params import MCAParams
-from repro.opal.crs import chunks as chunkstore
-from repro.orte.job import AppSpec, JobState, ProcSpec
+from repro.orte.job import AppSpec, JobState
 from repro.orte.oob import (
     TAG_CKPT_ABORT,
     TAG_CKPT_DO,
@@ -44,7 +43,13 @@ from repro.orte.oob import (
     TAG_SNAPC_LOCAL_DONE,
 )
 from repro.orte.snapc.base import SNAPCComponent
-from repro.orte.snapc.staging import StagingCoordinator, StagingRecord
+from repro.orte.snapc.staging import (
+    FULL_PLAN,
+    KIND_DELTA,
+    KIND_FULL,
+    StagingCoordinator,
+    StagingRecord,
+)
 from repro.simenv.kernel import Delay, WaitAll, WaitAny
 from repro.snapshot import (
     STAGE_COMMITTED,
@@ -55,6 +60,7 @@ from repro.snapshot import (
     global_snapshot_dirname,
     parse_global_dirname,
     read_global_meta,
+    staging_state,
 )
 from repro.util.errors import (
     CheckpointError,
@@ -77,7 +83,6 @@ log = get_logger("orte.snapc")
 
 SNAPSHOT_ROOT = "/snapshots"
 LOCAL_STAGING_ROOT = "/ckpt"
-RESTART_STAGING_ROOT = "/restart"
 
 #: request options consumed by the coordinator, not forwarded to ranks
 _COORDINATOR_OPTIONS = ("wait_stable",)
@@ -96,6 +101,20 @@ class FullSNAPC(SNAPCComponent):
             stager = StagingCoordinator(self, hnp)
             self._stager = stager
         return stager
+
+    def abort_job(self, hnp: "HNP", jobid: int) -> None:
+        self.stager(hnp).abort_job(jobid)
+
+    def usable_snapshot(self, hnp: "HNP", ref: GlobalSnapshotRef, skip: set[str]) -> "SimGen":
+        # Nothing is remembered between calls: persisted state is
+        # verified afresh, so a transient fault or a since-repaired
+        # store does not cost a good interval forever.
+        stager = self.stager(hnp)
+        meta = yield from stager.committed_meta(ref.path)
+        if meta is None:
+            return None, "is not committed"
+        why = yield from stager.backends[meta.cas].unusable(ref, meta, skip)
+        return (None, why) if why else (meta, None)
 
     @staticmethod
     def _daemon_for(hnp: "HNP", node_name: str) -> ProcessName:
@@ -165,7 +184,7 @@ class FullSNAPC(SNAPCComponent):
         rank_options = {
             k: v for k, v in options.items() if k not in _COORDINATOR_OPTIONS
         }
-        if plan["kind"] == chunkstore.KIND_DELTA:
+        if plan["kind"] == KIND_DELTA:
             rank_options["incremental"] = True
             rank_options["base_interval"] = plan["base_interval"]
 
@@ -282,44 +301,13 @@ class FullSNAPC(SNAPCComponent):
         # A delta interval where every rank fell back to a full image
         # (cold or mismatched chunk caches, e.g. after an aborted
         # attempt) is recorded as full so the chain does not grow.
-        if plan["kind"] == chunkstore.KIND_DELTA and all(
-            r.get("kind", chunkstore.KIND_FULL) == chunkstore.KIND_FULL
-            for r in results.values()
+        if plan["kind"] == KIND_DELTA and all(
+            r.get("kind", KIND_FULL) == KIND_FULL for r in results.values()
         ):
-            plan = {
-                "kind": chunkstore.KIND_FULL,
-                "base_interval": None,
-                "base_chain": [],
-                "compact": False,
-            }
+            plan = dict(FULL_PLAN)
 
-        # Content-addressed staging: every rank must have replied with
-        # a CAS-ready manifest (chunk digests); a rank without one
-        # (e.g. a CRS that bypasses the chunk format) falls the whole
-        # interval back to tree staging.
-        cas_active = (
-            stager.cas_enabled
-            and not direct_stable
-            and getattr(hnp.filem, "supports_cas", False)
-        )
-        rank_manifests: dict[int, chunkstore.ChunkManifest] = {}
-        if cas_active:
-            for rank in sorted(results):
-                reply = results[rank]
-                if not reply.get("hashes"):
-                    cas_active = False
-                    rank_manifests = {}
-                    break
-                rank_manifests[rank] = chunkstore.ChunkManifest(
-                    kind=reply.get("kind", chunkstore.KIND_FULL),
-                    chunk_bytes=reply.get("chunk_bytes", 0),
-                    total_bytes=reply.get("total_bytes", 0),
-                    hashes=list(reply.get("hashes", [])),
-                    present=list(reply.get("present", [])),
-                    base_interval=plan["base_interval"],
-                    interval=interval,
-                )
-
+        # Tree or content-addressed: decided from the replies, once.
+        backend = stager.backend_for(results)
         meta = GlobalSnapshotMeta(
             jobid=job.jobid,
             interval=interval,
@@ -336,27 +324,17 @@ class FullSNAPC(SNAPCComponent):
                     "os_tag": results[rank]["os_tag"],
                     "portable": results[rank].get("portable", True),
                     "last_rank": rank,
-                    "kind": results[rank].get("kind", chunkstore.KIND_FULL),
+                    "kind": results[rank].get("kind", KIND_FULL),
                     "bytes": results[rank].get("bytes", 0),
                 }
                 for rank in sorted(results)
             },
             kind=plan["kind"],
             base_interval=plan["base_interval"],
-            # A CAS interval's manifests list every chunk digest, so
-            # restart never needs another directory — its persisted
-            # chain is empty even when the ranks wrote deltas.
-            base_chain=[] if cas_active else list(plan["base_chain"]),
-            cas=cas_active,
-            staging={
-                "state": STAGE_STAGING,
-                "committed_sim_time": None,
-                "error": None,
-            },
+            base_chain=list(plan["base_chain"]),
+            cas=backend.cas,
+            staging=staging_state(STAGE_STAGING),
         )
-        # For ``shared`` FILEM the snapshots already sit at their final
-        # location, so every entry short-circuits the gather (src ==
-        # dst, already complete) — the degenerate metadata check.
         gather_entries = [
             (results[rank]["node"], results[rank]["path"], ref.local_dir(rank))
             for rank in sorted(results)
@@ -370,14 +348,14 @@ class FullSNAPC(SNAPCComponent):
             base_chain=list(plan["base_chain"]),
             compact=plan["compact"],
             gather_entries=gather_entries,
-            cas=cas_active,
-            rank_manifests=rank_manifests,
+            cas=backend.cas,
             terminate=terminate,
             done=hnp.proc.kernel.event(
                 f"snapc.commit.job{job.jobid}.{interval}"
             ),
             enqueued_at=hnp.proc.kernel.now,
         )
+        backend.describe(record, results)
         # Figure 1-F: the application resumes normal operation NOW; the
         # aggregation runs in the background staging worker (our slot
         # transfers to the record and is released when it settles).
@@ -411,23 +389,27 @@ class FullSNAPC(SNAPCComponent):
         universe = hnp.universe
         stable = universe.cluster.stable_fs
 
+        def never_stable(error: str | None) -> RestartError:
+            return RestartError(
+                f"snapshot {ref.path} never reached stable storage: "
+                f"{error or 'staging failed'}"
+            )
+
         # Restart of an interval must wait for its commit: if the
         # requested snapshot is still staging in this coordinator,
         # block until it settles (and fail if it failed).
         stager = self.stager(hnp)
         parsed = parse_global_dirname(ref.path)
-        if parsed is not None:
-            record = stager.record_for(*parsed)
-            if record is not None:
-                yield from stager.wait_committed(record)
+        record = stager.record_for(*parsed) if parsed is not None else None
+        if record is not None:
+            state = yield from stager.wait_settled(record)
+            if state != STAGE_COMMITTED:
+                raise never_stable(record.error)
 
         meta = yield from read_global_meta(stable, ref)
         staging = meta.staging or {}
         if staging.get("state") == STAGE_FAILED:
-            raise RestartError(
-                f"snapshot {ref.path} never reached stable storage: "
-                f"{staging.get('error') or 'staging failed'}"
-            )
+            raise never_stable(staging.get("error"))
         if staging.get("state") == STAGE_STAGING:
             # No live record (the coordinating HNP is gone) and the
             # metadata says the aggregation never finished.
@@ -457,109 +439,13 @@ class FullSNAPC(SNAPCComponent):
         placements = self._plan_restart_placement(
             universe, meta, options.get("placement")
         )
-        direct_stable = hnp.filem.wants_direct_stable
-
-        # A delta interval is restored from its base-chain: every
-        # directory the newest image depends on, oldest full first.
-        chain_dirs = [d for d in meta.base_chain if d != ref.path]
-        chain_dirs.append(ref.path)
-
-        specs: list[ProcSpec] = []
-        bcast_entries: list[tuple[str, str, str]] = []
-        fetch_entries: list[tuple[str, str, str]] = []
-        if meta.cas:
-            # The rank directories hold only manifests; the image bytes
-            # live in the content-addressed store and every chunk is
-            # verified individually on the way out.
-            if not getattr(hnp.filem, "supports_cas", False):
-                raise RestartError(
-                    f"snapshot {ref.path} is CAS-backed but FILEM "
-                    f"{hnp.filem.name!r} cannot fetch chunks"
-                )
-            store = stager.store
-            missing = 0
-            for rank in range(meta.n_procs):
-                try:
-                    manifest = yield from chunkstore.read_manifest(
-                        stable, ref.local_dir(rank)
-                    )
-                except ReproError as exc:
-                    raise RestartError(
-                        f"snapshot {ref.path}: rank {rank} manifest "
-                        f"unreadable: {exc}"
-                    ) from exc
-                missing += len(store.missing(manifest.hashes))
-            if missing:
-                # Retryable: re-staging (any checkpoint that ships the
-                # chunk again) repairs the store; nothing is poisoned.
-                raise RestartError(
-                    f"snapshot {ref.path}: {missing} chunk(s) absent "
-                    "from the store"
-                )
-            for rank in range(meta.n_procs):
-                node_name = placements[rank]
-                dst_dir = vpath.join(
-                    RESTART_STAGING_ROOT,
-                    f"job{job.jobid}",
-                    f"rank{rank}",
-                    "part0",
-                )
-                fetch_entries.append((node_name, ref.local_dir(rank), dst_dir))
-                specs.append(
-                    ProcSpec(
-                        jobid=job.jobid,
-                        rank=rank,
-                        node_name=node_name,
-                        app=app,
-                        restart_from={
-                            "fs": "local",
-                            "dir": dst_dir,
-                            "chain": [dst_dir],
-                        },
-                    )
-                )
-        else:
-            for rank in range(meta.n_procs):
-                node_name = placements[rank]
-                rank_chain = [vpath.join(d, f"rank{rank}") for d in chain_dirs]
-                if direct_stable:
-                    restart_from = {
-                        "fs": "stable",
-                        "dir": rank_chain[-1],
-                        "chain": rank_chain,
-                    }
-                else:
-                    local_chain = []
-                    for part, src_dir in enumerate(rank_chain):
-                        dst_dir = vpath.join(
-                            RESTART_STAGING_ROOT,
-                            f"job{job.jobid}",
-                            f"rank{rank}",
-                            f"part{part}",
-                        )
-                        bcast_entries.append((node_name, src_dir, dst_dir))
-                        local_chain.append(dst_dir)
-                    restart_from = {
-                        "fs": "local",
-                        "dir": local_chain[-1],
-                        "chain": local_chain,
-                    }
-                specs.append(
-                    ProcSpec(
-                        jobid=job.jobid,
-                        rank=rank,
-                        node_name=node_name,
-                        app=app,
-                        restart_from=restart_from,
-                    )
-                )
-
-        # Preload checkpoint files on the target machines (section 5.2).
+        backend = stager.backends[meta.cas]
+        specs, entries = yield from backend.plan_restart(
+            ref, meta, job, placements
+        )
         try:
-            if fetch_entries:
-                yield from hnp.filem.fetch_chunks(hnp, stager.store, fetch_entries)
-            if bcast_entries:
-                yield from hnp.filem.broadcast(hnp, bcast_entries)
+            if entries:
+                yield from backend.preload(entries)
             yield from hnp.launch_and_init(job, specs)
         except ReproError:
             # A node dying mid-restart (during preload or launch) must

@@ -36,9 +36,18 @@ ignores WAL records whose seq the base already covers.
 The writer thread lives in the *current* HNP process (re-attached per
 incarnation via :meth:`attach`), so it dies with the HNP and the next
 incarnation's :meth:`replay` sees only what actually reached stable
-storage.  With failover disabled the universe carries a
+storage.
+
+With ``orte_hnp_failover`` off the universe carries a
 :class:`NullStateStore`, which performs no I/O and posts no kernel
-events — default-configuration traces stay byte-identical.
+events.  That null twin stays, as the one seam, and ``orte_hnp_failover``
+alone selects it.  A live store is not an idle cost that could simply be
+left on: every ``put`` becomes one WAL file written through
+``stable_fs.write``, which takes simulated time on the stable-storage
+server that checkpoint staging shares, so the simulated makespan of
+every run without failover would move.  Both values of the switch are
+in real use (the fault campaigns run with failover, everything else
+without), and nothing wants a journal that no HNP can ever replay.
 """
 
 from __future__ import annotations
@@ -362,8 +371,7 @@ class NullStateStore:
 def build_statestore(universe: "Universe") -> "StateStore | NullStateStore":
     """The universe's store per its MCA params (Null when disabled)."""
     params = universe.params
-    failover = params.get_bool("orte_hnp_failover", False)
-    if not params.get_bool("statestore_enabled", failover):
+    if not params.get_bool("orte_hnp_failover", False):
         return NullStateStore()
     return StateStore(
         universe,

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.mca.params import MCAParams
 from repro.orte.job import AppSpec, Job
 from repro.util.errors import LaunchError
-from repro.util.ids import DAEMON_JOBID, ProcessName, daemon_name, hnp_name
+from repro.util.ids import ProcessName, daemon_name, hnp_name
 from repro.util.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -245,14 +245,6 @@ class Universe:
             return self.orteds[node_name]
         except KeyError:
             raise LaunchError(f"no orted on node {node_name}") from None
-
-    @property
-    def daemon_names(self) -> list[ProcessName]:
-        return [
-            name
-            for name in self.directory
-            if name.jobid == DAEMON_JOBID and not name.is_hnp
-        ]
 
     def run_job_to_completion(self, job: Job):
         """Drive the kernel until *job* finishes; returns its state."""

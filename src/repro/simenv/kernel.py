@@ -614,7 +614,7 @@ class Kernel:
             # abort the whole run — they are not a crash of whichever
             # thread they happened to land in.
             raise
-        except BaseException as err:
+        except BaseException as err:  # noqa: BLE001 - anything else is this thread crashing
             if thread.alive:
                 thread.alive = False
                 self._note_death()

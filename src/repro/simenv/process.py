@@ -81,7 +81,7 @@ class SimProcess:
                 fn(dgram)
             except (SimInterrupt, KeyboardInterrupt, SystemExit):
                 raise
-            except BaseException as exc:  # noqa: BLE001
+            except BaseException as exc:  # noqa: BLE001 - a handler's crash is its process dying
                 self.kill(exc)
 
         return handle
@@ -154,7 +154,7 @@ def run_process_main(
             # Out-of-band interrupt of the whole run (wall-clock
             # watchdog): not this process dying — let it abort run().
             raise
-        except BaseException as exc:
+        except BaseException as exc:  # noqa: BLE001 - whatever main() raises is this process dying
             proc.kill(exc)
             return None
         proc.exit(result)

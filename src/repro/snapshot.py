@@ -145,6 +145,13 @@ STAGE_COMMITTED = "committed"
 STAGE_FAILED = "failed"
 
 
+def staging_state(
+    state: str, error: str | None = None, committed_sim_time: float | None = None
+) -> dict:
+    """The value of :attr:`GlobalSnapshotMeta.staging` for *state*."""
+    return {"state": state, "committed_sim_time": committed_sim_time, "error": error}
+
+
 @dataclass
 class GlobalSnapshotMeta:
     """Metadata describing a whole-job snapshot."""
@@ -170,13 +177,7 @@ class GlobalSnapshotMeta:
     cas: bool = False
     #: aggregation-to-stable-storage lifecycle of this interval
     #: ({"state": staging|committed|failed, "committed_sim_time", "error"})
-    staging: dict = field(
-        default_factory=lambda: {
-            "state": STAGE_COMMITTED,
-            "committed_sim_time": None,
-            "error": None,
-        }
-    )
+    staging: dict = field(default_factory=lambda: staging_state(STAGE_COMMITTED))
 
     def to_json(self) -> bytes:
         return json.dumps(asdict(self), sort_keys=True, indent=1).encode()

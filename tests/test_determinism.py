@@ -9,8 +9,10 @@ sequences, identical final clocks, identical campaign reports.
 from __future__ import annotations
 
 from repro.simenv import CampaignSpec, FaultSpec, run_campaign
-from repro.tools.api import ompi_run
+from repro.tools.api import ompi_restart, ompi_run
+from repro.util.errors import ReproError
 from tests.conftest import make_universe
+from tests.test_failover import settle_lineage
 
 CHURN = {"loops": 150, "compute_s": 0.01, "state_bytes": 1 << 20}
 N_NODES = 6
@@ -164,3 +166,150 @@ def test_fleet_parallel_run_is_byte_identical_to_serial():
     assert (
         serial.kernel_stats()["events"] == parallel.kernel_stats()["events"]
     )
+
+
+# ---------------------------------------------------------------------------
+# Storage-seam referee: values pinned at the commit before tree and CAS
+# staging moved behind ``StagingBackend`` (parent 8906a1e).  A change to
+# any of them means a yield moved, not that the pin is stale.
+# ---------------------------------------------------------------------------
+
+
+def _seam_fingerprint(universe) -> dict:
+    stats = universe.kernel.stats
+    stager = universe.hnp.snapc.stager(universe.hnp)
+    return {
+        "now": universe.kernel.now,
+        "events": stats.events,
+        "threads_spawned": stats.threads_spawned,
+        "waits_any": stats.waits_any,
+        "waits_all": stats.waits_all,
+        "records": [
+            (r.jobid, r.interval, r.kind, r.state, r.bytes_moved, r.committed_at)
+            for jobid in sorted(universe.jobs)
+            for r in stager.job_records(jobid)
+        ],
+    }
+
+
+def _tree_seam_run() -> dict:
+    """Tree staging with delta chains: ``max_chain=2`` compacts every
+    second delta on stable storage, a node crash fails the interval
+    mid-gather, and recovery restarts through a full + delta chain."""
+    universe = make_universe(
+        N_NODES,
+        {
+            "orte_errmgr_autorecover": "1",
+            "snapc_full_checkpoint_every": "0.15",
+            "snapc_full_interval_every": "3",
+            "snapc_full_max_chain": "2",
+        },
+    )
+    job = ompi_run(universe, "churn", NP, args=CHURN, wait=False)
+    universe.cluster.failures.crash_node_at(0.6, "node03")
+    assert settle_lineage(universe, job).state.value == "finished"
+    (episode,) = universe.hnp.errmgr.recovery_log
+    assert episode.snapshot.endswith("_1.2")  # a delta: chain restart
+    return _seam_fingerprint(universe)
+
+
+def _cas_seam_run(whole_node: bool) -> dict:
+    """CAS staging across an HNP failover landing mid-stage, then an
+    explicit restart.  Killing only mpirun leaves every source node up,
+    so the in-flight interval is restaged from rebuilt manifests; the
+    ``hnp_crash`` fault takes rank 0's node too, so the rebuild fails,
+    the interval is failed durably and recovery restarts from CAS."""
+    universe = make_universe(
+        N_NODES,
+        {
+            "orte_errmgr_autorecover": "1",
+            "orte_hnp_failover": "1",
+            "snapc_full_checkpoint_every": "0.15",
+            "snapc_full_cas": "1",
+            "filem": "rsh",
+            # deltas too, so compaction by reference is on the path
+            "snapc_full_interval_every": "3",
+            "snapc_full_max_chain": "2",
+        },
+    )
+    job = ompi_run(universe, "churn", NP, args=CHURN, wait=False)
+    if whole_node:
+        crash = lambda: universe.cluster.failures.crash_hnp_node_now(universe)  # noqa: E731
+    else:
+        crash = lambda: universe.hnp.proc.kill(ReproError("mpirun killed"))  # noqa: E731
+    universe.kernel.call_at(0.4, crash)
+    final = settle_lineage(universe, job)
+    assert final.state.value == "finished" and universe.failovers == 1
+    restarted = ompi_restart(universe, final.snapshots[-1])
+    assert restarted.results == final.results
+    return _seam_fingerprint(universe)
+
+
+SEAM_PINS = {
+    "tree": {
+        "now": 2.5024598660000024,
+        "events": 2922,
+        "threads_spawned": 309,
+        "waits_any": 63,
+        "waits_all": 57,
+        "records": [
+            (1, 1, "full", "committed", 4207646, 0.3186586824166666),
+            (1, 2, "delta", "committed", 276158, 0.48479208616666647),
+            (1, 3, "delta", "failed", 0, None),
+            (2, 1, "full", "committed", 4209216, 1.1888459153333348),
+            (2, 2, "delta", "committed", 277726, 1.3549785679166675),
+            (2, 3, "full", "committed", 278507, 1.6590167258333346),
+            (2, 4, "delta", "committed", 279287, 1.7928296968333346),
+            (2, 5, "full", "committed", 280067, 2.0807111703333354),
+            (2, 6, "delta", "committed", 280847, 2.2145308463333357),
+            (2, 7, "full", "committed", 282303, 2.5024598660000024),
+        ],
+    },
+    "cas_restage": {
+        "now": 1.8630397391666702,
+        "events": 2539,
+        "threads_spawned": 278,
+        "waits_any": 45,
+        "waits_all": 45,
+        "records": [
+            (1, 1, "full", "committed", 0, 0.3329432109166667),
+            (1, 2, "delta", "committed", 0, 0.8150279033333333),
+            (1, 3, "full", "committed", 136970, 1.0014236459166668),
+            (1, 4, "delta", "committed", 137750, 1.1732366181666676),
+            (1, 5, "full", "committed", 138530, 1.324066806666668),
+            (1, 6, "delta", "committed", 139310, 1.4749003376666687),
+            (1, 7, "full", "committed", 140090, 1.6257371961666693),
+        ],
+    },
+    "cas_lost": {
+        "now": 2.518679926749998,
+        "events": 3665,
+        "threads_spawned": 397,
+        "waits_any": 73,
+        "waits_all": 67,
+        "records": [
+            (1, 1, "full", "committed", 0, 0.3329432109166667),
+            (1, 2, "delta", "failed", 0, None),
+            (2, 1, "full", "committed", 3180, 1.1150911247500002),
+            (2, 2, "delta", "committed", 69496, 1.289855328833334),
+            (2, 3, "full", "committed", 70276, 1.4406737460000012),
+            (2, 4, "delta", "committed", 71056, 1.5914954706666684),
+            (2, 5, "full", "committed", 71836, 1.7423205528333356),
+            (2, 6, "delta", "committed", 72616, 1.8931490025000026),
+            (2, 7, "full", "committed", 73396, 2.0439808096666696),
+            (2, 8, "delta", "committed", 74176, 2.1948159193333363),
+        ],
+    },
+}
+
+
+def test_storage_seam_referee_tree():
+    assert _tree_seam_run() == SEAM_PINS["tree"]
+
+
+def test_storage_seam_referee_cas_restage():
+    assert _cas_seam_run(whole_node=False) == SEAM_PINS["cas_restage"]
+
+
+def test_storage_seam_referee_cas_lost():
+    assert _cas_seam_run(whole_node=True) == SEAM_PINS["cas_lost"]

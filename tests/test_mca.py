@@ -145,11 +145,6 @@ class TestFramework:
 
 
 class TestComponent:
-    def test_param_helper_uses_namespaced_key(self):
-        comp = Alpha(MCAParams({"demo_alpha_knob": "42"}))
-        assert comp.param("knob") == "42"
-        assert comp.param("missing", "d") == "d"
-
     def test_ft_event_default_noop(self):
         Alpha().ft_event(1)  # must not raise
 
