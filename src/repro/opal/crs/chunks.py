@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.simenv.kernel import SimGen
-from repro.snapshot import pack_hashes, unpack_hashes
+from repro.snapshot import CODEC, field_values, pack_hashes, unpack_hashes
 from repro.util.errors import RestartError, SnapshotError
 from repro.vfs import path as vpath
 from repro.vfs.fsbase import FS
@@ -53,8 +53,6 @@ def hash_chunk(chunk: bytes) -> str:
     return hashlib.sha256(chunk).hexdigest()
 
 
-
-
 @dataclass
 class ChunkManifest:
     """Contents of a snapshot directory's ``chunks.json``."""
@@ -75,37 +73,27 @@ class ChunkManifest:
         return len(self.hashes)
 
     def to_json(self) -> bytes:
-        # Serialized by hand: asdict() deep-copies every hash string,
-        # and JSON-encoding thousands of 64-char strings per manifest
-        # dominates capture cost.  Hashes travel as one packed hex
-        # string; a full image's ``present`` (the whole range) packs to
-        # null.
-        present: "list[int] | None" = self.present
-        if present == list(range(len(self.hashes))):
-            present = None
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "chunk_bytes": self.chunk_bytes,
-                "total_bytes": self.total_bytes,
-                "hashes": pack_hashes(self.hashes),
-                "present": present,
-                "base_interval": self.base_interval,
-                "interval": self.interval,
-            },
-            sort_keys=True,
-        ).encode()
+        def dump() -> bytes:
+            # Hashes travel as one packed hex string; a full image's
+            # ``present`` (the whole range) packs to null.
+            data = field_values(self)
+            data["hashes"] = pack_hashes(self.hashes)
+            if self.present == list(range(len(self.hashes))):
+                data["present"] = None
+            return json.dumps(data, sort_keys=True).encode()
+
+        return CODEC.encode(self, dump)
 
     @classmethod
     def from_json(cls, raw: bytes) -> "ChunkManifest":
-        try:
+        def parse() -> "ChunkManifest":
             data = json.loads(raw.decode())
             data["hashes"] = unpack_hashes(data.get("hashes", []))
             if data.get("present") is None:
                 data["present"] = list(range(len(data["hashes"])))
             return cls(**data)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise SnapshotError(f"bad chunk manifest: {exc}") from exc
+
+        return CODEC.decode(cls, raw, parse, "chunk manifest")
 
 
 def manifest_path(snapshot_dir: str) -> str:

@@ -194,10 +194,9 @@ class RshFILEM(FILEMComponent):
             yield Delay(self.session_cost_s)
             link_ok()
             parts = yield from store.get_many(list(manifest.hashes))
-            wire = sum(len(data) for data in parts)
-            if wire:
-                yield Delay(wire / eth)
             blob = b"".join(parts)
+            if blob:
+                yield Delay(len(blob) / eth)
             if len(blob) != manifest.total_bytes:
                 raise SnapshotError(
                     f"{src_dir}: fetched image is {len(blob)} bytes, "

@@ -16,15 +16,16 @@ Because the runtime parameters and application identity are recorded
 at checkpoint time, ``ompi-restart`` needs nothing beyond the global
 reference — the paper's usability point.
 
-References are serialized as JSON into the simulated filesystems.
+References are serialized as JSON into the simulated filesystems; the
+two whose size grows with the chunk count go through :class:`DocumentCodec`.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import asdict, dataclass, field
-
-from functools import lru_cache
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 from repro.simenv.kernel import SimGen
 from repro.util.errors import SnapshotError
@@ -46,32 +47,85 @@ def pack_hashes(hashes: "list[str]") -> "str | list[str]":
     Lists holding anything other than full-width digests (test
     fixtures) pass through unpacked so the round trip is exact.
     """
-    if not hashes or len(hashes[0]) != HASH_HEX_LEN:
+    if set(map(len, hashes)) != {HASH_HEX_LEN}:
         return hashes
-    packed = "".join(hashes)
-    if len(packed) != HASH_HEX_LEN * len(hashes):
-        return hashes
-    return packed
-
-
-@lru_cache(maxsize=512)
-def _split_packed(packed: str) -> tuple:
-    return tuple(
-        packed[i : i + HASH_HEX_LEN]
-        for i in range(0, len(packed), HASH_HEX_LEN)
-    )
+    return "".join(hashes)
 
 
 def unpack_hashes(packed: "str | list[str]") -> list[str]:
-    """Inverse of :func:`pack_hashes`; accepts both wire forms.
+    """Inverse of :func:`pack_hashes`; accepts both wire forms.  A packed
+    string that is not a whole number of digests is a ``ValueError``."""
+    if not isinstance(packed, str):
+        return list(packed)
+    if len(packed) % HASH_HEX_LEN:
+        raise ValueError(f"{len(packed)} packed characters are not whole digests")
+    return [packed[i : i + HASH_HEX_LEN] for i in range(0, len(packed), HASH_HEX_LEN)]
 
-    Splits are memoized — every rank of a job writes the same image in
-    the fleet benchmarks, so the same packed string is re-read per rank
-    per restart.
+
+def field_values(doc) -> dict:
+    """A dataclass's fields, shallowly (``asdict`` deep-copies every digest)."""
+    return {name: getattr(doc, name) for name in doc.__dataclass_fields__}
+
+
+class DocumentCodec:
+    """The one memo of the chunk-bearing documents (``ChunkManifest``,
+    ``LocalSnapshotMeta``): bounded, LRU, keyed by content, never by path.
+
+    Decoding is a pure function of the bytes and encoding of the field
+    values, so each happens once per content, and a writer seeds the
+    decode side with what it just encoded.  Corrupted bytes are different
+    bytes: a miss, a real parse, the parser's error (never cached).  Kept
+    are field values with lists frozen to tuples; every reader gets a
+    fresh document that shares nothing mutable with them.
     """
-    if isinstance(packed, str):
-        return list(_split_packed(packed))
-    return list(packed)
+
+    BOUND = 512  # as the per-substring cache it replaces; scale_1000 needs 186
+
+    def clear(self) -> None:
+        self._memo: OrderedDict = OrderedDict()
+        self._counts = {"hits": 0, "decode_misses": 0, "encode_misses": 0}
+
+    __init__ = clear
+
+    def stats(self) -> dict:
+        return dict(self._counts, entries=len(self._memo))
+
+    def _lookup(self, key: tuple, missed: str, make):
+        memo = self._memo
+        value = memo.pop(key, None)
+        self._counts[missed if value is None else "hits"] += 1
+        memo[key] = value = make() if value is None else value  # now the newest
+        while len(memo) > self.BOUND:
+            memo.popitem(last=False)
+        return value
+
+    @staticmethod
+    def _frozen(doc) -> tuple:
+        return tuple(tuple(v) if type(v) is list else v for v in field_values(doc).values())
+
+    def encode(self, doc, dump) -> bytes:
+        """``dump()``, run once per distinct (hashable) field values."""
+        kind, fields = type(doc), self._frozen(doc)
+
+        def make() -> bytes:
+            raw = dump()
+            self._memo[kind, raw] = fields  # its reader need not parse it
+            return raw
+
+        return self._lookup((kind, fields), "encode_misses", make)
+
+    def decode(self, kind: type, raw: bytes, parse, what: str):
+        """The *kind* document ``parse()`` builds from *raw*, run once per
+        distinct bytes; undecodable ones are a ``SnapshotError`` each time."""
+        try:
+            fields = self._lookup((kind, raw), "decode_misses", lambda: self._frozen(parse()))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise SnapshotError(f"bad {what}: {exc}") from exc
+        # deepcopy: ``app_params`` is a dict; scalars copy to themselves
+        return kind(*(list(v) if type(v) is tuple else copy.deepcopy(v) for v in fields))
+
+
+CODEC = DocumentCodec()
 
 
 @dataclass
@@ -103,40 +157,19 @@ class LocalSnapshotMeta:
     present_chunks: list[int] = field(default_factory=list)
 
     def to_json(self) -> bytes:
-        # Built by hand rather than via asdict(): asdict deep-copies
-        # every chunk hash string, which dominates metadata-write cost
-        # for finely chunked images.
-        return json.dumps(
-            {
-                "rank": self.rank,
-                "jobid": self.jobid,
-                "crs_component": self.crs_component,
-                "origin_node": self.origin_node,
-                "os_tag": self.os_tag,
-                "interval": self.interval,
-                "sim_time": self.sim_time,
-                "portable": self.portable,
-                "app_params": self.app_params,
-                "files": self.files,
-                "kind": self.kind,
-                "base_interval": self.base_interval,
-                "written_bytes": self.written_bytes,
-                "chunk_bytes": self.chunk_bytes,
-                "total_bytes": self.total_bytes,
-                "chunk_hashes": pack_hashes(self.chunk_hashes),
-                "present_chunks": self.present_chunks,
-            },
-            sort_keys=True,
-        ).encode()
+        # not memoised: rank and sim_time make every one distinct
+        data = field_values(self)
+        data["chunk_hashes"] = pack_hashes(self.chunk_hashes)
+        return json.dumps(data, sort_keys=True).encode()
 
     @classmethod
     def from_json(cls, raw: bytes) -> "LocalSnapshotMeta":
-        try:
+        def parse() -> "LocalSnapshotMeta":
             data = json.loads(raw.decode())
             data["chunk_hashes"] = unpack_hashes(data.get("chunk_hashes", []))
             return cls(**data)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise SnapshotError(f"bad local snapshot metadata: {exc}") from exc
+
+        return CODEC.decode(cls, raw, parse, "local snapshot metadata")
 
 
 #: staging lifecycle states persisted in global snapshot metadata
@@ -180,7 +213,7 @@ class GlobalSnapshotMeta:
     staging: dict = field(default_factory=lambda: staging_state(STAGE_COMMITTED))
 
     def to_json(self) -> bytes:
-        return json.dumps(asdict(self), sort_keys=True, indent=1).encode()
+        return json.dumps(field_values(self), sort_keys=True, indent=1).encode()
 
     @classmethod
     def from_json(cls, raw: bytes) -> "GlobalSnapshotMeta":

@@ -54,12 +54,14 @@ class ChunkStore:
     def __init__(self, fs: FS, root: str = DEFAULT_ROOT):
         self.fs = fs
         self.root = vpath.normalize(root)
+        self._objects = vpath.join(self.root, OBJECTS_DIR)
         fs.mkdir(self.root)
 
     # -- paths -----------------------------------------------------------------
 
     def blob_path(self, digest: str) -> str:
-        return vpath.join(self.root, OBJECTS_DIR, digest[:2], digest)
+        # vpath.join(self._objects, digest[:2], digest), root normalised once
+        return f"{self._objects}/{digest[:2]}/{digest}"
 
     def _ref_path(self, owner: str) -> str:
         # Owners are arbitrary paths; key the ref file by a digest of

@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.opal.crs import chunks as chunkstore
+from repro.orte import oob
 from repro.simenv.kernel import Kernel
-from repro.snapshot import read_global_meta
+from repro.snapshot import CODEC, read_global_meta
 from repro.tools.api import (
     checkpoint_ref,
     ompi_checkpoint,
@@ -22,9 +23,11 @@ from repro.tools.api import (
     ompi_run,
 )
 from repro.util.errors import RestartError, SnapshotError
+from repro.vfs import path as vpath
 from repro.vfs.cas import ChunkStore, chunk_digest
 from repro.vfs.fsbase import FS
 from tests.conftest import make_universe, run_gen
+from tests.test_failover import settle_lineage
 
 CAS = {"snapc_full_cas": "1", "filem": "rsh"}
 #: ~0.55 sim-seconds of runtime, 4 MB of (mostly zero) state per rank
@@ -112,6 +115,16 @@ class TestChunkStore:
         assert batch.fs.bytes_written == loop.fs.bytes_written
         assert batch.fs.bytes_read == loop.fs.bytes_read
         assert batch.fs._files == loop.fs._files
+
+    @pytest.mark.parametrize("root", ["/cas", "/", "pool//cas/", "/a/./b/../c"])
+    def test_blob_path_is_what_vpath_join_builds(self, kernel, root):
+        """``blob_path`` formats onto an objects root normalised once;
+        the strings are the ones ``vpath.join`` built per chunk."""
+        store = ChunkStore(FS(kernel, "stable"), root=root)
+        for digest in (chunk_digest(b""), chunk_digest(b"x"), "ab" * 32, "0" * 64):
+            assert store.blob_path(digest) == vpath.join(
+                root, "objects", digest[:2], digest
+            )
 
     def test_put_rejects_mismatched_digest(self, kernel, store):
         def main():
@@ -426,6 +439,94 @@ class TestCASRestart:
 
         new_job = ompi_restart(universe, ref1)
         assert new_job.state.value == "finished"
+
+
+class TestDocumentCodecOnTheRestartPath:
+    """A restart is handed the same ``chunks.json`` five times per rank
+    (``unusable`` twice, ``fetch_chunks``, ``reconstruct_chain`` twice);
+    the codec parses each distinct document at most once per process."""
+
+    PARAMS = {**CAS, "crs_base_chunk_bytes": "32", "orte_errmgr_autorecover": "1"}
+    ARGS = {"loops": 120, "compute_s": 0.01, "state_bytes": 16 << 10}
+
+    def test_second_restart_decodes_nothing(self, monkeypatch):
+        """Exact-count gate: np=4, 528 chunks per image, one checkpoint,
+        two crash-restarts from it."""
+        reply_sizes = []
+        sized = oob.payload_nbytes
+
+        def spy(payload):
+            nbytes = sized(payload)
+            if isinstance(payload, dict) and "hashes" in payload:
+                reply_sizes.append(nbytes)
+            return nbytes
+
+        monkeypatch.setattr(oob, "payload_nbytes", spy)
+        CODEC.clear()
+        universe = make_universe(8, self.PARAMS)
+        kernel = universe.kernel
+        job = ompi_run(universe, "churn", 4, args=self.ARGS, wait=False)
+        ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        kernel.run(until=0.3)
+        # written: 4 capture-side manifests + 4 store-side ones (present
+        # = []), every one seeding its own decode; 8 local metadata files,
+        # which are never memoised on the way out
+        written = 8 + 8
+        assert CODEC.stats() == {
+            "hits": 0, "decode_misses": 0, "encode_misses": 8, "entries": 16
+        }
+        # the checkpoint reply carries lists: a tuple would pickle to a
+        # different length and move simulated time (parent: 36 937 each)
+        assert reply_sizes == [36937] * 4
+
+        universe.cluster.failures.crash_node_now(job.placements[3])
+        kernel.run(until=0.8)
+        (second,) = [j for j in universe.jobs.values() if j.state.value == "running"]
+        # per rank 5 manifest reads + 1 manifest written back by the fetch
+        # hit; its local metadata is parsed, once
+        assert CODEC.stats() == {
+            "hits": 24, "decode_misses": 4, "encode_misses": 8, "entries": 20
+        }
+
+        universe.cluster.failures.crash_node_now(second.placements[2])
+        final = settle_lineage(universe, job)
+        assert final.state.value == "finished" and final.jobid == 3
+        assert [r.snapshot for r in universe.hnp.errmgr.recovery_log] == [
+            "/snapshots/ompi_global_snapshot_1.1"
+        ] * 2
+        stats = CODEC.stats()
+        assert stats == {
+            "hits": 52, "decode_misses": 4, "encode_misses": 8, "entries": 20
+        }
+        assert stats["decode_misses"] + stats["encode_misses"] <= written
+
+    def test_warm_codec_still_sees_corruption(self):
+        """The memo is keyed by content, never by path: truncating a
+        ``chunks.json`` that was just read is a miss and a real parse."""
+        universe = make_universe(4, params=CAS)
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        handle = ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        universe.run_job_to_completion(job)
+        ref = checkpoint_ref(handle)
+        stable = universe.cluster.stable_fs
+        backend = _cas_backend(universe)
+        meta = run_gen(universe.kernel, read_global_meta(stable, ref))
+        assert run_gen(universe.kernel, backend.unusable(ref, meta)) is None
+        good = _read_manifest(universe, ref, 2)  # warm
+
+        path = chunkstore.manifest_path(ref.local_dir(2))
+        data = stable.peek(path)
+        stable.poke(path, data[: max(1, len(data) // 3)])
+        with pytest.raises(SnapshotError, match="bad chunk manifest"):
+            _read_manifest(universe, ref, 2)
+        why = run_gen(universe.kernel, backend.unusable(ref, meta))
+        assert why.startswith("rank 2 manifest unreadable")
+        with pytest.raises(RestartError, match="rank 2 manifest unreadable"):
+            ompi_restart(universe, ref)
+
+        stable.poke(path, data)
+        assert _read_manifest(universe, ref, 2) == good
+        assert ompi_restart(universe, ref).state.value == "finished"
 
 
 class TestSkipSetWalkBack:

@@ -8,7 +8,10 @@ sequences, identical final clocks, identical campaign reports.
 
 from __future__ import annotations
 
+import json
+
 from repro.simenv import CampaignSpec, FaultSpec, run_campaign
+from repro.snapshot import CODEC
 from repro.tools.api import ompi_restart, ompi_run
 from repro.util.errors import ReproError
 from tests.conftest import make_universe
@@ -313,3 +316,65 @@ def test_storage_seam_referee_cas_restage():
 
 def test_storage_seam_referee_cas_lost():
     assert _cas_seam_run(whole_node=True) == SEAM_PINS["cas_lost"]
+
+
+# ---------------------------------------------------------------------------
+# Codec referee: a warm document codec is host-only
+# ---------------------------------------------------------------------------
+
+
+def _cas_restart_run() -> tuple[dict, list, bytes]:
+    """Finely chunked CAS staging, a node crash recovered from the
+    store, then an explicit restart of the final snapshot — every reader
+    of ``chunks.json`` / local ``metadata.json`` is on the path."""
+    universe = make_universe(
+        N_NODES,
+        {
+            "orte_errmgr_autorecover": "1",
+            "snapc_full_checkpoint_every": "0.15",
+            "snapc_full_cas": "1",
+            "filem": "rsh",
+            "crs_base_chunk_bytes": "64",
+            "snapc_full_interval_every": "3",
+        },
+    )
+    kernel = universe.kernel
+    kernel.tracer.enable()
+    events: list = []
+    kernel.trace = lambda t, name, ev: events.append((t, name, ev))
+    args = {"loops": 80, "compute_s": 0.01, "state_bytes": 32 << 10}
+    job = ompi_run(universe, "churn", NP, args=args, wait=False)
+    universe.cluster.failures.crash_node_at(0.5, "node03")
+    final = settle_lineage(universe, job)
+    assert final.state.value == "finished" and final.jobid == 2
+    restarted = ompi_restart(universe, final.snapshots[-1])
+    assert restarted.results == final.results
+    spans = [
+        (span.name, span.cat, span.t0, span.t1, sorted(span.attrs.items()))
+        for span in kernel.tracer.spans
+    ]
+    return _seam_fingerprint(universe), events, json.dumps(spans).encode()
+
+
+def test_warm_codec_changes_nothing_simulated():
+    """The same seeded scenario twice in one process: the first run
+    starts with an empty document codec, the second finds every
+    document of the first already decoded.  Clock, kernel counts,
+    staging records, the kernel's event sequence and the span trace are
+    equal — the memo saves host parses, never a simulated read."""
+    CODEC.clear()
+    cold = _cas_restart_run()
+    after_cold = CODEC.stats()
+    warm = _cas_restart_run()
+    after_warm = CODEC.stats()
+    assert after_cold["decode_misses"] + after_cold["encode_misses"] > 0
+    assert after_cold["hits"] >= 40  # two restarts of four ranks, five reads each
+    # the warm run met nothing new, and looked up exactly as often
+    assert after_warm["decode_misses"] == after_cold["decode_misses"]
+    assert after_warm["encode_misses"] == after_cold["encode_misses"]
+    lookups = sum(after_cold[k] for k in ("hits", "decode_misses", "encode_misses"))
+    assert after_warm["hits"] - after_cold["hits"] == lookups
+
+    assert cold[0] == warm[0]
+    assert len(cold[1]) > 100 and cold[1] == warm[1]
+    assert cold[2] == warm[2]

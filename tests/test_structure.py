@@ -10,6 +10,7 @@ places that have a reason for one.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -78,6 +79,45 @@ def test_line_budgets():
     )
     assert around_the_seam < 2387
     assert sum(sizes.values()) < 17386
+
+
+def test_snapshot_documents_have_one_memo_and_one_json_site_each():
+    """The chunk-bearing documents are parsed and encoded in their own
+    ``from_json`` / ``to_json`` and nowhere else, behind the one
+    content-keyed memo of ``snapshot.py`` — the per-substring
+    ``_split_packed`` cache it replaced stays gone."""
+    documents = (SRC / "snapshot.py", SRC / "opal" / "crs" / "chunks.py")
+    for path in sorted(SRC.rglob("*.py")):
+        assert _hits(path, r"_split_packed") == []
+    for path in documents:
+        assert _hits(path, r"lru_cache|functools|\bcache\(") == []
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+            ):
+                continue
+            owners = []
+            while hasattr(node, "parent"):
+                node = node.parent
+                if isinstance(node, ast.FunctionDef):
+                    owners.append(node.name)
+            assert owners and owners[-1] in ("to_json", "from_json"), (path.name, owners)
+    assert len(_hits(documents[0], r"OrderedDict\(|\bdict\(\)|= \{\}")) == 1
+    assert _hits(documents[1], r"OrderedDict|_memo") == []
+    assert len(_hits(documents[0], r"^CODEC = DocumentCodec\(\)$")) == 1
+    users = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if _hits(path, r"\bCODEC\b|DocumentCodec")
+    ]
+    assert users == ["opal/crs/chunks.py", "snapshot.py"]
 
 
 #: every ``except Exception`` / ``except BaseException`` in the tree, as
