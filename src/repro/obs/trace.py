@@ -26,10 +26,10 @@ span name              opened around
 ``crs.serialize``      pickling the image
 ``crs.hash``           the per-chunk hash pass (incremental)
 ``crs.write``          writing image or dirty chunks + metadata
-``filem.transfer``     one per-entry copy (``rsh``; ``op`` says which)
+``filem.transfer``     one tree / chunk-set copy (``rsh``; ``op`` says which)
 ``filem.gather``       a whole gather operation
 ``filem.stage_out``    a whole stage-out (gather + source cleanup)
-``filem.broadcast``    a whole broadcast operation
+``filem.broadcast``    a whole restart preload (one stream per node)
 ``filem.offer``        one CAS negotiation (chunks offered vs missing)
 ``filem.ship``         shipping negotiated chunks into the CAS store
 ``filem.fetch``        rebuilding CAS-backed images on restart nodes
@@ -37,6 +37,11 @@ span name              opened around
 ``errmgr.detect``      failure detection + survivor/staging teardown
 ``errmgr.recover``     one recovery attempt (snapshot pick → relaunch)
 =====================  ====================================================
+
+Counters (``count``): ``crcp.drained_msgs``, ``crcp.aborts``,
+``snapc.scheduled_ckpts``, and ``filem.sessions`` — rsh sessions set
+up: per file on gather/stage-out, per node stream on broadcast, per
+entry on chunk ship/fetch.
 
 Disabled recorders hand out a shared :data:`NULL_SPAN` whose ``end`` is
 a no-op, so instrumentation points cost one attribute check when

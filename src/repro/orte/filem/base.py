@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.mca.component import Component
-from repro.simenv.kernel import SimGen, WaitAll, WaitEvent
+from repro.simenv.kernel import SimGen
 from repro.util.errors import VFSError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,37 +95,6 @@ class FILEMComponent(Component):
         """
         raise NotImplementedError
         yield  # pragma: no cover
-
-    # -- shared helper: run per-entry generators with bounded concurrency ---
-
-    def _run_bounded(self, hnp: "HNP", gens: list, limit: int, label: str) -> SimGen:
-        kernel = hnp.proc.kernel
-        slots = {"free": max(1, limit)}
-        gate = [kernel.event(f"filem.{label}.slot")]
-        totals = {"bytes": 0}
-
-        def bounded(gen) -> SimGen:
-            while slots["free"] <= 0:
-                yield WaitEvent(gate[0])
-            slots["free"] -= 1
-            try:
-                moved = yield from gen
-                totals["bytes"] += int(moved or 0)
-            finally:
-                slots["free"] += 1
-                old, gate[0] = gate[0], kernel.event(f"filem.{label}.slot")
-                if not old.fired:
-                    old.fire(None)
-            return None
-
-        events = []
-        for i, gen in enumerate(gens):
-            thread = hnp.proc.spawn_thread(
-                bounded(gen), name=f"filem-{label}-{i}", daemon=True
-            )
-            events.append(thread.done)
-        yield WaitAll(events)
-        return totals["bytes"]
 
 
 def node_local_fs(hnp: "HNP", node_name: str):

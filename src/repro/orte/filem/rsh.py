@@ -1,9 +1,20 @@
 """``rsh`` FILEM component (the paper's first implementation).
 
-Uses remote-execution + copy semantics: each tree copy pays an rsh
-session setup latency and streams bytes over the Ethernet model, with
-bounded concurrency (``filem_rsh_max_concurrent``) so simultaneous
-gathers don't model an impossible network.
+Remote-execution + copy semantics: bytes stream over the Ethernet
+model, every rsh session pays ``filem_rsh_session_cost`` to set up, and
+``filem_rsh_max_concurrent`` bounds how many transfers run at once so
+simultaneous copies don't model an impossible network.  What is charged
+and what is bounded depends on the operation:
+
+* ``gather`` / ``stage_out``: a session per *file*; the bound is on
+  *trees*.  Staging speed sets the checkpoint cadence through
+  back-pressure, so this pricing is part of every write workload.
+* ``broadcast`` (restart preload): a session per destination *node*,
+  whose trees stream through it back to back in entry order; the bound
+  is on *node streams*.
+* ``ship_chunks`` / ``fetch_chunks`` (CAS): a session per entry.
+
+The ``filem.sessions`` tracer counter adds up every session charged.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from typing import TYPE_CHECKING
 from repro.mca.component import component_of
 from repro.opal.crs import chunks as chunkstore
 from repro.orte.filem.base import FILEMComponent, node_local_fs
-from repro.simenv.kernel import Delay, SimGen
+from repro.simenv.kernel import Delay, SimGen, WaitAll, WaitEvent
 from repro.snapshot import IMAGE_FILE, LOCAL_META
 from repro.util.errors import SnapshotError, VFSError
 from repro.vfs import path as vpath
@@ -47,62 +58,75 @@ class RshFILEM(FILEMComponent):
         failures = hnp.universe.cluster.failures
         return lambda: failures.check_link(node_name)
 
-    def _traced_copy(self, hnp: "HNP", op: str, node_name: str, gen) -> SimGen:
-        """Run one tree copy under a ``filem.transfer`` span."""
-        span = hnp.proc.kernel.tracer.begin(
-            "filem.transfer", cat="filem", op=op, node=node_name
+    def _copy(
+        self, hnp: "HNP", op: str, node_name: str,
+        src_fs, src_dir: str, dst_fs, dst_dir: str, per_file_s: float,
+    ) -> SimGen:
+        """One tree copy under a ``filem.transfer`` span, paying
+        *per_file_s* of session set-up per file (0 inside a stream)."""
+        tracer = hnp.proc.kernel.tracer
+        span = tracer.begin("filem.transfer", cat="filem", op=op, node=node_name)
+        if per_file_s and tracer.enabled:
+            tracer.count("filem.sessions", len(src_fs.list_tree(src_dir)))
+        moved = yield from copy_tree(
+            src_fs, src_dir, dst_fs, dst_dir,
+            extra_net_Bps=self._eth_bw(hnp),
+            extra_latency_s=per_file_s,
+            link_ok=self._link_check(hnp, node_name),
         )
-        moved = yield from gen
-        span.end(bytes=int(moved or 0))
-        return moved
-
-    def gather(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
-        span = hnp.proc.kernel.tracer.begin(
-            "filem.gather", cat="filem", entries=len(entries)
-        )
-        gens = []
-        for node_name, src_dir, dst_dir in entries:
-            src_fs = node_local_fs(hnp, node_name)
-            gens.append(
-                self._traced_copy(
-                    hnp,
-                    "gather",
-                    node_name,
-                    copy_tree(
-                        src_fs,
-                        src_dir,
-                        hnp.universe.cluster.stable_fs,
-                        dst_dir,
-                        extra_net_Bps=self._eth_bw(hnp),
-                        extra_latency_s=self.session_cost_s,
-                        link_ok=self._link_check(hnp, node_name),
-                    ),
-                )
-            )
-        moved = yield from self._run_bounded(hnp, gens, self.max_concurrent, "gather")
         span.end(bytes=moved)
         return moved
 
-    def stage_out(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
-        span = hnp.proc.kernel.tracer.begin(
-            "filem.stage_out", cat="filem", entries=len(entries)
-        )
+    def _bounded(self, hnp: "HNP", op: str, gens: list, **attrs) -> SimGen:
+        """Run *gens*, ``filem_rsh_max_concurrent`` at a time, under one
+        ``filem.<op>`` span carrying *attrs*; returns the bytes moved."""
+        kernel = hnp.proc.kernel
+        span = kernel.tracer.begin(f"filem.{op}", cat="filem", **attrs)
+        slots = {"free": max(1, self.max_concurrent)}
+        gate = [kernel.event(f"filem.{op}.slot")]
+        totals = {"bytes": 0}
 
+        def bounded(gen) -> SimGen:
+            while slots["free"] <= 0:
+                yield WaitEvent(gate[0])
+            slots["free"] -= 1
+            try:
+                moved = yield from gen
+                totals["bytes"] += int(moved or 0)
+            finally:
+                slots["free"] += 1
+                old, gate[0] = gate[0], kernel.event(f"filem.{op}.slot")
+                if not old.fired:
+                    old.fire(None)
+            return None
+
+        events = []
+        for i, gen in enumerate(gens):
+            thread = hnp.proc.spawn_thread(
+                bounded(gen), name=f"filem-{op}-{i}", daemon=True
+            )
+            events.append(thread.done)
+        yield WaitAll(events)
+        span.end(bytes=totals["bytes"])
+        return totals["bytes"]
+
+    def gather(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
+        stable = hnp.universe.cluster.stable_fs
+        gens = [
+            self._copy(
+                hnp, "gather", node, node_local_fs(hnp, node), src,
+                stable, dst, self.session_cost_s,
+            )
+            for node, src, dst in entries
+        ]
+        return (yield from self._bounded(hnp, "gather", gens, entries=len(entries)))
+
+    def stage_out(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
         def one(node_name: str, src_dir: str, dst_dir: str) -> SimGen:
             src_fs = node_local_fs(hnp, node_name)
-            moved = yield from self._traced_copy(
-                hnp,
-                "stage_out",
-                node_name,
-                copy_tree(
-                    src_fs,
-                    src_dir,
-                    hnp.universe.cluster.stable_fs,
-                    dst_dir,
-                    extra_net_Bps=self._eth_bw(hnp),
-                    extra_latency_s=self.session_cost_s,
-                    link_ok=self._link_check(hnp, node_name),
-                ),
+            moved = yield from self._copy(
+                hnp, "stage_out", node_name, src_fs, src_dir,
+                hnp.universe.cluster.stable_fs, dst_dir, self.session_cost_s,
             )
             # Continuation: drop this node's local staging right away,
             # overlapping the cleanup with the remaining transfers.  A
@@ -115,11 +139,7 @@ class RshFILEM(FILEMComponent):
             return moved
 
         gens = [one(node, src, dst) for node, src, dst in entries]
-        moved = yield from self._run_bounded(
-            hnp, gens, self.max_concurrent, "stage_out"
-        )
-        span.end(bytes=moved)
-        return moved
+        return (yield from self._bounded(hnp, "stage_out", gens, entries=len(entries)))
 
     def ship_chunks(self, hnp: "HNP", store, entries: list[tuple]) -> SimGen:
         """Ship only the negotiated chunk payloads into the CAS store.
@@ -132,9 +152,6 @@ class RshFILEM(FILEMComponent):
         be retried from the same sources.
         """
         n_chunks = sum(len(indices) for _, _, _, indices in entries)
-        span = hnp.proc.kernel.tracer.begin(
-            "filem.ship", cat="filem", entries=len(entries), chunks=n_chunks
-        )
         eth = self._eth_bw(hnp)
 
         def one(node_name: str, src_dir: str, manifest, indices) -> SimGen:
@@ -148,6 +165,7 @@ class RshFILEM(FILEMComponent):
             payloads = yield from chunkstore.load_chunks(
                 src_fs, src_dir, manifest, indices, IMAGE_FILE
             )
+            hnp.proc.kernel.tracer.count("filem.sessions")
             yield Delay(self.session_cost_s)
             link_ok()
             # one aggregate wire delay + one batched store write:
@@ -163,9 +181,11 @@ class RshFILEM(FILEMComponent):
             return moved
 
         gens = [one(node, src, man, idx) for node, src, man, idx in entries]
-        moved = yield from self._run_bounded(hnp, gens, self.max_concurrent, "ship")
-        span.end(bytes=moved)
-        return moved
+        return (
+            yield from self._bounded(
+                hnp, "ship", gens, entries=len(entries), chunks=n_chunks
+            )
+        )
 
     def fetch_chunks(self, hnp: "HNP", store, entries: list[tuple[str, str, str]]) -> SimGen:
         """Rebuild CAS-backed rank snapshots on their restart nodes.
@@ -176,9 +196,6 @@ class RshFILEM(FILEMComponent):
         local filesystem next to the manifest and metadata copied from
         the stable rank directory.
         """
-        span = hnp.proc.kernel.tracer.begin(
-            "filem.fetch", cat="filem", entries=len(entries)
-        )
         eth = self._eth_bw(hnp)
         stable = hnp.universe.cluster.stable_fs
 
@@ -191,6 +208,7 @@ class RshFILEM(FILEMComponent):
             link_ok()
             manifest = yield from chunkstore.read_manifest(stable, src_dir)
             meta_raw = yield from stable.read(vpath.join(src_dir, LOCAL_META))
+            hnp.proc.kernel.tracer.count("filem.sessions")
             yield Delay(self.session_cost_s)
             link_ok()
             parts = yield from store.get_many(list(manifest.hashes))
@@ -212,35 +230,36 @@ class RshFILEM(FILEMComponent):
             return len(blob)
 
         gens = [one(node, src, dst) for node, src, dst in entries]
-        moved = yield from self._run_bounded(hnp, gens, self.max_concurrent, "fetch")
-        span.end(bytes=moved)
-        return moved
+        return (yield from self._bounded(hnp, "fetch", gens, entries=len(entries)))
 
     def broadcast(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
-        span = hnp.proc.kernel.tracer.begin(
-            "filem.broadcast", cat="filem", entries=len(entries)
-        )
-        gens = []
+        tracer = hnp.proc.kernel.tracer
+        stable = hnp.universe.cluster.stable_fs
+        trees: dict[str, list[tuple[str, str]]] = {}
         for node_name, src_dir, dst_dir in entries:
-            dst_fs = node_local_fs(hnp, node_name)
-            gens.append(
-                self._traced_copy(
-                    hnp,
-                    "broadcast",
-                    node_name,
-                    copy_tree(
-                        hnp.universe.cluster.stable_fs,
-                        src_dir,
-                        dst_fs,
-                        dst_dir,
-                        extra_net_Bps=self._eth_bw(hnp),
-                        extra_latency_s=self.session_cost_s,
-                        link_ok=self._link_check(hnp, node_name),
-                    ),
+            trees.setdefault(node_name, []).append((src_dir, dst_dir))
+
+        def stream(node_name: str, dst_fs, pairs) -> SimGen:
+            # One session per node; its trees follow back to back in
+            # entry order, so a delta chain still lands oldest-first.
+            self._link_check(hnp, node_name)()
+            tracer.count("filem.sessions")
+            yield Delay(self.session_cost_s)
+            moved = 0
+            for src_dir, dst_dir in pairs:
+                moved += yield from self._copy(
+                    hnp, "broadcast", node_name, stable, src_dir, dst_fs, dst_dir, 0.0
                 )
+            return moved
+
+        # every destination is resolved before the first byte moves
+        gens = [stream(n, node_local_fs(hnp, n), pairs) for n, pairs in trees.items()]
+        files = 0
+        if tracer.enabled:
+            files = sum(len(stable.list_tree(src)) for _node, src, _dst in entries)
+        return (
+            yield from self._bounded(
+                hnp, "broadcast", gens, entries=len(entries),
+                streams=len(gens), sessions=len(gens), files=files,
             )
-        moved = yield from self._run_bounded(
-            hnp, gens, self.max_concurrent, "broadcast"
         )
-        span.end(bytes=moved)
-        return moved

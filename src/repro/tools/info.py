@@ -39,8 +39,8 @@ KNOWN_PARAMS: dict[str, list[tuple[str, str, str]]] = {
     ],
     "filem": [
         ("filem", "rsh", "force FILEM component selection"),
-        ("filem_rsh_session_cost", "0.020", "rsh session setup latency (s)"),
-        ("filem_rsh_max_concurrent", "4", "concurrent remote copies"),
+        ("filem_rsh_session_cost", "0.020", "rsh session setup latency (s): per file on gather/stage-out, per node stream on broadcast"),
+        ("filem_rsh_max_concurrent", "4", "concurrent remote copies: trees on gather/stage-out, node streams on broadcast"),
     ],
     "plm": [
         ("plm", "rsh", "force PLM component selection"),

@@ -9,8 +9,9 @@ scheduler that keeps the baseline fresh.
 Timings are pinned against the deterministic simulation: with the
 churn app at 4 MB of state per rank an interval requested at ``t``
 reaches stable storage roughly ``0.21`` sim-seconds later; at 16 MB the
-restart broadcast alone spans ~0.5 sim-seconds, wide enough to land a
-second crash mid-recovery.
+restart broadcast alone spans ~0.64 sim-seconds (one rsh stream per
+surviving node, the node that takes two ranks receiving its two trees
+back to back), wide enough to land a second crash mid-recovery.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from tests.conftest import make_universe, run_gen
 
 #: ~2 sim-seconds of runtime, intervals commit ~0.21 s after request
 CHURN_SMALL = {"loops": 200, "compute_s": 0.01, "state_bytes": 4 << 20}
-#: big images: staging and restart broadcasts take ~0.4-0.5 sim-seconds
+#: big images: staging takes ~0.4 sim-seconds, a restart broadcast ~0.64
 CHURN_BIG = {"loops": 100, "compute_s": 0.01, "state_bytes": 16 << 20}
 
 RECOVER = {"orte_errmgr_autorecover": "1"}
@@ -47,7 +48,8 @@ class TestCascadingFailures:
         universe = make_universe(4, params=RECOVER)
         job = ompi_run(universe, "churn", 4, args=CHURN_BIG, wait=False)
         # interval 1 commits ~0.58; crash after it, then again while
-        # the ~0.5 s restart broadcast of the 16 MB images is in flight
+        # the ~0.64 s restart broadcast (0.70 -> 1.34) of the 16 MB images
+        # is in flight
         ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
         universe.cluster.failures.crash_node_at(0.7, "node03")
         universe.cluster.failures.crash_node_at(0.9, "node02")
