@@ -24,7 +24,7 @@ span name              opened around
 ``crcp.round``         one aggregation round (``twophase``)
 ``crs.capture``        assembling the in-memory image
 ``crs.serialize``      pickling the image
-``crs.hash``           the per-chunk hash pass (incremental)
+``crs.hash``           the per-chunk hash pass (modelled over every byte)
 ``crs.write``          writing image or dirty chunks + metadata
 ``filem.transfer``     one tree / chunk-set copy (``rsh``; ``op`` says which)
 ``filem.gather``       a whole gather operation
@@ -39,9 +39,10 @@ span name              opened around
 =====================  ====================================================
 
 Counters (``count``): ``crcp.drained_msgs``, ``crcp.aborts``,
-``snapc.scheduled_ckpts``, and ``filem.sessions`` — rsh sessions set
-up: per file on gather/stage-out, per node stream on broadcast, per
-entry on chunk ship/fetch.
+``snapc.scheduled_ckpts``, ``crs.chunks_hashed`` / ``crs.chunks_reused``
+— chunk digests computed vs taken over from the previous snapshot — and
+``filem.sessions`` — rsh sessions set up: per file on gather/stage-out,
+per node stream on broadcast, per entry on chunk ship/fetch.
 
 Disabled recorders hand out a shared :data:`NULL_SPAN` whose ``end`` is
 a no-op, so instrumentation points cost one attribute check when

@@ -64,11 +64,14 @@ class CRSComponent(Component):
 
         Writes the image plus ``metadata.json`` into
         ``request.snapshot_dir`` on ``request.target_fs``, paying the
-        serialization and disk costs.  When the request asks for an
-        incremental snapshot (``options["incremental"]``) and this
-        process holds a chunk-hash cache for the requested base
-        interval, only the chunks that changed since the base are
-        written (a **delta**); otherwise a full image is written.
+        serialization, hashing and disk costs.  Chunk digests are
+        compared before they are hashed (``chunks.hash_chunks``): only
+        chunks that differ from this process's previous snapshot cost
+        the host a SHA-256, while the modelled hash time stays that of
+        the whole image.  When the request asks for an incremental
+        snapshot (``options["incremental"]``) and that previous snapshot
+        is the requested base interval, only those chunks are written
+        (a **delta**); otherwise a full image is written.
         """
         if not self.can_checkpoint(opal):
             raise CheckpointError(
@@ -93,64 +96,63 @@ class CRSComponent(Component):
         ref = LocalSnapshotRef(fs_name=fs.name, path=request.snapshot_dir)
 
         options = request.options or {}
-        want_delta = bool(options.get("incremental"))
         base_interval = options.get("base_interval")
         chunk_bytes = self.params.get_int(
             "crs_base_chunk_bytes", chunkstore.DEFAULT_CHUNK_BYTES
         )
-        chunks = chunkstore.split_chunks(blob, chunk_bytes)
-        hash_span = tracer.begin(
-            "crs.hash", cat="crs", rank=rank, bytes=len(blob)
-        )
+        cache = opal.incr_chunk_cache
+        span = tracer.begin("crs.hash", cat="crs", rank=rank, bytes=len(blob))
+        # The modelled pass reads every byte, however many digests the
+        # host takes over from the cache.
         hash_Bps = self.params.get_float("crs_base_hash_Bps", 4e9)
         if hash_Bps > 0:
             yield Delay(len(blob) / hash_Bps)
-        hashes = [chunkstore.hash_chunk(c) for c in chunks]
-        hash_span.end()
+        hashes, dirty = chunkstore.hash_chunks(blob, chunk_bytes, cache)
+        span.end()
+        tracer.count("crs.chunks_hashed", len(dirty))
+        tracer.count("crs.chunks_reused", len(hashes) - len(dirty))
 
-        cache = getattr(opal, "incr_chunk_cache", None)
+        # ``dirty`` is a delta only against the cache it was compared with.
         use_delta = (
-            want_delta
+            bool(options.get("incremental"))
             and cache is not None
-            and base_interval is not None
-            and cache.get("interval") == base_interval
-            and cache.get("chunk_bytes") == chunk_bytes
+            and cache["interval"] == base_interval
+            and cache["chunk_bytes"] == chunk_bytes
         )
         if use_delta:
-            dirty = chunkstore.diff_chunks(hashes, cache["hashes"])
-            written = sum(len(chunks[i]) for i in dirty)
-            span = tracer.begin(
-                "crs.write", cat="crs", rank=rank, crs=self.name,
-                fs=fs.name, bytes=written, kind="delta", chunks=len(dirty),
-            )
-            yield from chunkstore.write_delta(
-                fs, request.snapshot_dir, chunks, hashes, dirty,
-                chunk_bytes, request.interval, base_interval,
-            )
-            kind = chunkstore.KIND_DELTA
-            files = [chunkstore.chunk_filename(i) for i in sorted(dirty)]
-            present = sorted(dirty)
+            kind, present = chunkstore.KIND_DELTA, dirty
+            payloads = {
+                chunkstore.chunk_filename(i): blob[i * chunk_bytes : (i + 1) * chunk_bytes]
+                for i in dirty
+            }
         else:
-            written = len(blob)
-            span = tracer.begin(
-                "crs.write", cat="crs", rank=rank, crs=self.name,
-                fs=fs.name, bytes=written, kind="full",
-            )
-            yield from fs.write(ref.image_path, blob)
-            yield from chunkstore.write_full_manifest(
-                fs, request.snapshot_dir, chunk_bytes, len(blob),
-                hashes, request.interval,
-            )
-            kind = chunkstore.KIND_FULL
-            files = [vpath.basename(ref.image_path)]
-            base_interval = None
-            present = list(range(len(hashes)))
-        # Remember this interval's chunk shape so the next incremental
-        # request can diff against it.
+            kind, present = chunkstore.KIND_FULL, list(range(len(hashes)))
+            payloads, base_interval = {IMAGE_FILE: blob}, None
+        manifest = chunkstore.ChunkManifest(
+            kind=kind,
+            chunk_bytes=chunk_bytes,
+            total_bytes=len(blob),
+            hashes=hashes,
+            present=present,
+            base_interval=base_interval,
+            interval=request.interval,
+        )
+        written = sum(map(len, payloads.values()))
+        span = tracer.begin(
+            "crs.write", cat="crs", rank=rank, crs=self.name, fs=fs.name,
+            bytes=written, kind=kind,
+            **({"chunks": len(dirty)} if use_delta else {}),
+        )
+        for name, data in payloads.items():
+            yield from fs.write(vpath.join(request.snapshot_dir, name), data)
+        yield from chunkstore.write_manifest(fs, request.snapshot_dir, manifest)
+        # What the next request compares against (and, if incremental,
+        # diffs against): this interval's image and its digests.
         opal.incr_chunk_cache = {
             "interval": request.interval,
             "chunk_bytes": chunk_bytes,
             "hashes": hashes,
+            "blob": blob,
         }
 
         meta = LocalSnapshotMeta(
@@ -166,13 +168,13 @@ class CRSComponent(Component):
                 k: v for k, v in options.items()
                 if k not in ("incremental", "base_interval")
             },
-            files=files + [chunkstore.CHUNK_MANIFEST],
+            files=[*payloads, chunkstore.CHUNK_MANIFEST],
             kind=kind,
-            base_interval=base_interval if kind == chunkstore.KIND_DELTA else None,
+            base_interval=base_interval,
             written_bytes=written,
             chunk_bytes=chunk_bytes,
             total_bytes=len(blob),
-            chunk_hashes=list(hashes),
+            chunk_hashes=hashes,
             present_chunks=present,
         )
         yield from write_local_meta(fs, ref, meta)

@@ -15,7 +15,10 @@ interval); reconstruction handles that per directory.
 
 These helpers are shared by the CRS components (capture side), the
 restart path (reconstruction side), and the SNAPC staging coordinator
-(compaction side), so the format lives in exactly one place.
+(compaction side), so the format lives in exactly one place.  Only the
+capture side may take a digest over from the previous snapshot instead
+of computing it (``hash_chunks``: both images are this process's own);
+reconstruction hashes every byte it was handed back.
 """
 
 from __future__ import annotations
@@ -114,46 +117,32 @@ def has_manifest(fs: FS, snapshot_dir: str) -> bool:
     return fs.exists(manifest_path(snapshot_dir))
 
 
-def diff_chunks(hashes: list[str], base_hashes: list[str]) -> list[int]:
-    """Indices of chunks that differ from (or extend past) the base."""
-    return [
-        i
-        for i, digest in enumerate(hashes)
-        if i >= len(base_hashes) or base_hashes[i] != digest
-    ]
+def hash_chunks(
+    blob: bytes, chunk_bytes: int, cache: dict | None
+) -> tuple[list[str], list[int]]:
+    """Every chunk's digest, and the (ascending) indices that were hashed.
 
-
-def write_delta(
-    fs: FS,
-    snapshot_dir: str,
-    chunks: list[bytes],
-    hashes: list[str],
-    dirty: list[int],
-    chunk_bytes: int,
-    interval: int,
-    base_interval: int,
-) -> SimGen:
-    """Write only the dirty chunks plus the manifest; returns manifest.
-
-    The write cost is proportional to the dirty bytes — the point of
-    incremental checkpointing.
+    Compare before hash: *cache* is the previous snapshot this process
+    took (``{"chunk_bytes", "hashes", "blob"}``).  A chunk whose bytes
+    equal the same range of that blob takes over its digest; one that
+    differs, lies past it or is a trailing chunk of another length is
+    hashed — as is every chunk when there is no cache or it was cut at
+    another ``chunk_bytes``.  The digests are those of ``split_chunks``
+    + ``hash_chunk``; the hashed indices are the delta against *cache*.
     """
-    total = sum(len(c) for c in chunks)
-    for index in dirty:
-        yield from fs.write(
-            vpath.join(snapshot_dir, chunk_filename(index)), chunks[index]
-        )
-    manifest = ChunkManifest(
-        kind=KIND_DELTA,
-        chunk_bytes=chunk_bytes,
-        total_bytes=total,
-        hashes=list(hashes),
-        present=sorted(dirty),
-        base_interval=base_interval,
-        interval=interval,
-    )
-    yield from write_manifest(fs, snapshot_dir, manifest)
-    return manifest
+    if chunk_bytes <= 0:
+        raise ValueError("chunk_bytes must be positive")
+    prev = cache["blob"] if cache and cache["chunk_bytes"] == chunk_bytes else None
+    hashes: list[str] = []
+    hashed: list[int] = []
+    for index, start in enumerate(range(0, len(blob), chunk_bytes) or (0,)):
+        chunk = blob[start : start + chunk_bytes]
+        if prev is not None and chunk == prev[start : start + chunk_bytes]:
+            hashes.append(cache["hashes"][index])
+        else:
+            hashes.append(hash_chunk(chunk))
+            hashed.append(index)
+    return hashes, hashed
 
 
 def write_full_manifest(
@@ -168,13 +157,11 @@ def write_full_manifest(
         kind=KIND_FULL,
         chunk_bytes=chunk_bytes,
         total_bytes=total_bytes,
-        hashes=list(hashes),
+        hashes=hashes,
         present=list(range(len(hashes))),
-        base_interval=None,
         interval=interval,
     )
-    yield from write_manifest(fs, snapshot_dir, manifest)
-    return manifest
+    return (yield from write_manifest(fs, snapshot_dir, manifest))
 
 
 def reconstruct_chain(fs: FS, chain_dirs: list[str], image_file: str) -> SimGen:

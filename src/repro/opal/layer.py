@@ -83,9 +83,10 @@ class OpalLayer:
         self.contributors: dict[str, ImageContributor] = {}
         self.checkpoint_enabled = False
         self.checkpoint_in_progress = False
-        #: chunk-hash cache of the last snapshot taken by this process
-        #: ({"interval", "chunk_bytes", "hashes"}) — lets the next
-        #: incremental request emit only changed chunks
+        #: the last snapshot taken by this process ({"interval",
+        #: "chunk_bytes", "hashes", "blob"}): the next request hashes only
+        #: chunks that differ from it, an incremental one emits only those.
+        #: Dropped at HALT and at MPI_FINALIZE — nothing checkpoints after
         self.incr_chunk_cache: dict[str, Any] | None = None
         #: SELF-component application callbacks (checkpoint/continue/restart)
         self.self_callbacks: dict[str, Any] = {}
@@ -112,6 +113,7 @@ class OpalLayer:
     def disable_checkpoint(self) -> None:
         """Called on entry to MPI_FINALIZE."""
         self.checkpoint_enabled = False
+        self.incr_chunk_cache = None
 
     # -- INC -----------------------------------------------------------------
 
@@ -142,6 +144,8 @@ class OpalLayer:
             ref, meta = yield from self.crs.checkpoint(self, request)
             post = FTState.HALT if request.terminate else FTState.CONTINUE
             yield from self.inc_stack.invoke(post)
+            if request.terminate:
+                self.incr_chunk_cache = None
             return ref, meta
         except CheckpointError:
             if prepared:

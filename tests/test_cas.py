@@ -133,6 +133,15 @@ class TestChunkStore:
         with pytest.raises(SnapshotError, match="does not match"):
             run_gen(kernel, main())
 
+    def test_put_many_rejects_mismatched_digest(self, kernel, store):
+        good = (chunk_digest(b"good"), b"good")
+
+        def main():
+            yield from store.put_many([good, (chunk_digest(b"expected"), b"actual")])
+
+        with pytest.raises(SnapshotError, match="does not match"):
+            run_gen(kernel, main())
+
     def test_get_absent_chunk_raises(self, kernel, store):
         def main():
             yield from store.get(chunk_digest(b"never stored"))
@@ -257,6 +266,24 @@ class TestChunkSizeChangeAcrossChain:
             for c in chunkstore.split_chunks(blob, chunk_bytes)
         ]
 
+    @classmethod
+    def _write_delta(cls, fs, directory, blob, base_blob, n, interval, base):
+        """A delta directory as ``CRSComponent.checkpoint`` lays it out:
+        the chunks of *blob* that differ from *base_blob* at *n*-byte
+        chunks, plus the manifest."""
+        hashes, dirty = chunkstore.hash_chunks(
+            blob, n,
+            {"chunk_bytes": n, "hashes": cls._hashes(base_blob, n), "blob": base_blob},
+        )
+        for i in dirty:
+            yield from fs.write(
+                f"{directory}/{chunkstore.chunk_filename(i)}", blob[i * n : (i + 1) * n]
+            )
+        yield from chunkstore.write_manifest(fs, directory, chunkstore.ChunkManifest(
+            kind="delta", chunk_bytes=n, total_bytes=len(blob), hashes=hashes,
+            present=dirty, base_interval=base, interval=interval,
+        ))
+
     def test_delta_with_different_chunk_bytes_mid_chain(self, kernel):
         fs = FS(kernel, "t", bandwidth_Bps=1e8, op_latency_s=0.001)
         blob_a = bytes(range(20))
@@ -270,20 +297,10 @@ class TestChunkSizeChangeAcrossChain:
                 fs, "/c/1", 4, len(blob_a), self._hashes(blob_a, 4), 1
             )
             # interval 2: delta at the same geometry
-            chunks_b = chunkstore.split_chunks(blob_b, 4)
-            hashes_b = self._hashes(blob_b, 4)
-            dirty = chunkstore.diff_chunks(hashes_b, self._hashes(blob_a, 4))
-            yield from chunkstore.write_delta(
-                fs, "/c/2", chunks_b, hashes_b, dirty, 4, 2, 1
-            )
+            yield from self._write_delta(fs, "/c/2", blob_b, blob_a, 4, 2, 1)
             # interval 3: the operator changed crs_base_chunk_bytes —
             # this delta's indices are relative to 3-byte chunks
-            chunks_c = chunkstore.split_chunks(blob_c, 3)
-            hashes_c = self._hashes(blob_c, 3)
-            dirty = chunkstore.diff_chunks(hashes_c, self._hashes(blob_b, 3))
-            yield from chunkstore.write_delta(
-                fs, "/c/3", chunks_c, hashes_c, dirty, 3, 3, 2
-            )
+            yield from self._write_delta(fs, "/c/3", blob_c, blob_b, 3, 3, 2)
             blob, manifest = yield from chunkstore.reconstruct_chain(
                 fs, ["/c/1", "/c/2", "/c/3"], "image.pkl"
             )
@@ -293,6 +310,29 @@ class TestChunkSizeChangeAcrossChain:
         assert blob == blob_c
         assert manifest.chunk_bytes == 3
 
+    def test_corrupted_delta_chunk_fails_verification(self, kernel):
+        """Capture may take digests over from its own previous image;
+        reconstruction hashes every byte it is handed back."""
+        fs = FS(kernel, "t", bandwidth_Bps=1e8, op_latency_s=0.001)
+        blob_a = bytes(range(20))
+        blob_b = blob_a[:5] + b"\xff" + blob_a[6:]
+
+        def build(corrupt):
+            yield from fs.write("/c/1/image.pkl", blob_a)
+            yield from chunkstore.write_full_manifest(
+                fs, "/c/1", 4, len(blob_a), self._hashes(blob_a, 4), 1
+            )
+            yield from self._write_delta(fs, "/c/2", blob_b, blob_a, 4, 2, 1)
+            if corrupt:
+                fs.poke(f"/c/2/{chunkstore.chunk_filename(1)}", b"\x04\xfe\x06\x07")
+            return (yield from chunkstore.reconstruct_chain(
+                fs, ["/c/1", "/c/2"], "image.pkl"
+            ))
+
+        assert run_gen(kernel, build(False))[0] == blob_b
+        with pytest.raises(RestartError, match="chunk 1 .* fails verification"):
+            run_gen(kernel, build(True))
+
     def test_legacy_base_adopts_first_delta_geometry(self, kernel):
         fs = FS(kernel, "t", bandwidth_Bps=1e8, op_latency_s=0.001)
         blob_a = bytes(range(20))
@@ -301,12 +341,7 @@ class TestChunkSizeChangeAcrossChain:
         def build():
             # pre-incremental layout: image only, no chunks.json
             yield from fs.write("/c/1/image.pkl", blob_a)
-            chunks_b = chunkstore.split_chunks(blob_b, 3)
-            hashes_b = self._hashes(blob_b, 3)
-            dirty = chunkstore.diff_chunks(hashes_b, self._hashes(blob_a, 3))
-            yield from chunkstore.write_delta(
-                fs, "/c/2", chunks_b, hashes_b, dirty, 3, 2, 1
-            )
+            yield from self._write_delta(fs, "/c/2", blob_b, blob_a, 3, 2, 1)
             blob, _ = yield from chunkstore.reconstruct_chain(
                 fs, ["/c/1", "/c/2"], "image.pkl"
             )

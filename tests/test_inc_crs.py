@@ -1,19 +1,29 @@
-"""Unit tests for the INC stack, ft_event protocol, and CRS components."""
+"""Unit tests for the INC stack, ft_event protocol, and CRS components,
+and the compare-before-hash pass of ``CRSComponent.checkpoint``."""
+
+import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ft_event import FTState, drive_ft_event
 from repro.core.inc import INCStack
 from repro.mca.params import MCAParams
 from repro.mca.registry import default_registry
+from repro.opal.crs import chunks as chunkstore
 from repro.opal.crs.none_crs import NoneCRS
 from repro.opal.crs.self_cb import SELF_STATE_KEY, SelfCRS
 from repro.opal.crs.simcr import SimCR
 from repro.opal.layer import CheckpointRequest, OpalLayer
+from repro.orte.job import JobState
+from repro.simenv.cluster import Cluster, ClusterSpec
 from repro.simenv.process import SimProcess
+from repro.tools.api import checkpoint_ref, ompi_checkpoint, ompi_restart, ompi_run
 from repro.util.errors import CheckpointError, NotCheckpointableError
 from repro.util.ids import ProcessName
-from tests.conftest import run_gen
+from repro.vfs.fsbase import FS
+from tests.conftest import make_universe, run_gen
 
 
 class TestINCStack:
@@ -277,3 +287,260 @@ class TestCRSComponents:
 
         with pytest.raises(CheckpointError, match="not picklable"):
             run_gen(cluster.kernel, main())
+
+
+# -- compare before hash ------------------------------------------------------
+
+
+def _reference(blob, n):
+    return [chunkstore.hash_chunk(c) for c in chunkstore.split_chunks(blob, n)]
+
+
+def _cache_of(blob, n):
+    return {"interval": 1, "chunk_bytes": n, "hashes": _reference(blob, n), "blob": blob}
+
+
+@st.composite
+def _blob_pairs(draw):
+    """(previous blob, next blob): equal, one byte flipped anywhere,
+    grown, shrunk, emptied, or unrelated."""
+    prev = draw(st.binary(max_size=40))
+    edit = draw(st.sampled_from(["same", "flip", "grow", "shrink", "empty", "other"]))
+    if edit == "flip" and prev:
+        at = draw(st.integers(0, len(prev) - 1))
+        return prev, prev[:at] + bytes([prev[at] ^ 0xFF]) + prev[at + 1 :]
+    if edit == "grow":
+        return prev, prev + draw(st.binary(min_size=1, max_size=12))
+    if edit == "shrink":
+        return prev, prev[: draw(st.integers(0, len(prev)))]
+    if edit == "empty":
+        return prev, b""
+    if edit == "other":
+        return prev, draw(st.binary(max_size=40))
+    return prev, prev
+
+
+class TestHashChunks:
+    """``hash_chunks`` against the definition it replaced: split the
+    image, hash every chunk, diff the digests against the base's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        blobs=_blob_pairs(),
+        n=st.integers(1, 9),
+        cached_at=st.one_of(st.none(), st.integers(1, 9)),
+    )
+    def test_equals_split_then_hash_and_reports_what_differs(
+        self, blobs, n, cached_at
+    ):
+        prev, blob = blobs
+        cache = None if cached_at is None else _cache_of(prev, cached_at)
+        hashes, hashed = chunkstore.hash_chunks(blob, n, cache)
+        assert hashes == _reference(blob, n)
+        chunks = chunkstore.split_chunks(blob, n)
+        old = chunkstore.split_chunks(prev, n) if cached_at == n else []
+        assert hashed == [
+            i for i, c in enumerate(chunks) if i >= len(old) or old[i] != c
+        ]
+
+    def test_reuses_the_cached_digest_objects(self):
+        prev = bytes(range(20))
+        cache = _cache_of(prev, 4)
+        blob = prev[:9] + b"\xff" + prev[10:] + b"tail"
+        hashes, hashed = chunkstore.hash_chunks(blob, 4, cache)
+        assert hashed == [2, 5]
+        for i in (0, 1, 3, 4):
+            assert hashes[i] is cache["hashes"][i]
+        # a short trailing chunk that grew is not its shorter predecessor
+        assert chunkstore.hash_chunks(b"abcdef", 4, _cache_of(b"abcde", 4))[1] == [1]
+        # the empty image is one empty chunk, and equal to itself
+        assert chunkstore.hash_chunks(b"", 4, _cache_of(b"", 4)) == (
+            [chunkstore.hash_chunk(b"")], [],
+        )
+        assert chunkstore.hash_chunks(b"", 4, None)[1] == [0]
+
+    def test_rejects_a_non_positive_chunk_size(self):
+        for n in (0, -4):
+            with pytest.raises(ValueError):
+                chunkstore.hash_chunks(b"abc", n, None)
+
+
+CHURN16 = {"loops": 80, "compute_s": 0.01, "state_bytes": 60 << 10}  # 16 chunks
+INCR = {"snapc_full_interval_every": "3", "crs_base_chunk_bytes": "4096"}
+
+
+def _opals(job):
+    return [proc.service("opal") for proc in job.procs.values()]
+
+
+class TestCompareBeforeHashEndToEnd:
+    def test_documents_are_byte_identical_to_the_parents(self):
+        """full, delta, delta, full, delta of 4 ranks: every
+        ``chunks.json`` and ``metadata.json`` hashes to what the commit
+        before compare-before-hash wrote (pinned from a run of it; the
+        image is a pickle of NumPy arrays, so the pin moves with their
+        pickle format), and the last interval restarts to the
+        uninterrupted result."""
+        universe = make_universe(4, params=INCR)
+        job = ompi_run(universe, "churn", 4, args=CHURN16, wait=False)
+        handles = [
+            ompi_checkpoint(universe, job.jobid, at=at, wait=False, terminate=last)
+            for at, last in zip((0.1, 0.25, 0.4, 0.55, 0.7), [False] * 4 + [True])
+        ]
+        universe.run_job_to_completion(job)
+        assert job.state is JobState.HALTED and len(job.snapshots) == 5
+        stable = universe.cluster.stable_fs
+        digests = {"chunks.json": hashlib.sha256(), "metadata.json": hashlib.sha256()}
+        kinds = []
+        for ref in job.snapshots:
+            for rank in range(4):
+                for name, digest in digests.items():
+                    digest.update(stable.peek(f"{ref.local_dir(rank)}/{name}"))
+            manifest = chunkstore.ChunkManifest.from_json(
+                stable.peek(f"{ref.local_dir(0)}/chunks.json")
+            )
+            kinds.append(manifest.kind)
+        assert kinds == ["full", "delta", "delta", "full", "delta"]
+        assert {name: d.hexdigest() for name, d in digests.items()} == {
+            "chunks.json":
+                "7d3af5b9cef0ec55c25ed9c90ed24d5de2df2db501c0dcc00c3c63ff115cf80f",
+            "metadata.json":
+                "2ae17450d092bf4f110676891a5b44e2a0beb5b38608bda834df19df04c8dfe1",
+        }
+        baseline = ompi_run(make_universe(4), "churn", 4, args=CHURN16).results
+        assert ompi_restart(universe, checkpoint_ref(handles[-1])).results == baseline
+
+    def test_only_changed_chunks_are_hashed_after_the_first_interval(self):
+        """The counted budget: interval 1 hashes all 16 chunks of each
+        rank; every later interval — delta *and* the periodic full —
+        hashes exactly the chunks whose bytes changed."""
+        universe = make_universe(2, params=INCR)
+        tracer = universe.kernel.tracer
+        tracer.enable()
+        job = ompi_run(universe, "churn", 2, args=CHURN16, wait=False)
+        previous, seen, kinds = {}, {"crs.chunks_hashed": 0, "crs.chunks_reused": 0}, []
+        for at in (0.1, 0.2, 0.3, 0.4, 0.5):
+            ompi_checkpoint(universe, job.jobid, at=at, wait=False).wait_stepped(0.005)
+            hashed, reused = (
+                tracer.counters[name] - seen[name] for name in sorted(seen)
+            )
+            seen = {name: tracer.counters[name] for name in seen}
+            changed = n_chunks = 0
+            for opal in _opals(job):
+                cache = opal.incr_chunk_cache
+                assert cache["interval"] == len(kinds) + 1
+                old = previous.get(opal, [])
+                changed += sum(
+                    i >= len(old) or old[i] != digest
+                    for i, digest in enumerate(cache["hashes"])
+                )
+                n_chunks += len(cache["hashes"])
+                previous[opal] = cache["hashes"]
+            spans = [s for s in tracer.spans if s.name == "crs.write"][-2:]
+            kinds.append(spans[0].attrs["kind"])
+            assert n_chunks == 32 and hashed + reused == n_chunks
+            assert hashed == changed
+            if kinds[-1] == "delta":
+                assert hashed == sum(s.attrs["chunks"] for s in spans)
+            assert (hashed == n_chunks) if len(kinds) == 1 else (0 < hashed < 8)
+        assert kinds == ["full", "delta", "delta", "full", "delta"]
+        universe.run_job_to_completion(job)
+        assert job.state is JobState.FINISHED
+
+    def test_nothing_is_counted_with_the_tracer_off(self):
+        universe = make_universe(2, params=INCR)
+        job = ompi_run(universe, "churn", 2, args=CHURN16, wait=False)
+        ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        universe.run_job_to_completion(job)
+        assert len(job.snapshots) == 1 and universe.kernel.tracer.counters == {}
+
+
+class TestChunkCacheLifetime:
+    def test_one_blob_per_rank_and_it_is_the_local_disks(self):
+        """While the job runs each rank pins exactly one image — for a
+        full interval the very object its local disk holds — and the
+        cache is gone once nothing can checkpoint again."""
+        universe = make_universe(2, params=INCR)
+        job = ompi_run(universe, "churn", 2, args=CHURN16, wait=False)
+        ompi_checkpoint(universe, job.jobid, at=0.1, wait=False).wait_stepped(0.005)
+        blobs = []
+        for rank, proc in job.procs.items():
+            cache = proc.service("opal").incr_chunk_cache
+            assert sorted(cache) == ["blob", "chunk_bytes", "hashes", "interval"]
+            on_disk = proc.node.local_fs._files[
+                f"/ckpt/job{job.jobid}/interval1/rank{rank}/image.pkl"
+            ]
+            assert cache["blob"] is on_disk
+            blobs.append(cache["blob"])
+        ompi_checkpoint(universe, job.jobid, at=0.2, wait=False).wait_stepped(0.005)
+        for opal, first in zip(_opals(job), blobs):
+            assert opal.incr_chunk_cache["interval"] == 2
+            assert opal.incr_chunk_cache["blob"] is not first
+            # the digest list is shared with the manifest, the metadata
+            # and the reply to the HNP: nobody may have written to it
+            assert opal.incr_chunk_cache["hashes"] == _reference(
+                opal.incr_chunk_cache["blob"], 4096
+            )
+        universe.run_job_to_completion(job)
+        assert job.state is JobState.FINISHED  # MPI_FINALIZE disabled checkpointing
+        assert [opal.incr_chunk_cache for opal in _opals(job)] == [None, None]
+
+    def test_halt_drops_the_cache(self):
+        universe = make_universe(2, params=INCR)
+        job = ompi_run(universe, "churn", 2, args=CHURN16, wait=False)
+        ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        ompi_checkpoint(universe, job.jobid, at=0.2, wait=False, terminate=True)
+        universe.run_job_to_completion(job)
+        assert job.state is JobState.HALTED and len(job.snapshots) == 2
+        assert [opal.incr_chunk_cache for opal in _opals(job)] == [None, None]
+
+
+class TestHashRate:
+    """``crs_base_hash_Bps`` prices the modelled hash pass over every
+    byte of the image; what the host re-hashes does not enter it."""
+
+    N_CHUNKS = 64
+
+    def _spans(self, hash_Bps, churn):
+        """Three checkpoints of one 256 KiB image on a disk whose costs
+        are powers of two (exact float times); *churn* rewrites the whole
+        image between them.  Returns ``(crs.hash durations, reused)``."""
+        cluster = Cluster(ClusterSpec(n_nodes=1))
+        kernel = cluster.kernel
+        kernel.tracer.enable()
+        proc = SimProcess(cluster.nodes[0], ProcessName(1, 0), label="t")
+        params = MCAParams({
+            "crs": "simcr", "crs_base_chunk_bytes": "4096",
+            "crs_base_hash_Bps": repr(hash_Bps),
+        })
+        opal = OpalLayer(proc, default_registry(), params)
+        state = FakeContributor("sub.a", bytes(self.N_CHUNKS * 4096 - 64))
+        opal.register_contributor(state)
+        opal.enable_checkpoint()
+        fs = FS(kernel, "t", bandwidth_Bps=2.0**27, op_latency_s=2.0**-10)
+
+        def main():
+            for interval in (1, 2, 3):
+                request = CheckpointRequest(interval, fs, f"/s/{interval}")
+                yield from opal.entry_point(request)
+                if churn:
+                    state.state = bytes([interval]) * len(state.state)
+
+        run_gen(kernel, main())
+        spans = [s for s in kernel.tracer.spans if s.name == "crs.hash"]
+        assert len(spans) == 3 and {s.attrs["bytes"] for s in spans} == {
+            len(fs.peek("/s/1/image.pkl"))
+        }
+        return [s.t1 - s.t0 for s in spans], kernel.tracer.counters["crs.chunks_reused"]
+
+    def test_halving_the_rate_doubles_every_hash_span(self):
+        full, _ = self._spans(2.0**22, churn=False)
+        half, _ = self._spans(2.0**21, churn=False)
+        assert all(d > 0 for d in full) and half == [2 * d for d in full]
+        assert self._spans(0, churn=False)[0] == [0, 0, 0]
+
+    def test_the_span_does_not_follow_the_host_saving(self):
+        still, reused_still = self._spans(2.0**22, churn=False)
+        moved, reused_moved = self._spans(2.0**22, churn=True)
+        assert reused_still == 2 * self.N_CHUNKS and reused_moved == 0
+        assert still == moved
