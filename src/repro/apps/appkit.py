@@ -193,11 +193,9 @@ class AppRunner:
             fs = self.universe.cluster.stable_fs
         else:
             fs = self.proc.node.local_fs
-        # A delta snapshot is reconstructed from its base-chain
-        # (oldest full first, newest last); full snapshots and
-        # pre-incremental layouts are a single-entry chain.
-        dirs = info.get("chain") or [info["dir"]]
-        refs = [LocalSnapshotRef(fs_name=fs.name, path=d) for d in dirs]
+        # One preloaded full image; off stable storage (``shared``
+        # FILEM) a delta's base-chain, oldest full first, newest last.
+        refs = [LocalSnapshotRef(fs_name=fs.name, path=d) for d in info["chain"]]
         meta, image = yield from self.opal.crs.restart_extract_chain(fs, refs)
         if not meta.portable and meta.os_tag != self.proc.node.os_tag:
             raise RestartError(

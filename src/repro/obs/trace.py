@@ -26,10 +26,12 @@ span name              opened around
 ``crs.serialize``      pickling the image
 ``crs.hash``           the per-chunk hash pass (modelled over every byte)
 ``crs.write``          writing image or dirty chunks + metadata
-``filem.transfer``     one tree / chunk-set copy (``rsh``; ``op`` says which)
+``filem.transfer``     one tree / chunk-set copy (``rsh``; ``op`` says which;
+                       on ``broadcast`` one rank: ``links``, ``read_bytes``)
 ``filem.gather``       a whole gather operation
 ``filem.stage_out``    a whole stage-out (gather + source cleanup)
-``filem.broadcast``    a whole restart preload (one stream per node)
+``filem.broadcast``    a whole restart preload: a stream per node, a full image
+                       per rank (``entries``/``links``/``files``/``read_bytes``)
 ``filem.offer``        one CAS negotiation (chunks offered vs missing)
 ``filem.ship``         shipping negotiated chunks into the CAS store
 ``filem.fetch``        rebuilding CAS-backed images on restart nodes

@@ -8,7 +8,7 @@ The paper (section 5.4) requires exactly two operations —
 plus the ability to *enable and disable checkpointing* to protect
 non-checkpointable code sections.  In this reproduction ``restart`` is
 split in two because the new process is created by the ORTE launcher:
-``restart_extract`` reads and decodes the image (this framework's job),
+``restart_extract_chain`` reads and decodes the image (this framework's job),
 and the launcher feeds the decoded image to the new process's layers.
 """
 
@@ -181,11 +181,6 @@ class CRSComponent(Component):
         span.end()
         return ref, meta
 
-    def restart_extract(self, fs: "FS", ref: LocalSnapshotRef) -> SimGen:
-        """Read a single local snapshot; returns ``(meta, image_dict)``."""
-        result = yield from self.restart_extract_chain(fs, [ref])
-        return result
-
     def restart_extract_chain(
         self, fs: "FS", refs: list[LocalSnapshotRef]
     ) -> SimGen:
@@ -206,9 +201,7 @@ class CRSComponent(Component):
                 f"snapshot {newest.path} was taken by CRS "
                 f"{meta.crs_component!r}, not {self.name!r}"
             )
-        blob, _manifest = yield from chunkstore.reconstruct_chain(
-            fs, [r.path for r in refs], IMAGE_FILE
-        )
+        blob, _manifest = yield from chunkstore.reconstruct_chain(fs, [r.path for r in refs])
         try:
             image = pickle.loads(blob)
         except Exception as exc:  # bytes read back from storage: anything can come out

@@ -14,7 +14,8 @@ chunk cache falls back to a full image inside a globally-delta
 interval); reconstruction handles that per directory.
 
 These helpers are shared by the CRS components (capture side), the
-restart path (reconstruction side), and the SNAPC staging coordinator
+restart path (reconstruction: FILEM's preload on stable storage, or a
+rank reading it directly), and the SNAPC staging coordinator
 (compaction side), so the format lives in exactly one place.  Only the
 capture side may take a digest over from the previous snapshot instead
 of computing it (``hash_chunks``: both images are this process's own);
@@ -25,10 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.simenv.kernel import SimGen
-from repro.snapshot import CODEC, field_values, pack_hashes, unpack_hashes
+from repro.snapshot import CODEC, IMAGE_FILE, LOCAL_META, field_values
+from repro.snapshot import pack_hashes, unpack_hashes
 from repro.util.errors import RestartError, SnapshotError
 from repro.vfs import path as vpath
 from repro.vfs.fsbase import FS
@@ -113,10 +115,6 @@ def read_manifest(fs: FS, snapshot_dir: str) -> SimGen:
     return ChunkManifest.from_json(raw)
 
 
-def has_manifest(fs: FS, snapshot_dir: str) -> bool:
-    return fs.exists(manifest_path(snapshot_dir))
-
-
 def hash_chunks(
     blob: bytes, chunk_bytes: int, cache: dict | None
 ) -> tuple[list[str], list[int]]:
@@ -145,65 +143,60 @@ def hash_chunks(
     return hashes, hashed
 
 
-def write_full_manifest(
-    fs: FS,
-    snapshot_dir: str,
-    chunk_bytes: int,
-    total_bytes: int,
-    hashes: list[str],
-    interval: int,
-) -> SimGen:
-    manifest = ChunkManifest(
-        kind=KIND_FULL,
-        chunk_bytes=chunk_bytes,
-        total_bytes=total_bytes,
-        hashes=hashes,
-        present=list(range(len(hashes))),
-        interval=interval,
-    )
-    return (yield from write_manifest(fs, snapshot_dir, manifest))
+def full_image_tree(
+    blob: bytes, manifest: ChunkManifest | None, meta_raw: bytes | None = None
+) -> dict[str, bytes]:
+    """The files of a self-contained full image, in the order they are
+    to be written: ``image.pkl``, a ``kind="full"`` manifest listing
+    every digest of *manifest* (a pre-incremental image has none), then
+    *meta_raw* as ``metadata.json`` — last, the "tree complete" marker."""
+    files = {IMAGE_FILE: blob}
+    if manifest is not None:
+        files[CHUNK_MANIFEST] = replace(
+            manifest, kind=KIND_FULL, total_bytes=len(blob), base_interval=None,
+            present=list(range(manifest.n_chunks)),
+        ).to_json()
+    if meta_raw is not None:
+        files[LOCAL_META] = meta_raw
+    return files
 
 
-def reconstruct_chain(fs: FS, chain_dirs: list[str], image_file: str) -> SimGen:
+def reconstruct_chain(fs: FS, chain_dirs: list[str]) -> SimGen:
     """Rebuild the newest image from a base + delta directory chain.
 
     ``chain_dirs`` is ordered oldest → newest; the newest entry is the
     target interval.  Returns ``(blob, manifest)`` where *manifest* is
-    the newest directory's manifest.  Raises :class:`RestartError` if
-    no full base exists in the chain or the reconstruction does not
-    verify against the manifest hashes.
+    the newest directory's manifest (None for a pre-incremental
+    layout); every ``chunks.json`` is read once.  Raises
+    :class:`RestartError` if no full base exists in the chain, a full
+    image is not the size its manifest records, or the reconstruction
+    does not verify against the newest manifest's hashes.
     """
     if not chain_dirs:
         raise RestartError("empty snapshot chain")
     newest = chain_dirs[-1]
-    if not has_manifest(fs, newest):
-        # Pre-incremental snapshot layout: plain full image.
-        blob = yield from fs.read(vpath.join(newest, image_file))
-        return blob, None
-    final = yield from read_manifest(fs, newest)
+    # Walk back to the nearest full image for this rank; a directory
+    # without a manifest is one (the pre-incremental layout).
+    deltas: list[tuple[str, ChunkManifest]] = []
+    for base_dir in reversed(chain_dirs):
+        base_manifest = None
+        if not fs.exists(manifest_path(base_dir)):
+            break
+        base_manifest = yield from read_manifest(fs, base_dir)
+        if base_manifest.kind == KIND_FULL:
+            break
+        deltas.insert(0, (base_dir, base_manifest))
+    else:
+        raise RestartError(f"snapshot chain for {newest} has no full base image")
 
-    # Walk back to the nearest full image for this rank.
-    start = None
-    base_manifest: ChunkManifest | None = None
-    for pos in range(len(chain_dirs) - 1, -1, -1):
-        directory = chain_dirs[pos]
-        if not has_manifest(fs, directory):
-            start = pos  # legacy full image
-            break
-        manifest = yield from read_manifest(fs, directory)
-        if manifest.kind == KIND_FULL:
-            start = pos
-            base_manifest = manifest
-            break
-    if start is None:
+    blob = yield from fs.read(vpath.join(base_dir, IMAGE_FILE))
+    if base_manifest is not None and len(blob) != base_manifest.total_bytes:
         raise RestartError(
-            f"snapshot chain for {newest} has no full base image"
+            f"full image is {len(blob)} bytes, manifest says "
+            f"{base_manifest.total_bytes} ({base_dir})"
         )
-
-    base_dir = chain_dirs[start]
-    blob = yield from fs.read(vpath.join(base_dir, image_file))
-    if start == len(chain_dirs) - 1:
-        return blob, final
+    if not deltas:
+        return blob, base_manifest
 
     # Each directory's overlay indices are relative to *its own*
     # chunk_bytes (``crs_base_chunk_bytes`` may change between
@@ -213,13 +206,7 @@ def reconstruct_chain(fs: FS, chain_dirs: list[str], image_file: str) -> SimGen:
     # the first delta's.
     chunk_bytes = None if base_manifest is None else base_manifest.chunk_bytes
     chunks = None if chunk_bytes is None else split_chunks(blob, chunk_bytes)
-    for directory in chain_dirs[start + 1 :]:
-        manifest = yield from read_manifest(fs, directory)
-        if manifest.kind == KIND_FULL:
-            blob = yield from fs.read(vpath.join(directory, image_file))
-            chunk_bytes = manifest.chunk_bytes
-            chunks = split_chunks(blob, chunk_bytes)
-            continue
+    for directory, manifest in deltas:
         if chunks is None or chunk_bytes != manifest.chunk_bytes:
             if chunks is not None:
                 blob = b"".join(chunks)
@@ -232,11 +219,9 @@ def reconstruct_chain(fs: FS, chain_dirs: list[str], image_file: str) -> SimGen:
         elif len(chunks) > n:
             del chunks[n:]
         for index in manifest.present:
-            data = yield from fs.read(
-                vpath.join(directory, chunk_filename(index))
-            )
-            chunks[index] = data
+            chunks[index] = yield from fs.read(vpath.join(directory, chunk_filename(index)))
 
+    final = deltas[-1][1]
     blob = b"".join(chunks)
     if len(blob) != final.total_bytes:
         raise RestartError(
@@ -252,11 +237,7 @@ def reconstruct_chain(fs: FS, chain_dirs: list[str], image_file: str) -> SimGen:
 
 
 def load_chunks(
-    fs: FS,
-    snapshot_dir: str,
-    manifest: ChunkManifest,
-    indices: list[int],
-    image_file: str,
+    fs: FS, snapshot_dir: str, manifest: ChunkManifest, indices: list[int]
 ) -> SimGen:
     """Read selected chunk payloads out of one snapshot directory.
 
@@ -271,7 +252,7 @@ def load_chunks(
     if not want:
         return payloads
     if manifest.kind == KIND_FULL:
-        blob = yield from fs.read(vpath.join(snapshot_dir, image_file))
+        blob = yield from fs.read(vpath.join(snapshot_dir, IMAGE_FILE))
         chunks = split_chunks(blob, manifest.chunk_bytes)
         for index in want:
             if index >= len(chunks):

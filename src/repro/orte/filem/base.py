@@ -1,8 +1,8 @@
 """FILEM framework base.
 
 Runs at the HNP (the global coordinator requests remote file transfer,
-Figure 1-F).  Entries are ``(node_name, src_path, dst_path)`` triples;
-the component decides transfer mechanics and concurrency.
+Figure 1-F).  Entries are ``(node_name, src, dst)`` triples (``src`` a
+directory chain on restart preload); the component decides the rest.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ class FILEMComponent(Component):
         raise NotImplementedError
         yield  # pragma: no cover
 
-    def broadcast(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
-        """Preload stable-storage trees onto nodes.
+    def broadcast(self, hnp: "HNP", entries: list[tuple[str, list[str], str]]) -> SimGen:
+        """Preload one full image tree per rank onto its node.
 
-        ``entries``: ``(node_name, stable_src_dir, local_dst_dir)``.
+        ``entries``: ``(node_name, stable_chain_dirs, local_dst_dir)``,
+        the chain oldest → newest (one directory for a full interval).
         """
         raise NotImplementedError
         yield  # pragma: no cover
@@ -84,11 +85,11 @@ class FILEMComponent(Component):
         raise NotImplementedError
         yield  # pragma: no cover
 
-    def fetch_chunks(self, hnp: "HNP", store, entries: list[tuple[str, str, str]]) -> SimGen:
+    def fetch_chunks(self, hnp: "HNP", store, entries: list[tuple[str, list[str], str]]) -> SimGen:
         """Materialize CAS-backed snapshots onto nodes for restart.
 
-        ``entries``: ``(node_name, stable_src_dir, local_dst_dir)`` —
-        the stable directory holds the rank manifest + metadata; every
+        ``entries``: as for :meth:`broadcast`; the newest stable
+        directory holds the rank manifest + metadata; every
         chunk is fetched from *store* (verified per chunk) and the
         reassembled image is written to the node-local destination.
         Returns total bytes fetched.

@@ -10,8 +10,9 @@ and what is bounded depends on the operation:
   *trees*.  Staging speed sets the checkpoint cadence through
   back-pressure, so this pricing is part of every write workload.
 * ``broadcast`` (restart preload): a session per destination *node*,
-  whose trees stream through it back to back in entry order; the bound
-  is on *node streams*.
+  whose ranks stream through it back to back in entry order, one full
+  image tree each (a delta chain is flattened and verified at the
+  source; see :meth:`RshFILEM.broadcast`); the bound is on *node streams*.
 * ``ship_chunks`` / ``fetch_chunks`` (CAS): a session per entry.
 
 The ``filem.sessions`` tracer counter adds up every session charged.
@@ -25,8 +26,8 @@ from repro.mca.component import component_of
 from repro.opal.crs import chunks as chunkstore
 from repro.orte.filem.base import FILEMComponent, node_local_fs
 from repro.simenv.kernel import Delay, SimGen, WaitAll, WaitEvent
-from repro.snapshot import IMAGE_FILE, LOCAL_META
-from repro.util.errors import SnapshotError, VFSError
+from repro.snapshot import LOCAL_META
+from repro.util.errors import ReproError, SnapshotError, VFSError
 from repro.vfs import path as vpath
 from repro.vfs.transfer import copy_tree
 
@@ -60,26 +61,30 @@ class RshFILEM(FILEMComponent):
 
     def _copy(
         self, hnp: "HNP", op: str, node_name: str,
-        src_fs, src_dir: str, dst_fs, dst_dir: str, per_file_s: float,
+        src_fs, src_dir: str, dst_fs, dst_dir: str,
     ) -> SimGen:
-        """One tree copy under a ``filem.transfer`` span, paying
-        *per_file_s* of session set-up per file (0 inside a stream)."""
+        """One tree copy under a ``filem.transfer`` span, paying a
+        session set-up per file."""
         tracer = hnp.proc.kernel.tracer
         span = tracer.begin("filem.transfer", cat="filem", op=op, node=node_name)
-        if per_file_s and tracer.enabled:
+        if tracer.enabled:
             tracer.count("filem.sessions", len(src_fs.list_tree(src_dir)))
         moved = yield from copy_tree(
             src_fs, src_dir, dst_fs, dst_dir,
             extra_net_Bps=self._eth_bw(hnp),
-            extra_latency_s=per_file_s,
+            extra_latency_s=self.session_cost_s,
             link_ok=self._link_check(hnp, node_name),
         )
         span.end(bytes=moved)
         return moved
 
-    def _bounded(self, hnp: "HNP", op: str, gens: list, **attrs) -> SimGen:
+    def _bounded(
+        self, hnp: "HNP", op: str, gens: list, tally=(), preload=False, **attrs
+    ) -> SimGen:
         """Run *gens*, ``filem_rsh_max_concurrent`` at a time, under one
-        ``filem.<op>`` span carrying *attrs*; returns the bytes moved."""
+        ``filem.<op>`` span carrying *attrs* plus, at its end, what
+        *gens* added up in *tally*; returns the bytes moved.  A failed
+        *preload* stops its other transfers: nobody will read them."""
         kernel = hnp.proc.kernel
         span = kernel.tracer.begin(f"filem.{op}", cat="filem", **attrs)
         slots = {"free": max(1, self.max_concurrent)}
@@ -100,23 +105,23 @@ class RshFILEM(FILEMComponent):
                     old.fire(None)
             return None
 
-        events = []
-        for i, gen in enumerate(gens):
-            thread = hnp.proc.spawn_thread(
-                bounded(gen), name=f"filem-{op}-{i}", daemon=True
-            )
-            events.append(thread.done)
-        yield WaitAll(events)
-        span.end(bytes=totals["bytes"])
+        threads = [
+            hnp.proc.spawn_thread(bounded(gen), name=f"filem-{op}-{i}", daemon=True)
+            for i, gen in enumerate(gens)
+        ]
+        try:
+            yield WaitAll([thread.done for thread in threads])
+        except ReproError:
+            for thread in threads if preload else ():
+                thread.kill()
+            raise
+        span.end(bytes=totals["bytes"], **dict(tally))
         return totals["bytes"]
 
     def gather(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
         stable = hnp.universe.cluster.stable_fs
         gens = [
-            self._copy(
-                hnp, "gather", node, node_local_fs(hnp, node), src,
-                stable, dst, self.session_cost_s,
-            )
+            self._copy(hnp, "gather", node, node_local_fs(hnp, node), src, stable, dst)
             for node, src, dst in entries
         ]
         return (yield from self._bounded(hnp, "gather", gens, entries=len(entries)))
@@ -126,7 +131,7 @@ class RshFILEM(FILEMComponent):
             src_fs = node_local_fs(hnp, node_name)
             moved = yield from self._copy(
                 hnp, "stage_out", node_name, src_fs, src_dir,
-                hnp.universe.cluster.stable_fs, dst_dir, self.session_cost_s,
+                hnp.universe.cluster.stable_fs, dst_dir,
             )
             # Continuation: drop this node's local staging right away,
             # overlapping the cleanup with the remaining transfers.  A
@@ -162,9 +167,7 @@ class RshFILEM(FILEMComponent):
                 chunks=len(indices),
             )
             link_ok()
-            payloads = yield from chunkstore.load_chunks(
-                src_fs, src_dir, manifest, indices, IMAGE_FILE
-            )
+            payloads = yield from chunkstore.load_chunks(src_fs, src_dir, manifest, indices)
             hnp.proc.kernel.tracer.count("filem.sessions")
             yield Delay(self.session_cost_s)
             link_ok()
@@ -187,7 +190,7 @@ class RshFILEM(FILEMComponent):
             )
         )
 
-    def fetch_chunks(self, hnp: "HNP", store, entries: list[tuple[str, str, str]]) -> SimGen:
+    def fetch_chunks(self, hnp: "HNP", store, entries: list[tuple[str, list[str], str]]) -> SimGen:
         """Rebuild CAS-backed rank snapshots on their restart nodes.
 
         Every chunk is read out of the store (which re-hashes it — the
@@ -199,7 +202,8 @@ class RshFILEM(FILEMComponent):
         eth = self._eth_bw(hnp)
         stable = hnp.universe.cluster.stable_fs
 
-        def one(node_name: str, src_dir: str, dst_dir: str) -> SimGen:
+        def one(node_name: str, chain: list[str], dst_dir: str) -> SimGen:
+            src_dir = chain[-1]  # a CAS manifest lists every digest itself
             dst_fs = node_local_fs(hnp, node_name)
             link_ok = self._link_check(hnp, node_name)
             inner = hnp.proc.kernel.tracer.begin(
@@ -220,46 +224,83 @@ class RshFILEM(FILEMComponent):
                     f"{src_dir}: fetched image is {len(blob)} bytes, "
                     f"manifest says {manifest.total_bytes}"
                 )
-            yield from dst_fs.write(vpath.join(dst_dir, IMAGE_FILE), blob)
-            yield from chunkstore.write_full_manifest(
-                dst_fs, dst_dir, manifest.chunk_bytes, len(blob),
-                manifest.hashes, manifest.interval,
-            )
-            yield from dst_fs.write(vpath.join(dst_dir, LOCAL_META), meta_raw)
+            for name, data in chunkstore.full_image_tree(blob, manifest, meta_raw).items():
+                yield from dst_fs.write(vpath.join(dst_dir, name), data)
             inner.end(bytes=len(blob))
             return len(blob)
 
         gens = [one(node, src, dst) for node, src, dst in entries]
-        return (yield from self._bounded(hnp, "fetch", gens, entries=len(entries)))
+        return (yield from self._bounded(hnp, "fetch", gens, preload=True, entries=len(entries)))
 
-    def broadcast(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
+    def broadcast(self, hnp: "HNP", entries: list[tuple[str, list[str], str]]) -> SimGen:
+        """Land one full image tree per rank.  A full interval's
+        directory is copied as it is; a delta chain is rebuilt on stable
+        storage (every chunk re-hashed against the newest manifest, so a
+        bad chain is refused before any process is launched) and shipped
+        once — a chunk a later delta overwrote is read, never sent.  A
+        node's ranks, and so their rebuilds, follow one another."""
         tracer = hnp.proc.kernel.tracer
         stable = hnp.universe.cluster.stable_fs
-        trees: dict[str, list[tuple[str, str]]] = {}
-        for node_name, src_dir, dst_dir in entries:
-            trees.setdefault(node_name, []).append((src_dir, dst_dir))
+        eth = self._eth_bw(hnp)
+        ranks: dict[str, list[tuple[list[str], str]]] = {}
+        for node_name, chain, dst_dir in entries:
+            ranks.setdefault(node_name, []).append((chain, dst_dir))
+        tally = {"files": 0, "read_bytes": 0}
+
+        def land(node_name: str, chain: list[str], dst_fs, dst_dir: str) -> SimGen:
+            link_ok = self._link_check(hnp, node_name)
+            span = tracer.begin(
+                "filem.transfer", cat="filem", op="broadcast", node=node_name, links=len(chain)
+            )
+            if len(chain) == 1:
+                moved = read = yield from copy_tree(
+                    stable, chain[0], dst_fs, dst_dir, extra_net_Bps=eth, link_ok=link_ok
+                )
+            else:
+                link_ok()
+                source = _CountedReads(stable)
+                blob, manifest = yield from chunkstore.reconstruct_chain(source, chain)
+                meta_raw = yield from source.read(vpath.join(chain[-1], LOCAL_META))
+                tree = chunkstore.full_image_tree(blob, manifest, meta_raw)
+                moved, read = sum(map(len, tree.values())), source.nbytes
+                yield Delay(moved / eth)
+                for name, data in tree.items():
+                    link_ok()
+                    yield from dst_fs.write(vpath.join(dst_dir, name), data)
+            span.end(bytes=moved, read_bytes=read)
+            if tracer.enabled:
+                tally["files"] += len(dst_fs.list_tree(dst_dir))
+                tally["read_bytes"] += read
+            return moved
 
         def stream(node_name: str, dst_fs, pairs) -> SimGen:
-            # One session per node; its trees follow back to back in
-            # entry order, so a delta chain still lands oldest-first.
+            # One session per node; its ranks follow in entry order.
             self._link_check(hnp, node_name)()
             tracer.count("filem.sessions")
             yield Delay(self.session_cost_s)
             moved = 0
-            for src_dir, dst_dir in pairs:
-                moved += yield from self._copy(
-                    hnp, "broadcast", node_name, stable, src_dir, dst_fs, dst_dir, 0.0
-                )
+            for chain, dst_dir in pairs:
+                moved += yield from land(node_name, chain, dst_fs, dst_dir)
             return moved
 
         # every destination is resolved before the first byte moves
-        gens = [stream(n, node_local_fs(hnp, n), pairs) for n, pairs in trees.items()]
-        files = 0
-        if tracer.enabled:
-            files = sum(len(stable.list_tree(src)) for _node, src, _dst in entries)
+        gens = [stream(n, node_local_fs(hnp, n), pairs) for n, pairs in ranks.items()]
         return (
             yield from self._bounded(
-                hnp, "broadcast", gens, entries=len(entries),
-                streams=len(gens), sessions=len(gens), files=files,
+                hnp, "broadcast", gens, tally, preload=True, entries=len(entries),
+                links=sum(len(chain) for _node, chain, _dst in entries),
+                streams=len(gens), sessions=len(gens),
             )
         )
+
+
+class _CountedReads:
+    """Stable storage as one rank's rebuild reads it, adding up the bytes."""
+
+    def __init__(self, fs):
+        self.fs, self.exists, self.nbytes = fs, fs.exists, 0
+
+    def read(self, path: str) -> SimGen:
+        data = yield from self.fs.read(path)
+        self.nbytes += len(data)
+        return data

@@ -2,9 +2,9 @@
 
 When every node mounts the shared RAID filesystem, local snapshots can
 be written straight to their final location; gather degenerates to a
-metadata existence check and broadcast to a no-op (restarted processes
-read images from stable storage).  This is the configuration many
-production sites use and the natural baseline for the E5 experiment.
+metadata existence check and a restart plans no preload (restarted
+processes read their chain off stable storage).  This is what many
+production sites run and the natural baseline for the E5 experiment.
 
 Selected by ``--mca filem shared``; by default ``rsh`` wins (as in the
 paper, whose first component was rsh-based).
@@ -46,19 +46,6 @@ class SharedFILEM(FILEMComponent):
     def gather(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
         moved = yield from self._probe(hnp, entries, "filem.gather")
         return moved
-
-    def broadcast(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:
-        span = hnp.proc.kernel.tracer.begin(
-            "filem.broadcast", cat="filem", entries=len(entries)
-        )
-        stable = hnp.universe.cluster.stable_fs
-        yield Delay(stable.op_latency_s * max(1, len(entries)))
-        for _node, src_dir, _dst in entries:
-            if not stable.isdir(src_dir):
-                span.end(bytes=0)
-                raise VFSError(f"snapshot tree missing on stable storage: {src_dir}")
-        span.end(bytes=0)
-        return 0
 
     def remove(self, hnp: "HNP", entries: list[tuple[str, str]]) -> SimGen:
         # Nothing was staged on node-local disks.

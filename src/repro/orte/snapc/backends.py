@@ -7,10 +7,10 @@ Two backends exist, and both carry checked traffic:
 * :class:`TreeBackend` — the paper's way.  FILEM gathers every rank's
   local snapshot directory into the global snapshot directory.  A
   delta interval depends on the directories of its base chain, so a
-  base that failed to stage dooms it, restart preloads the whole
-  chain, and compaction (``snapc_full_max_chain``) reconstructs each
-  rank's image from the chain on stable storage and rewrites the
-  interval as a full image.
+  base that failed to stage dooms it, and restart preload as well as
+  compaction (``snapc_full_max_chain``) reconstruct each rank's image
+  from the chain on stable storage — onto the rank's node, or back
+  into the interval, rewritten as a full image.
 * :class:`CasBackend` — the content-addressed store.  The coordinator
   offers the union of the ranks' chunk digests, the store answers with
   what it lacks, and FILEM ships each missing chunk once from one
@@ -18,7 +18,7 @@ Two backends exist, and both carry checked traffic:
   manifest that lists *every* digest, so an interval never depends on
   another directory: its persisted base chain is empty, compaction is
   a metadata change, and restart fetches (and verifies) chunks from
-  the store.
+  the store.  Either way a restarting rank finds one full image.
 
 The code picks the backend itself.  At checkpoint time it is CAS iff
 ``snapc_full_cas`` is set, the FILEM component can ship chunks, and
@@ -39,7 +39,6 @@ from repro.opal.crs import chunks as chunkstore
 from repro.orte.job import ProcSpec
 from repro.simenv.kernel import Delay, SimGen
 from repro.snapshot import (
-    IMAGE_FILE,
     LOCAL_META,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
@@ -125,34 +124,27 @@ class StagingBackend:
         self, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta,
         job: "Job", placements: dict[int, str],
     ) -> SimGen:
-        """``(specs, entries)``: one :class:`ProcSpec` per rank, and the
-        ``(node, stable_src_dir, local_dst_dir)`` work :meth:`preload`
-        must finish before they launch."""
+        """``(specs, entries)``: one :class:`ProcSpec` per rank, and one
+        ``(node, stable_chain_dirs, local_dst_dir)`` per rank that
+        :meth:`preload` must land as a full image before they launch."""
         # A delta interval is restored from its base-chain: every
         # directory the newest image depends on, oldest full first.
+        # A rank reads it as such only off stable storage (``shared``
+        # FILEM); a preloaded rank finds one flattened image.
         chain_dirs = [d for d in meta.base_chain if d != ref.path]
         chain_dirs.append(ref.path)
         direct_stable = self.hnp.filem.wants_direct_stable
         specs: list[ProcSpec] = []
-        entries: list[tuple[str, str, str]] = []
+        entries: list[tuple[str, list[str], str]] = []
         for rank in range(meta.n_procs):
             node_name = placements[rank]
-            sources = [vpath.join(d, f"rank{rank}") for d in chain_dirs]
-            if direct_stable:
-                chain = sources
-            else:
-                chain = [
-                    vpath.join(
-                        RESTART_STAGING_ROOT,
-                        f"job{job.jobid}",
-                        f"rank{rank}",
-                        f"part{part}",
-                    )
-                    for part in range(len(sources))
-                ]
-                entries.extend(
-                    (node_name, src, dst) for src, dst in zip(sources, chain)
+            chain = [vpath.join(d, f"rank{rank}") for d in chain_dirs]
+            if not direct_stable:
+                landed = vpath.join(
+                    RESTART_STAGING_ROOT, f"job{job.jobid}", f"rank{rank}"
                 )
+                entries.append((node_name, chain, landed))
+                chain = [landed]
             specs.append(
                 ProcSpec(
                     jobid=job.jobid,
@@ -161,7 +153,6 @@ class StagingBackend:
                     app=job.app,
                     restart_from={
                         "fs": "stable" if direct_stable else "local",
-                        "dir": chain[-1],
                         "chain": chain,
                     },
                 )
@@ -169,10 +160,21 @@ class StagingBackend:
         return specs, entries
         yield  # pragma: no cover
 
-    def preload(self, entries: list[tuple[str, str, str]]) -> SimGen:
-        """Put checkpoint files on the target machines (section 5.2)."""
-        raise NotImplementedError
-        yield  # pragma: no cover
+    def preload(self, entries: list[tuple[str, list[str], str]]) -> SimGen:
+        """Put checkpoint files on the target machines (section 5.2):
+        one full image tree per entry."""
+        yield from self.hnp.filem.broadcast(self.hnp, entries)
+
+    def drop_preload(self, entries: list[tuple[str, list[str], str]]) -> None:
+        """Remove the job's staging from every node :meth:`preload`
+        landed on (partial trees too), a thread per node, nobody waiting."""
+        for node, staging in dict.fromkeys(
+            (node, vpath.dirname(dst)) for node, _chain, dst in entries
+        ):
+            self.hnp.proc.spawn_thread(
+                self.hnp.filem.remove(self.hnp, [(node, staging)]),
+                name=f"restart-cleanup-{node}", daemon=True,
+            )
 
     def purge(self, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta) -> SimGen:
         """Retire one interval from stable storage; returns
@@ -237,16 +239,10 @@ class TreeBackend(StagingBackend):
         try:
             for rank in sorted(record.meta.locals):
                 dirs = [vpath.join(d, f"rank{rank}") for d in chain]
-                blob, manifest = yield from chunkstore.reconstruct_chain(
-                    stable, dirs, IMAGE_FILE
-                )
+                blob, manifest = yield from chunkstore.reconstruct_chain(stable, dirs)
                 dst = record.ref.local_dir(rank)
-                yield from stable.write(vpath.join(dst, IMAGE_FILE), blob)
-                if manifest is not None:
-                    yield from chunkstore.write_full_manifest(
-                        stable, dst, manifest.chunk_bytes, len(blob),
-                        manifest.hashes, record.interval,
-                    )
+                for name, data in chunkstore.full_image_tree(blob, manifest).items():
+                    yield from stable.write(vpath.join(dst, name), data)
         except (VFSError, RestartError) as exc:
             return f"compaction failed: {exc}"
         log.info(
@@ -266,9 +262,6 @@ class TreeBackend(StagingBackend):
             if dep in skip or (yield from self.stager.committed_meta(dep)) is None:
                 return "has a broken base chain"
         return None
-
-    def preload(self, entries: list[tuple[str, str, str]]) -> SimGen:
-        yield from self.hnp.filem.broadcast(self.hnp, entries)
 
 
 class CasBackend(StagingBackend):
@@ -543,7 +536,7 @@ class CasBackend(StagingBackend):
             raise RestartError(f"snapshot {ref.path}: {why}")
         return (yield from super().plan_restart(ref, meta, job, placements))
 
-    def preload(self, entries: list[tuple[str, str, str]]) -> SimGen:
+    def preload(self, entries: list[tuple[str, list[str], str]]) -> SimGen:
         """Every chunk is verified individually on the way out."""
         yield from self.hnp.filem.fetch_chunks(self.hnp, self.store, entries)
 

@@ -453,7 +453,10 @@ class FullSNAPC(SNAPCComponent):
             # mark it failed so retrying recovery can re-plan placement.
             job.mark_failed()
             hnp.errmgr._abort_survivors(job)
+            backend.drop_preload(entries)
             raise
+        # every rank read its image before it answered INIT_READY
+        backend.drop_preload(entries)
         log.info(
             "job %d restarted from %s as job %d", meta.jobid, ref.path, job.jobid
         )

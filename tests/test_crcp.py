@@ -4,7 +4,6 @@ counting, gating, and drain behaviour."""
 import numpy as np
 
 from repro.mca.params import MCAParams
-from repro.ompi.crcp.wrapper import CRCPWrapperPML
 from repro.tools.api import ompi_checkpoint, ompi_restart, ompi_run
 from tests.conftest import make_universe
 from tests.test_pml import define_app

@@ -1,26 +1,32 @@
 """The ``rsh`` FILEM restart preload: one rsh session per destination
-node, that node's trees streamed through it in entry order.
+node, one full image tree landed per rank, a delta chain flattened at
+the source.
 
-``RshFILEM.broadcast`` is priced here against the vfs primitives it is
-built from (``copy_tree`` on a second kernel), counted through the
-``filem.sessions`` tracer counter, and failed at every point a tree
-copy can fail.  The write side (``gather``/``stage_out``) keeps its
-per-file sessions; ``tests/test_orte.py::TestFILEM`` covers its basics.
+``RshFILEM.broadcast`` is priced here against the primitives it is
+built from (``copy_tree`` for a full interval, ``reconstruct_chain`` +
+``full_image_tree`` for a chain, both on a second kernel), counted
+through the ``filem.sessions`` tracer counter, and failed at every
+point a rank's landing can fail.  The write side
+(``gather``/``stage_out``) keeps its per-file sessions;
+``tests/test_orte.py::TestFILEM`` covers its basics.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.opal.crs import chunks as chunkstore
 from repro.orte.job import JobState
 from repro.simenv.kernel import Delay, WaitAll
 from repro.tools.api import checkpoint_ref, ompi_checkpoint, ompi_restart, ompi_run
-from repro.util.errors import NetworkError, VFSError
+from repro.util.errors import NetworkError, RestartError, VFSError
 from repro.vfs.transfer import copy_tree
 from tests.conftest import make_universe, run_gen
 
 SESSION_S = 0.020  # the filem_rsh_session_cost default
-MARKER = "metadata.json"  # sorts last in a rank directory: lands last
+MARKER = "metadata.json"  # the last file of a rank directory to land
+TREE = ("image.pkl", "chunks.json", MARKER)  # what a landed rank holds
+CHUNK = 4096
 
 
 def seed_tree(universe, src_dir: str, image_bytes: int) -> None:
@@ -30,12 +36,48 @@ def seed_tree(universe, src_dir: str, image_bytes: int) -> None:
     stable.poke(f"{src_dir}/{MARKER}", b"m" * 200)
 
 
+def seed_chain(universe, dirs: list[str], image_bytes: int) -> bytes:
+    """full + one delta per further directory, laid out on stable
+    storage as ``CRSComponent.checkpoint`` does; every delta rewrites
+    chunk 0 (so the base's chunk 0 is superseded twice over a 3-link
+    chain) and one chunk of its own.  Returns the newest image."""
+    stable = universe.cluster.stable_fs
+    blob, cache = bytes(i % 251 for i in range(image_bytes)), None
+    for interval, directory in enumerate(dirs, 1):
+        if cache is not None:
+            image = bytearray(blob)
+            image[0] = image[interval * CHUNK] = 255 - interval
+            blob = bytes(image)
+        hashes, dirty = chunkstore.hash_chunks(blob, CHUNK, cache)
+        if cache is None:
+            stable.poke(f"{directory}/image.pkl", blob)
+        for i in dirty if cache is not None else ():
+            stable.poke(
+                f"{directory}/{chunkstore.chunk_filename(i)}",
+                blob[i * CHUNK : (i + 1) * CHUNK],
+            )
+        manifest = chunkstore.ChunkManifest(
+            kind="delta" if cache else "full", chunk_bytes=CHUNK,
+            total_bytes=len(blob), hashes=hashes, present=dirty,
+            base_interval=interval - 1 if cache else None, interval=interval,
+        )
+        stable.poke(f"{directory}/chunks.json", manifest.to_json())
+        stable.poke(f"{directory}/{MARKER}", b"m%d" % interval * 100)
+        cache = {"chunk_bytes": CHUNK, "hashes": hashes, "blob": blob}
+    return blob
+
+
 def seeded(entries, sizes=None, n_nodes=4, params=None, trace=True):
-    """A universe with one stable tree per entry (sizes differ so that
-    no two trees cost the same)."""
+    """A universe with every entry's chain on stable storage: a plain
+    tree for one link, full + deltas for more (sizes differ so that no
+    two ranks cost the same)."""
     universe = make_universe(n_nodes, params=params)
-    for i, (_node, src, _dst) in enumerate(entries):
-        seed_tree(universe, src, (sizes or {}).get(src, 50_000 * (i + 1)))
+    for i, (_node, chain, _dst) in enumerate(entries):
+        size = (sizes or {}).get(chain[-1], 50_000 * (i + 1))
+        if len(chain) == 1:
+            seed_tree(universe, chain[0], size)
+        else:
+            seed_chain(universe, chain, size)
     if trace:
         universe.kernel.tracer.enable()
     return universe
@@ -51,6 +93,11 @@ def transfers(universe, node=None):
         s for s in universe.kernel.tracer.spans
         if s.name == "filem.transfer" and node in (None, s.attrs["node"])
     ]
+
+
+def whole_span(universe):
+    [span] = [s for s in universe.kernel.tracer.spans if s.name == "filem.broadcast"]
+    return span
 
 
 def peak_open_streams(universe) -> int:
@@ -74,20 +121,30 @@ def local_files(universe, node: str) -> set[str]:
     return set(universe.cluster.node(node).local_fs._files)
 
 
+def chains(entries, links=3):
+    """The same ranks restarting from *links*-long chains: the source
+    ``/g/iK/rankR`` becomes ``/g/iK.1/rankR`` … ``/g/iK.<links>/rankR``."""
+    return [
+        (node, [src.replace("/rank", f".{k}/rank") for k in range(1, links + 1)], dst)
+        for node, (src,), dst in entries
+    ]
+
+
 FIVE_TREES = [
-    ("node01", "/g/i1/rank0", "/restart/i1/rank0"),
-    ("node02", "/g/i1/rank1", "/restart/i1/rank1"),
-    ("node01", "/g/i2/rank0", "/restart/i2/rank0"),
-    ("node02", "/g/i2/rank1", "/restart/i2/rank1"),
-    ("node01", "/g/i3/rank0", "/restart/i3/rank0"),
+    ("node01", ["/g/i1/rank0"], "/restart/i1/rank0"),
+    ("node02", ["/g/i1/rank1"], "/restart/i1/rank1"),
+    ("node01", ["/g/i2/rank0"], "/restart/i2/rank0"),
+    ("node02", ["/g/i2/rank1"], "/restart/i2/rank1"),
+    ("node01", ["/g/i3/rank0"], "/restart/i3/rank0"),
 ]
+FIVE_CHAINS = chains(FIVE_TREES)
 
 
 class TestPricing:
     def test_broadcast_costs_one_session_per_node_plus_its_trees(self):
-        """2 nodes, 5 trees: exactly ``session + Σ copy_tree(latency 0)``
-        per node, the nodes in parallel — the loop below, run on a
-        second kernel, ends at the same instant."""
+        """2 nodes, 5 full-interval ranks: exactly ``session + Σ
+        copy_tree(latency 0)`` per node, the nodes in parallel — the
+        loop below, run on a second kernel, ends at the same instant."""
         universe = seeded(FIVE_TREES)
         moved = broadcast(universe, FIVE_TREES)
 
@@ -98,7 +155,7 @@ class TestPricing:
         def stream(node):
             yield Delay(SESSION_S)
             total = 0
-            for entry_node, src, dst in FIVE_TREES:
+            for entry_node, (src,), dst in FIVE_TREES:
                 if entry_node == node:
                     total += yield from copy_tree(
                         stable, src, twin.cluster.node(node).local_fs, dst,
@@ -119,17 +176,89 @@ class TestPricing:
             assert local_files(universe, node) == local_files(twin, node)
         tracer = universe.kernel.tracer
         assert tracer.counters["filem.sessions"] == 2
-        [span] = [s for s in tracer.spans if s.name == "filem.broadcast"]
-        assert span.attrs == {
-            "entries": 5, "bytes": moved, "streams": 2, "sessions": 2, "files": 15,
+        # re-pinned for the per-rank entries: before, "entries" counted
+        # trees and there was no "links" / "read_bytes"
+        assert whole_span(universe).attrs == {
+            "entries": 5, "links": 5, "streams": 2, "sessions": 2,
+            "bytes": moved, "files": 15, "read_bytes": moved,
         }
         assert len(transfers(universe)) == 5
+
+    def test_a_chain_costs_its_stable_reads_plus_one_flattened_tree(self):
+        """Two ranks of one node, full + delta + delta each: the stream
+        is ``session + Σ (reconstruct_chain on stable storage + the
+        newest metadata.json + the wire for three files + three local
+        writes)`` — the loop below on a second kernel — and a chunk a
+        later delta overwrote is read but not shipped."""
+        entries = FIVE_CHAINS[0::2][:2]
+        universe = seeded(entries)
+        moved = broadcast(universe, entries)
+
+        twin = seeded(entries, trace=False)
+        stable = twin.cluster.stable_fs
+        local = twin.cluster.node("node01").local_fs
+        eth = twin.cluster.eth.model.bandwidth_Bps
+        read_before = stable.bytes_read
+
+        def reference():
+            yield Delay(SESSION_S)
+            total = 0
+            for _node, chain, dst in entries:
+                blob, manifest = yield from chunkstore.reconstruct_chain(stable, chain)
+                meta_raw = yield from stable.read(f"{chain[-1]}/{MARKER}")
+                tree = chunkstore.full_image_tree(blob, manifest, meta_raw)
+                yield Delay(sum(map(len, tree.values())) / eth)
+                for name, data in tree.items():
+                    total += yield from local.write(f"{dst}/{name}", data)
+            return total
+
+        assert moved == run_gen(twin.kernel, reference())
+        assert universe.kernel.now == twin.kernel.now
+        assert local_files(universe, "node01") == local_files(twin, "node01") == {
+            f"{dst}/{name}" for _node, _chain, dst in entries for name in TREE
+        }
+        read = stable.bytes_read - read_before
+        assert whole_span(universe).attrs == {
+            "entries": 2, "links": 6, "streams": 1, "sessions": 1,
+            "bytes": moved, "files": 6, "read_bytes": read,
+        }
+        # each delta carries its own chunk 0: two superseded copies per rank
+        assert read > moved + 2 * 2 * CHUNK
+        assert universe.kernel.tracer.counters["filem.sessions"] == 1
+        spans = transfers(universe)
+        assert [s.attrs["links"] for s in spans] == [3, 3]
+        assert sum(s.attrs["bytes"] for s in spans) == moved
+        assert sum(s.attrs["read_bytes"] for s in spans) == read
+
+    def test_the_landed_tree_is_the_newest_image_under_a_full_manifest(self):
+        """What a chain lands is what ``fetch_chunks`` lands for CAS:
+        the newest image, a ``kind="full"`` manifest listing every
+        digest of the newest manifest, and the newest metadata."""
+        [entry] = chains([FIVE_TREES[0]])
+        universe = make_universe(4)
+        image = seed_chain(universe, entry[1], 60_000)
+        broadcast(universe, [entry])
+        stable = universe.cluster.stable_fs
+        fs = universe.cluster.node("node01").local_fs
+        dst = entry[2]
+        assert fs.peek(f"{dst}/image.pkl") == image
+        assert fs.peek(f"{dst}/{MARKER}") == stable.peek(f"{entry[1][-1]}/{MARKER}")
+        newest = chunkstore.ChunkManifest.from_json(stable.peek(f"{entry[1][-1]}/chunks.json"))
+        landed = chunkstore.ChunkManifest.from_json(fs.peek(f"{dst}/chunks.json"))
+        assert newest.kind == "delta" and len(newest.present) == 2
+        assert (landed.kind, landed.base_interval) == ("full", None)
+        assert landed.hashes == newest.hashes
+        assert landed.present == list(range(len(newest.hashes)))
+        assert (landed.interval, landed.total_bytes) == (3, len(image))
+        # and a rank restarting from it reads exactly that image back
+        blob, _ = run_gen(universe.kernel, chunkstore.reconstruct_chain(fs, [dst]))
+        assert blob == image
 
     def test_session_cost_moves_a_single_wave_by_exactly_its_delta(self):
         """``filem_rsh_session_cost`` is charged once per stream: four
         streams in one wave end Δ later, four streams one at a time
         4 × Δ later."""
-        entries = [(f"node0{i}", f"/g/rank{i}", f"/restart/rank{i}") for i in range(4)]
+        entries = [(f"node0{i}", [f"/g/rank{i}"], f"/restart/rank{i}") for i in range(4)]
         delta = 0.125  # a power of two, so the float sums stay comparable
 
         def end(session: float, limit: int) -> float:
@@ -154,7 +283,7 @@ class TestPricing:
         universe = make_universe()
         universe.kernel.tracer.enable()
         fs = universe.cluster.node("node01").local_fs
-        for name in ("image.pkl", "chunks.json", MARKER):
+        for name in TREE:
             fs.poke(f"/ckpt/r1/{name}", b"x" * 100)
         hnp = universe.hnp
         start = universe.kernel.now
@@ -165,24 +294,53 @@ class TestPricing:
         assert universe.kernel.tracer.counters["filem.sessions"] == 3
         assert universe.kernel.now - start > 3 * SESSION_S
 
+    def test_nothing_is_recorded_with_the_tracer_off(self):
+        universe = seeded(FIVE_CHAINS, trace=False)
+        broadcast(universe, FIVE_CHAINS)
+        tracer = universe.kernel.tracer
+        assert tracer.spans == [] and tracer.counters == {}
+
+
+def halted_chain_job(n_nodes=8, np=16, state_bytes=60 << 10, **params):
+    """full + delta + delta of a churn job, halted on the third;
+    returns ``(universe, job, reference, baseline results)``."""
+    params = {
+        "filem": "rsh", "snapc_full_interval_every": "3",
+        "crs_base_chunk_bytes": str(CHUNK), **params,
+    }
+    universe = make_universe(n_nodes, params=params)
+    args = {"loops": 60, "compute_s": 0.01, "state_bytes": state_bytes}
+    job = ompi_run(universe, "churn", np, args=args, wait=False)
+    handles = [
+        ompi_checkpoint(universe, job.jobid, at=at, wait=False, terminate=last)
+        for at, last in ((0.1, False), (0.25, False), (0.4, True))
+    ]
+    universe.run_job_to_completion(job)
+    assert job.state is JobState.HALTED
+    baseline = ompi_run(make_universe(n_nodes), "churn", np, args=args).results
+    return universe, job, checkpoint_ref(handles[-1]), baseline
+
+
+def restart_staging(universe) -> set[str]:
+    return {
+        path
+        for node in universe.cluster.nodes
+        for path in node.local_fs._files
+        if path.startswith("/restart/")
+    }
+
 
 class TestChainRestart:
     def test_sixteen_ranks_three_links_open_eight_sessions(self):
-        """full + delta + delta of 16 ranks on 8 nodes: 48 trees move
-        through 8 sessions (192 sessions when each file paid one)."""
-        universe = make_universe(
-            8, params={"filem": "rsh", "snapc_full_interval_every": "3"}
-        )
-        args = {"loops": 60, "compute_s": 0.01, "state_bytes": 32 << 10}
-        job = ompi_run(universe, "churn", 16, args=args, wait=False)
-        handles = [
-            ompi_checkpoint(universe, job.jobid, at=at, wait=False, terminate=last)
-            for at, last in ((0.1, False), (0.25, False), (0.4, True))
-        ]
-        universe.run_job_to_completion(job)
-        assert job.state is JobState.HALTED
-        reference = checkpoint_ref(handles[-1])
-        baseline = ompi_run(make_universe(8), "churn", 16, args=args).results
+        """full + delta + delta of 16 ranks on 8 nodes: 16 flattened
+        trees move through 8 sessions and each rank finds 3 files.
+        Re-pinned: before, 48 trees (one per link) landed as
+        ``part0..2`` and each rank read 12 files to rebuild its image;
+        192 sessions when each file paid one."""
+        universe, job, reference, baseline = halted_chain_job()
+        stable = universe.cluster.stable_fs
+        backend = universe.hnp.snapc.stager(universe.hnp).backends[False]
+        backend.drop_preload = lambda entries: None  # keep what landed to look at
 
         tracer = universe.kernel.tracer
         tracer.enable()
@@ -190,27 +348,242 @@ class TestChainRestart:
         assert restarted.results == baseline
         assert tracer.counters["filem.sessions"] == 8
         spans = transfers(universe)
-        assert len(spans) == 48 and {s.attrs["op"] for s in spans} == {"broadcast"}
-        [whole] = [s for s in tracer.spans if s.name == "filem.broadcast"]
-        assert whole.attrs["entries"] == 48
-        assert whole.attrs["streams"] == whole.attrs["sessions"] == 8
-        # every rank's chain landed oldest link first
+        assert len(spans) == 16 and {s.attrs["op"] for s in spans} == {"broadcast"}
+        assert {s.attrs["links"] for s in spans} == {3}
+
+        shipped = 0
         for rank, node in restarted.placements.items():
             fs = universe.cluster.node(node).local_fs
-            landed = [
-                fs.stat(f"/restart/job{restarted.jobid}/rank{rank}/part{k}/{MARKER}").mtime
-                for k in range(3)
-            ]
-            assert landed == sorted(landed) and len(set(landed)) == 3
+            dst = f"/restart/job{restarted.jobid}/rank{rank}"
+            assert fs.list_tree(dst) == sorted(f"{dst}/{name}" for name in TREE)
+            shipped += sum(len(fs.peek(f"{dst}/{name}")) for name in TREE)
+            newest = reference.local_dir(rank)
+            landed = chunkstore.ChunkManifest.from_json(fs.peek(f"{dst}/chunks.json"))
+            wanted = chunkstore.ChunkManifest.from_json(stable.peek(f"{newest}/chunks.json"))
+            assert wanted.kind == "delta" and landed.kind == "full"
+            assert landed.hashes == wanted.hashes
+            assert fs.peek(f"{dst}/{MARKER}") == stable.peek(f"{newest}/{MARKER}")
+            # the marker is the last file down
+            assert fs.stat(f"{dst}/{MARKER}").mtime > fs.stat(f"{dst}/chunks.json").mtime
+        assert restart_staging(universe) == {
+            f"/restart/job{restarted.jobid}/rank{rank}/{name}"
+            for rank in range(16) for name in TREE
+        }
+        whole = whole_span(universe)
+        assert whole.attrs["bytes"] == shipped
+        assert (whole.attrs["entries"], whole.attrs["links"], whole.attrs["files"]) == (16, 48, 48)
+        assert whole.attrs["streams"] == whole.attrs["sessions"] == 8
+        # chunks a later delta overwrote were read and stayed behind
+        assert whole.attrs["read_bytes"] > shipped
+
+    def test_staging_is_removed_once_the_job_is_running(self):
+        """No ``/restart/job<J>`` file outlives the launch (it used to
+        stay for the life of the universe), and nobody waits for the
+        removal: the reply is back before the files are gone."""
+        universe, job, reference, baseline = halted_chain_job(4, 4)
+        handle = ompi_restart(universe, reference, wait=False)
+        reply = handle.wait_stepped(0.001)
+        assert reply["ok"] and restart_staging(universe) != set()
+        restarted = universe.job(reply["jobid"])
+        universe.run_job_to_completion(restarted)
+        assert restarted.results == baseline
+        assert restart_staging(universe) == set()
+
+    def test_full_interval_restart_is_removed_too(self):
+        universe = make_universe(4)
+        args = {"loops": 40, "compute_s": 0.01, "state_bytes": 64 << 10}
+        job = ompi_run(universe, "churn", 4, args=args, wait=False)
+        handle = ompi_checkpoint(universe, job.jobid, at=0.1, wait=False, terminate=True)
+        universe.run_job_to_completion(job)
+        universe.kernel.tracer.enable()
+        restarted = ompi_restart(universe, checkpoint_ref(handle))
+        assert restarted.state is JobState.FINISHED
+        assert {s.attrs["links"] for s in transfers(universe)} == {1}
+        assert restart_staging(universe) == set()
+
+    def test_corrupt_delta_on_stable_storage_is_refused_before_any_launch(self):
+        """Verification moved from each rank to the HNP's stream: a
+        delta chunk that rotted on stable storage fails the preload, no
+        process of the new job ever exists, the job ends FAILED and its
+        partial staging is removed."""
+        universe, job, reference, _baseline = halted_chain_job(4, 4)
+        stable = universe.cluster.stable_fs
+        newest = job.snapshots[2].local_dir(2)
+        [victim, *_] = [p for p in stable.list_tree(newest) if "chunk_" in p]
+        stable.poke(victim, bytes(len(stable.peek(victim))))
+        with pytest.raises(RestartError, match="fails verification"):
+            ompi_restart(universe, reference)
+        half_built = universe.job(max(universe.jobs))
+        assert half_built.restarted_from == reference
+        assert half_built.state is JobState.FAILED and half_built.procs == {}
+        universe.kernel.run()
+        assert restart_staging(universe) == set()
+
+
+    def test_autorecovery_walks_back_past_a_chain_that_fails_verification(self):
+        """The corrupt interval costs the lineage one attempt: the
+        preload refuses it, recovery skips it for the episode and
+        restarts from the previous usable interval."""
+        universe = make_universe(
+            4, params={
+                "filem": "rsh", "snapc_full_interval_every": "3",
+                "crs_base_chunk_bytes": str(CHUNK), "orte_errmgr_autorecover": "1",
+            },
+        )
+        args = {"loops": 200, "compute_s": 0.01, "state_bytes": 60 << 10}
+        job = ompi_run(universe, "churn", 4, args=args, wait=False)
+        for at in (0.1, 0.35, 0.6):
+            ompi_checkpoint(universe, job.jobid, at=at, wait=False)
+        stable = universe.cluster.stable_fs
+
+        def rot():
+            newest = job.snapshots[2].local_dir(1)
+            [victim, *_] = [p for p in stable.list_tree(newest) if "chunk_" in p]
+            stable.poke(victim, bytes(len(stable.peek(victim))))
+
+        universe.kernel.call_at(0.85, rot)
+        universe.cluster.failures.crash_node_at(0.9, "node03")
+        universe.run_job_to_completion(job)
+        errmgr = universe.hnp.errmgr
+        [record] = errmgr.recovery_log
+        assert record.recovered and record.attempts == 2 <= errmgr.max_recoveries
+        assert record.snapshot == job.snapshots[1].path
+        refused = universe.job(job.jobid + 1)
+        assert refused.state is JobState.FAILED and refused.procs == {}
+        final = universe.job(errmgr.recoveries[-1][1])
+        universe.run_job_to_completion(final)
+        assert final.state is JobState.FINISHED
+        assert final.results == ompi_run(make_universe(4), "churn", 4, args=args).results
+        assert restart_staging(universe) == set()
+
+    def test_shared_filem_reads_its_chain_off_stable_storage(self):
+        """``filem=shared`` plans no preload: every rank is handed the
+        three stable directories and rebuilds the image itself."""
+        universe, job, reference, baseline = halted_chain_job(4, 4, filem="shared")
+        backend = universe.hnp.snapc.stager(universe.hnp).backends[False]
+        plan, planned = backend.plan_restart, []
+
+        def spy(*args):
+            planned.append((yield from plan(*args)))
+            return planned[-1]
+
+        backend.plan_restart = spy
+        universe.kernel.tracer.enable()
+        restarted = ompi_restart(universe, reference)
+        assert restarted.results == baseline
+        assert not [s for s in universe.kernel.tracer.spans if s.name.startswith("filem.")]
+        assert restart_staging(universe) == set()
+        [(specs, entries)] = planned
+        assert entries == [] and [spec.restart_from for spec in specs] == [
+            {"fs": "stable", "chain": [ref.local_dir(rank) for ref in job.snapshots]}
+            for rank in range(4)
+        ]
+
+    def test_chains_no_two_links_of_which_look_alike(self):
+        """Results equal the uninterrupted run when the operator changed
+        ``crs_base_chunk_bytes`` between intervals (the ranks answer the
+        planned delta with a full image: a chain of mixed kinds), when
+        the image grew from link to link (two logged messages per loop),
+        and when the base predates manifests (``chunks.json`` removed)."""
+        universe = make_universe(
+            4, params={
+                "filem": "rsh", "snapc_full_interval_every": "4",
+                "crs_base_chunk_bytes": str(CHUNK),
+            },
+        )
+        args = {
+            "loops": 60, "compute_s": 0.01, "state_bytes": 60 << 10,
+            "msgs_per_loop": 2, "payload_bytes": 512,
+        }
+        job = ompi_run(universe, "churn", 4, args=args, wait=False)
+        handles = [
+            ompi_checkpoint(universe, job.jobid, at=at, wait=False, terminate=last)
+            for at, last in ((0.1, False), (0.2, False), (0.3, False), (0.4, True))
+        ]
+
+        def rechunk():
+            for proc in job.procs.values():
+                proc.service("opal").crs.params.set("crs_base_chunk_bytes", CHUNK // 2)
+
+        universe.kernel.call_at(0.25, rechunk)
+        universe.run_job_to_completion(job)
+        assert job.state is JobState.HALTED
+        stable = universe.cluster.stable_fs
+        manifests = [
+            chunkstore.ChunkManifest.from_json(stable.peek(f"{ref.local_dir(0)}/chunks.json"))
+            for ref in job.snapshots
+        ]
+        assert [(m.kind, m.chunk_bytes) for m in manifests] == [
+            ("full", CHUNK), ("delta", CHUNK), ("full", CHUNK // 2), ("delta", CHUNK // 2),
+        ]
+        sizes = [m.total_bytes for m in manifests]
+        assert sizes == sorted(sizes) and len(set(sizes)) == 4
+        baseline = ompi_run(make_universe(4), "churn", 4, args=args).results
+        assert ompi_restart(universe, checkpoint_ref(handles[3])).results == baseline
+        # interval 2 hangs off a base whose manifests are gone
+        for rank in range(4):
+            run_gen(universe.kernel, stable.remove(f"{job.snapshots[0].local_dir(rank)}/chunks.json"))
+        universe.kernel.tracer.enable()
+        assert ompi_restart(universe, checkpoint_ref(handles[1])).results == baseline
+        assert {s.attrs["links"] for s in transfers(universe)} == {2}
+
+    @pytest.mark.parametrize("shape", ["rechunked", "grew_and_shrank", "legacy_base"])
+    def test_odd_chains_land_the_image_their_newest_manifest_describes(self, shape):
+        """Hand-built chains no application here produces: a delta cut
+        at another chunk size than its base, an image that grew and then
+        shrank, a base without a manifest."""
+        images = {
+            "rechunked": [bytes(range(200)), bytes(range(200)), bytes(range(200))],
+            "grew_and_shrank": [bytes(range(100)), bytes(range(250)), bytes(range(60))],
+            "legacy_base": [bytes(range(200)), bytes(range(200))],
+        }[shape]
+        cuts = {"rechunked": [16, 16, 24]}.get(shape, [16] * len(images))
+        universe = make_universe(4)
+        stable = universe.cluster.stable_fs
+        chain, previous = [], None
+        for interval, (image, n) in enumerate(zip(images, cuts), 1):
+            image = image[:7] + bytes([interval]) + image[8:]
+            directory = f"/g/odd{interval}/rank0"
+            chain.append(directory)
+            if previous is None:
+                hashes, dirty = chunkstore.hash_chunks(image, n, None)
+                stable.poke(f"{directory}/image.pkl", image)
+            else:  # the delta against the previous image, cut at this link's size
+                seen = chunkstore.hash_chunks(previous, n, None)[0]
+                hashes, dirty = chunkstore.hash_chunks(
+                    image, n, {"chunk_bytes": n, "hashes": seen, "blob": previous}
+                )
+                assert 0 < len(dirty) < len(hashes) or len(image) < len(previous)
+                for i in dirty:
+                    stable.poke(
+                        f"{directory}/{chunkstore.chunk_filename(i)}", image[i * n : (i + 1) * n]
+                    )
+            if previous is not None or shape != "legacy_base":
+                stable.poke(f"{directory}/chunks.json", chunkstore.ChunkManifest(
+                    kind="delta" if previous else "full", chunk_bytes=n,
+                    total_bytes=len(image), hashes=hashes, present=dirty,
+                    base_interval=interval - 1 if previous else None, interval=interval,
+                ).to_json())
+            stable.poke(f"{directory}/{MARKER}", b"meta%d" % interval)
+            previous = image
+        broadcast(universe, [("node02", chain, "/restart/odd/rank0")])
+        fs = universe.cluster.node("node02").local_fs
+        assert fs.peek("/restart/odd/rank0/image.pkl") == image
+        assert fs.peek(f"/restart/odd/rank0/{MARKER}") == b"meta%d" % len(images)
+        landed = chunkstore.ChunkManifest.from_json(fs.peek("/restart/odd/rank0/chunks.json"))
+        assert (landed.kind, landed.chunk_bytes, landed.total_bytes) == ("full", cuts[-1], len(image))
+        assert landed.hashes == hashes
+        blob, _ = run_gen(universe.kernel, chunkstore.reconstruct_chain(fs, ["/restart/odd/rank0"]))
+        assert blob == image
 
 
 class TestConcurrency:
     @pytest.mark.parametrize("limit, peak", [(1, 1), (2, 2), (8, 4)])
     def test_max_concurrent_bounds_node_streams(self, limit, peak):
-        """Two trees on each of four nodes: the knob bounds how many
-        *nodes* stream at once, never how many trees."""
+        """Two ranks on each of four nodes: the knob bounds how many
+        *nodes* stream at once, never how many ranks."""
         entries = [
-            (f"node0{i}", f"/g/i{link}/rank{i}", f"/restart/i{link}/rank{i}")
+            (f"node0{i}", [f"/g/i{link}/rank{i}"], f"/restart/i{link}/rank{i}")
             for link in (1, 2)
             for i in range(4)
         ]
@@ -223,21 +596,22 @@ class TestConcurrency:
 
 
 class TestOrdering:
-    def test_trees_of_one_stream_are_written_in_entry_order(self):
-        """Entry order is chain order (oldest link first) and survives
-        both the grouping and uneven tree sizes."""
-        entries = [
-            ("node01", "/g/i1/rank0", "/restart/i1/rank0"),
-            ("node02", "/g/i1/rank1", "/restart/i1/rank1"),
-            ("node01", "/g/i3/rank0", "/restart/i3/rank0"),
-            ("node01", "/g/i2/rank0", "/restart/i2/rank0"),
-        ]
-        universe = seeded(entries, sizes={"/g/i1/rank0": 900_000})
+    def _ranks_of_one_stream_land_in_entry_order(self, links):
+        entries = chains(
+            [
+                ("node01", ["/g/i1/rank0"], "/restart/i1/rank0"),
+                ("node02", ["/g/i1/rank1"], "/restart/i1/rank1"),
+                ("node01", ["/g/i3/rank0"], "/restart/i3/rank0"),
+                ("node01", ["/g/i2/rank0"], "/restart/i2/rank0"),
+            ],
+            links,
+        )
+        universe = seeded(entries, sizes={entries[0][1][-1]: 900_000})
         broadcast(universe, entries)
         fs = universe.cluster.node("node01").local_fs
         landed = sorted(
             (fs.stat(f"{dst}/{MARKER}").mtime, dst)
-            for node, _src, dst in entries
+            for node, _chain, dst in entries
             if node == "node01"
         )
         assert [dst for _t, dst in landed] == [
@@ -248,6 +622,16 @@ class TestOrdering:
         # within a tree the marker is the last file down
         first = "/restart/i1/rank0"
         assert fs.stat(f"{first}/{MARKER}").mtime > fs.stat(f"{first}/image.pkl").mtime
+
+    def test_trees_of_one_stream_are_written_in_entry_order(self):
+        """Entry order survives both the grouping by node and uneven
+        tree sizes."""
+        self._ranks_of_one_stream_land_in_entry_order(1)
+
+    def test_chains_of_one_stream_are_rebuilt_in_entry_order(self):
+        """… and a rank's chain is rebuilt and landed before the next
+        rank's is read."""
+        self._ranks_of_one_stream_land_in_entry_order(3)
 
 
 class TestFailures:
@@ -261,9 +645,9 @@ class TestFailures:
         assert local_files(universe, "node01") == set()
         assert "filem.sessions" not in universe.kernel.tracer.counters
 
-    def _second_tree_window(self, node: str) -> tuple[float, float]:
-        probe = seeded(FIVE_TREES)
-        broadcast(probe, FIVE_TREES)
+    def _second_rank_window(self, entries, node: str) -> tuple[float, float]:
+        probe = seeded(entries)
+        broadcast(probe, entries)
         second = transfers(probe, node)[1]
         return second.t0, second.t1
 
@@ -271,38 +655,58 @@ class TestFailures:
         """node01 dies while its second tree is on the wire: the first
         tree is complete (marker and all), the second has no marker, the
         third never started — and the broadcast fails."""
-        t0, t1 = self._second_tree_window("node01")
+        t0, t1 = self._second_rank_window(FIVE_TREES, "node01")
         universe = seeded(FIVE_TREES)
         universe.cluster.failures.crash_node_at((t0 + t1) / 2, "node01")
         with pytest.raises(VFSError, match="node01"):
             broadcast(universe, FIVE_TREES)
         landed = local_files(universe, "node01")
-        assert {
-            f"/restart/i1/rank0/{name}"
-            for name in ("image.pkl", "chunks.json", MARKER)
-        } <= landed
+        assert {f"/restart/i1/rank0/{name}" for name in TREE} <= landed
         assert f"/restart/i2/rank0/{MARKER}" not in landed
         assert not any(path.startswith("/restart/i3/") for path in landed)
         assert universe.kernel.tracer.counters["filem.sessions"] == 2
 
-    def test_partition_between_two_trees_fails_the_second(self):
-        """The link probe runs around every tree, not only when the
-        session opens: a partition that starts after the first tree
-        landed raises from the second."""
-        t0, _t1 = self._second_tree_window("node01")
-        universe = seeded(FIVE_TREES)
+    def test_node_crash_mid_rebuild_leaves_the_second_rank_absent(self):
+        """The same crash while the second rank's *chain* is being read
+        off stable storage: the first rank landed whole, nothing of the
+        second or third exists, same ``VFSError``."""
+        t0, _t1 = self._second_rank_window(FIVE_CHAINS, "node01")
+        universe = seeded(FIVE_CHAINS)
+        universe.cluster.failures.crash_node_at(t0 + 1e-3, "node01")
+        with pytest.raises(VFSError, match="node01"):
+            broadcast(universe, FIVE_CHAINS)
+        assert local_files(universe, "node01") == {
+            f"/restart/i1/rank0/{name}" for name in TREE
+        }
+        assert universe.kernel.tracer.counters["filem.sessions"] == 2
+
+    def _partition_between_two_ranks_fails_the_second(self, entries):
+        t0, _t1 = self._second_rank_window(entries, "node01")
+        universe = seeded(entries)
         failures = universe.cluster.failures
-        # t0 is where tree 1 ended; the probe before tree 2's marker
-        # write is the first to see a partition opened just after it
+        # t0 is where rank 1 ended; the probe before rank 2's first
+        # (chain) or last (full tree) write is the first to see a
+        # partition opened just after it
         universe.kernel.call_at(
             t0 + 1e-9, lambda: failures.partition_node_now("node01", 10.0)
         )
         with pytest.raises(NetworkError, match="node01"):
-            broadcast(universe, FIVE_TREES)
+            broadcast(universe, entries)
         fs = universe.cluster.node("node01").local_fs
         assert fs.exists(f"/restart/i1/rank0/{MARKER}")
         assert not fs.exists(f"/restart/i2/rank0/{MARKER}")
         assert not fs.exists("/restart/i3/rank0")
+        if entries is FIVE_CHAINS:
+            assert fs.list_tree("/restart/i2") == []
+
+    def test_partition_between_two_trees_fails_the_second(self):
+        """The link probe runs around every rank, not only when the
+        session opens: a partition that starts after the first rank
+        landed raises from the second."""
+        self._partition_between_two_ranks_fails_the_second(FIVE_TREES)
+
+    def test_partition_between_two_chains_leaves_the_second_absent(self):
+        self._partition_between_two_ranks_fails_the_second(FIVE_CHAINS)
 
     def test_partitioned_node_is_refused_when_its_session_opens(self):
         universe = seeded(FIVE_TREES)
@@ -311,9 +715,27 @@ class TestFailures:
             broadcast(universe, FIVE_TREES)
         assert local_files(universe, "node01") == set()
 
+    def test_a_failed_preload_stops_its_other_streams(self):
+        """Once one stream has failed nobody will read what the others
+        land: they stop where they are instead of racing the cleanup."""
+        entries = [
+            (f"node0{i}", [f"/g/a{k}/rank{i}" for k in (1, 2, 3)], f"/restart/job9/rank{i}")
+            for i in range(4)
+        ]
+        universe = seeded(entries, sizes={chain[-1]: 400_000 for _n, chain, _d in entries})
+        stable = universe.cluster.stable_fs
+        stable.poke("/g/a2/rank0/chunk_000002.bin", bytes(CHUNK))
+        with pytest.raises(RestartError, match="chunk 2 of /g/a3/rank0 fails verification"):
+            broadcast(universe, entries)
+        failed_at = universe.kernel.now
+        universe.kernel.run()
+        assert universe.kernel.now == failed_at
+        assert restart_staging(universe) == set()
+
     def test_restart_whose_node_dies_mid_preload_marks_the_job_failed(self):
         """The error surface ``FullSNAPC.global_restart`` had: the
-        half-built job is FAILED and the tool gets the reason."""
+        half-built job is FAILED and the tool gets the reason — and what
+        had landed on the surviving nodes is removed."""
 
         def halted_job():
             universe = make_universe(4)
@@ -340,3 +762,5 @@ class TestFailures:
         half_built = universe.job(max(universe.jobs))
         assert half_built.restarted_from == reference
         assert half_built.state is JobState.FAILED
+        survivors = restart_staging(universe) - local_files(universe, "node02")
+        assert survivors == set()

@@ -208,8 +208,8 @@ class TestOpalLayer:
         opal2.register_contributor(target)
 
         def do_restore():
-            meta, image = yield from opal2.crs.restart_extract(
-                cluster.stable_fs, ref
+            meta, image = yield from opal2.crs.restart_extract_chain(
+                cluster.stable_fs, [ref]
             )
             opal2.crs.restore(opal2, image)
             return meta
@@ -271,7 +271,7 @@ class TestCRSComponents:
         other = SelfCRS(MCAParams())
 
         def do_extract():
-            yield from other.restart_extract(cluster.stable_fs, ref)
+            yield from other.restart_extract_chain(cluster.stable_fs, [ref])
 
         with pytest.raises(RestartError):
             run_gen(cluster.kernel, do_extract())

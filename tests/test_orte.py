@@ -255,7 +255,7 @@ class TestFILEM:
 
         def main():
             moved = yield from hnp.filem.broadcast(
-                hnp, [("node03", "/g/rank2", "/restart/r2")]
+                hnp, [("node03", ["/g/rank2"], "/restart/r2")]
             )
             return moved
 

@@ -6,7 +6,6 @@ import pytest
 from repro.bench.harness import Row, format_table
 from repro.simenv.failure import FailureSchedule
 from repro.simenv.kernel import Delay, WaitEvent
-from repro.simenv.node import Node
 from repro.simenv.process import SimProcess, run_process_main
 from repro.util.errors import ProcessFailedError
 from repro.util.ids import ProcessName

@@ -142,3 +142,41 @@ def test_broad_except_sites_are_the_known_ones():
                 key = (path.relative_to(SRC).as_posix(), match.group(1))
                 found[key] = found.get(key, 0) + 1
     assert found == BROAD_EXCEPTS
+
+
+def test_every_module_compiles_and_uses_what_it_imports():
+    """The part of CI's ``ruff check`` a container without ``ruff`` can
+    still run: every ``src/repro`` module compiles, and every name a
+    module imports is used in it (F401) — ``__init__.py`` re-exports,
+    ``TYPE_CHECKING`` blocks (their names live in quoted annotations)
+    and ``# noqa`` lines aside."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        compile(source, str(path), "exec")
+        if path.name == "__init__.py":
+            continue
+        lines = source.splitlines()
+        typing_only = {
+            id(node)
+            for block in ast.walk(tree)
+            if isinstance(block, ast.If) and "TYPE_CHECKING" in ast.unparse(block.test)
+            for node in ast.walk(block)
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):  # quoted annotations name things too
+            for hint in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                for part in ast.walk(hint) if hint is not None else ():
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                        used |= set(re.findall(r"[A-Za-z_]\w*", part.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or id(node) in typing_only:
+                continue
+            if getattr(node, "module", None) == "__future__" or "noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.relative_to(SRC)}:{node.lineno}: {bound}")
+    assert unused == []
