@@ -478,8 +478,8 @@ class ErrMgr:
                 # the sleep, never on one the sleep has made stale.
                 if retry:
                     yield Delay(self.backoff * (2 ** (retry - 1)))
-                picked = yield from self._pick_snapshot(job, skip)
-                if picked is None:
+                plan = yield from self._pick_snapshot(job, skip)
+                if plan is None:
                     record.error = (
                         "no committed snapshot with an intact base chain"
                     )
@@ -487,7 +487,7 @@ class ErrMgr:
                     self._persist()
                     self._settle(job.jobid, None)
                     return None
-                ref, meta = picked
+                ref = plan.ref
                 self._attempts[root] = spent + 1
                 record.attempts += 1
                 retry += 1
@@ -503,16 +503,13 @@ class ErrMgr:
                     job.jobid, ref.path, record.attempts, self.max_recoveries,
                 )
                 try:
-                    new_job = yield from self.hnp.snapc.global_restart(
-                        self.hnp, ref, {}, meta
-                    )
+                    new_job = yield from self.hnp.snapc.global_restart(self.hnp, plan, {})
                 except (RestartError, SnapshotError) as exc:
-                    # The snapshot is unusable *right now* (failed
-                    # staging, missing metadata, absent chunks): skip it
-                    # for the rest of this episode and walk back.  It is
-                    # not blacklisted — the next episode re-verifies it,
-                    # so a transient fault or a since-repaired chunk
-                    # store does not cost the interval forever.
+                    # The preload found what the check could not (a
+                    # chunk lost or rotten since): skip the snapshot for
+                    # the rest of this episode and walk back.  It is not
+                    # blacklisted — the next episode re-verifies it, so a
+                    # since-repaired chunk store does not cost it forever.
                     skip.add(ref.path)
                     span.end(ok=False, error=str(exc))
                     log.warning(
@@ -534,7 +531,7 @@ class ErrMgr:
                 record.new_jobid = new_job.jobid
                 record.recovered_at = kernel.now
                 record.snapshot = ref.path
-                record.snapshot_sim_time = meta.sim_time
+                record.snapshot_sim_time = plan.meta.sim_time
                 self._persist()
                 self._seed_baseline(job, new_job, ref)
                 self._settle(job.jobid, new_job)
@@ -547,7 +544,7 @@ class ErrMgr:
             self._recovering.discard(root)
 
     def _pick_snapshot(self, job: Job, skip: set[str] | None = None) -> SimGen:
-        """Newest usable ``(ref, meta)`` from *job*'s snapshot list.
+        """The :class:`RestartPlan` of the newest usable snapshot in *job*'s list.
 
         Walks ``job.snapshots`` newest-first, skipping refs that
         already failed a restart this episode (*skip*) and intervals
@@ -559,13 +556,13 @@ class ErrMgr:
         for ref in list(reversed(job.snapshots)):
             if ref.path in skip:
                 continue
-            meta, why = yield from self.hnp.snapc.usable_snapshot(
+            plan, why = yield from self.hnp.snapc.usable_snapshot(
                 self.hnp, ref, skip
             )
-            if meta is not None:
-                return ref, meta
+            if plan is not None:
+                return plan
             log.warning(
-                "job %d: snapshot %s %s; walking back", job.jobid, ref.path, why
+                "job %d: snapshot %s: %s; walking back", job.jobid, ref.path, why
             )
         return None
 

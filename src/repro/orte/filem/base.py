@@ -85,11 +85,12 @@ class FILEMComponent(Component):
         raise NotImplementedError
         yield  # pragma: no cover
 
-    def fetch_chunks(self, hnp: "HNP", store, entries: list[tuple[str, list[str], str]]) -> SimGen:
+    def fetch_chunks(self, hnp: "HNP", store, entries: list, manifests: dict) -> SimGen:
         """Materialize CAS-backed snapshots onto nodes for restart.
 
         ``entries``: as for :meth:`broadcast`; the newest stable
-        directory holds the rank manifest + metadata; each distinct
+        directory holds the rank metadata, and *manifests* maps it to
+        the rank manifest the restart's check already read; each distinct
         chunk is fetched from *store* once (verified per chunk) and
         every reassembled image is written to its node-local
         destination.  Returns total bytes landed.

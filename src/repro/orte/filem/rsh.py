@@ -14,10 +14,10 @@ and what is bounded depends on the operation:
   image tree each (a delta chain is flattened and verified at the
   source; see :meth:`RshFILEM.broadcast`); the bound is on *node streams*.
 * ``ship_chunks`` (CAS): a session per entry.
-* ``fetch_chunks`` (CAS restart preload): the ranks' manifests and
-  metadata (bounded), then each distinct chunk of the restart read
-  once, in ``filem_rsh_max_concurrent`` stripes (the longest one sets
-  the time), then a session per entry landing it as ``broadcast`` does.
+* ``fetch_chunks`` (CAS restart preload): the ranks' metadata (bounded),
+  then each distinct chunk their manifests list read once, in
+  ``filem_rsh_max_concurrent`` stripes (the longest one sets the time),
+  then a session per entry landing it as ``broadcast`` does.
 
 The ``filem.sessions`` tracer counter adds up every session charged.
 """
@@ -206,11 +206,11 @@ class RshFILEM(FILEMComponent):
             )
         )
 
-    def fetch_chunks(self, hnp: "HNP", store, entries: list[tuple[str, list[str], str]]) -> SimGen:
+    def fetch_chunks(self, hnp: "HNP", store, entries: list, manifests: dict) -> SimGen:
         """Rebuild CAS-backed rank snapshots on their restart nodes.
 
-        The ranks' manifests and metadata are read first, then the union
-        of their digests, once, in ``filem_rsh_max_concurrent`` stripes
+        The ranks' metadata is read first, then the union of the digests
+        their *manifests* list, once, in ``filem_rsh_max_concurrent`` stripes
         (the store re-hashes every chunk): an absent or rotten chunk, or
         an image of the wrong size, fails before any rank lands.  Each
         rank then lands as in :meth:`broadcast`, a session per entry.
@@ -221,8 +221,7 @@ class RshFILEM(FILEMComponent):
 
         def describe(node_name: str, src_dir: str) -> SimGen:
             self._link_check(hnp, node_name)()
-            manifest = yield from chunkstore.read_manifest(stable, src_dir)
-            return manifest, (yield from stable.read(vpath.join(src_dir, LOCAL_META)))
+            return manifests[src_dir], (yield from stable.read(vpath.join(src_dir, LOCAL_META)))
 
         # a CAS manifest lists every digest itself: the newest directory
         gens = [describe(node, chain[-1]) for node, chain, _dst in entries]

@@ -32,7 +32,7 @@ from repro.orte.oob import (
 )
 from repro.simenv.kernel import Queue, SimGen
 from repro.snapshot import GlobalSnapshotRef, parse_global_dirname
-from repro.util.errors import LaunchError, NetworkError, ReproError
+from repro.util.errors import LaunchError, NetworkError, ReproError, RestartError
 from repro.util.ids import ProcessName
 from repro.util.logging import get_logger
 
@@ -276,12 +276,17 @@ class HNP:
             pass  # requester vanished; nothing to do
         return None
 
+    def _restart(self, ref: GlobalSnapshotRef, options: dict) -> SimGen:
+        """Check *ref* once, then restart from it (the tools' restart)."""
+        plan, why = yield from self.snapc.usable_snapshot(self, ref, set())
+        if plan is None:
+            raise RestartError(f"snapshot {ref.path}: {why}")
+        return (yield from self.snapc.global_restart(self, plan, options))
+
     def _on_restart_request(self, sender, payload: dict) -> SimGen:
         try:
             ref = GlobalSnapshotRef(payload["snapshot"])
-            job = yield from self.snapc.global_restart(
-                self, ref, payload.get("options", {})
-            )
+            job = yield from self._restart(ref, payload.get("options", {}))
             reply = {"ok": True, "jobid": job.jobid}
         except ReproError as exc:
             reply = {"ok": False, "error": str(exc)}
@@ -319,9 +324,7 @@ class HNP:
             )
             if not job.is_done:
                 yield WaitEvent(job.done_event)
-            new_job = yield from self.snapc.global_restart(
-                self, ref, {"placement": payload.get("placement", {})}
-            )
+            new_job = yield from self._restart(ref, {"placement": payload.get("placement", {})})
             reply = {"ok": True, "jobid": new_job.jobid, "snapshot": ref.path}
         except ReproError as exc:
             reply = {"ok": False, "error": str(exc)}

@@ -1,8 +1,7 @@
 """``rsh`` PLM component: remote-shell launch.
 
-Each node contact opens an rsh/ssh session (tens of milliseconds) with
-bounded concurrency (``plm_rsh_num_concurrent``), like Open MPI's
-``plm_rsh_num_concurrent`` default behaviour.
+Each node contact opens an rsh/ssh session (tens of milliseconds), at
+most eight at once, like Open MPI's ``plm_rsh_num_concurrent`` default.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ from repro.orte.plm.base import PLMComponent
 
 @component_of("plm", "rsh", priority=10)
 class RshPLM(PLMComponent):
+    max_concurrency = 8
+
     def open(self, context: object | None = None) -> None:
         super().open(context)
         self.per_node_cost_s = self.params.get_float("plm_rsh_session_cost", 0.030)
-        self.max_concurrency = self.params.get_int("plm_rsh_num_concurrent", 8)

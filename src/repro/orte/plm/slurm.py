@@ -15,10 +15,8 @@ from repro.orte.plm.base import PLMComponent
 
 @component_of("plm", "slurm", priority=20)
 class SlurmPLM(PLMComponent):
+    per_node_cost_s = 0.005  # one slurm step
+    max_concurrency = 64
+
     def query(self, context: object | None = None) -> bool:
         return "plm_slurm_jobid" in self.params
-
-    def open(self, context: object | None = None) -> None:
-        super().open(context)
-        self.per_node_cost_s = self.params.get_float("plm_slurm_step_cost", 0.005)
-        self.max_concurrency = self.params.get_int("plm_slurm_num_concurrent", 64)

@@ -18,7 +18,8 @@ Two backends exist, and both carry checked traffic:
   manifest that lists *every* digest, so an interval never depends on
   another directory: its persisted base chain is empty, compaction is
   a metadata change, and restart fetches (and verifies) chunks from
-  the store.  Either way a restarting rank finds one full image.
+  the store, listed by the manifests the restart's check read.  Either
+  way a restarting rank finds one full image.
 
 The code picks the backend itself.  At checkpoint time it is CAS iff
 ``snapc_full_cas`` is set, the FILEM component can ship chunks, and
@@ -61,6 +62,7 @@ from repro.vfs.cas import ChunkStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orte.job import Job
+    from repro.orte.snapc.base import RestartPlan
     from repro.orte.snapc.staging import StagingCoordinator, StagingRecord
 
 log = get_logger("orte.snapc.stage")
@@ -113,21 +115,21 @@ class StagingBackend:
         yield  # pragma: no cover
 
     def unusable(
-        self, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta, skip=()
+        self, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta, skip, checked: dict
     ) -> SimGen:
         """Why a COMMITTED interval cannot be restarted from right now
-        (None if it can); *skip* holds refs known bad this episode."""
+        (None if it can); *skip* holds refs known bad this episode.  What
+        the check reads that :meth:`preload` needs goes into *checked*."""
         raise NotImplementedError
         yield  # pragma: no cover
 
     def plan_restart(
-        self, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta,
-        job: "Job", placements: dict[int, str], verified: bool = False,
+        self, plan: "RestartPlan", job: "Job", placements: dict[int, str]
     ) -> SimGen:
         """``(specs, entries)``: one :class:`ProcSpec` per rank, and one
         ``(node, stable_chain_dirs, local_dst_dir)`` per rank that
-        :meth:`preload` must land as a full image before they launch.
-        *verified*: :meth:`unusable` has just passed *ref*."""
+        :meth:`preload` must land as a full image before they launch."""
+        ref, meta = plan.ref, plan.meta
         # A delta interval is restored from its base-chain: every
         # directory the newest image depends on, oldest full first.
         # A rank reads it as such only off stable storage (``shared``
@@ -161,7 +163,7 @@ class StagingBackend:
         return specs, entries
         yield  # pragma: no cover
 
-    def preload(self, entries: list[tuple[str, list[str], str]]) -> SimGen:
+    def preload(self, plan: "RestartPlan", entries: list[tuple[str, list[str], str]]) -> SimGen:
         """Put checkpoint files on the target machines (section 5.2):
         one full image tree per entry."""
         yield from self.hnp.filem.broadcast(self.hnp, entries)
@@ -252,7 +254,7 @@ class TreeBackend(StagingBackend):
         )
         return (yield from super().compact(record))
 
-    def unusable(self, ref, meta, skip=()) -> SimGen:
+    def unusable(self, ref, meta, skip, checked) -> SimGen:
         """Every directory of the base chain must still be COMMITTED."""
         for dep in meta.base_chain:
             if dep == ref.path:
@@ -261,7 +263,7 @@ class TreeBackend(StagingBackend):
             # chain through it — selecting such a chain would just burn
             # a recovery attempt on a known-bad base.
             if dep in skip or (yield from self.stager.committed_meta(dep)) is None:
-                return "has a broken base chain"
+                return "broken base chain"
         return None
 
 
@@ -503,8 +505,9 @@ class CasBackend(StagingBackend):
             )
         return None
 
-    def unusable(self, ref, meta, skip=()) -> SimGen:
-        """Presence of every chunk in the store, rank by rank.
+    def unusable(self, ref, meta, skip, checked) -> SimGen:
+        """Presence of every chunk in the store, rank by rank; each
+        rank directory's manifest goes into *checked*, for the fetch.
 
         Content is verified chunk-by-chunk during the restart fetch;
         this only keeps a restart (and recovery's attempt budget) from
@@ -512,34 +515,31 @@ class CasBackend(StagingBackend):
         checkpoint that ships the chunk again repairs the store.
         """
         for rank in sorted(meta.locals):
+            src = ref.local_dir(rank)
             try:
-                manifest = yield from chunkstore.read_manifest(
-                    self.stable, ref.local_dir(rank)
-                )
+                checked[src] = yield from chunkstore.read_manifest(self.stable, src)
             except ReproError as exc:
                 return f"rank {rank} manifest unreadable: {exc}"
-            absent = len(self.store.missing(manifest.hashes))
+            absent = len(self.store.missing(checked[src].hashes))
             if absent:
                 return f"rank {rank}: {absent} chunk(s) absent from the store"
         return None
 
-    def plan_restart(self, ref, meta, job, placements, verified=False) -> SimGen:
+    def plan_restart(self, plan, job, placements) -> SimGen:
         # The rank directories hold only manifests, so a restart that
         # cannot get at the store must be refused before any process is
         # planned, not discovered by a rank reading an empty directory.
         if not self._filem_moves_chunks:
             raise RestartError(
-                f"snapshot {ref.path} is CAS-backed but FILEM "
+                f"snapshot {plan.ref.path} is CAS-backed but FILEM "
                 f"{self.hnp.filem.name!r} cannot fetch chunks"
             )
-        why = None if verified else (yield from self.unusable(ref, meta))
-        if why is not None:
-            raise RestartError(f"snapshot {ref.path}: {why}")
-        return (yield from super().plan_restart(ref, meta, job, placements))
+        return (yield from super().plan_restart(plan, job, placements))
 
-    def preload(self, entries: list[tuple[str, list[str], str]]) -> SimGen:
-        """Each distinct chunk is read once and verified on the way out."""
-        yield from self.hnp.filem.fetch_chunks(self.hnp, self.store, entries)
+    def preload(self, plan, entries) -> SimGen:
+        """Each distinct chunk is read once and verified on the way out;
+        the manifests are the ones :meth:`unusable` read."""
+        yield from self.hnp.filem.fetch_chunks(self.hnp, self.store, entries, plan.checked)
 
     def purge(self, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta) -> SimGen:
         """Release every rank directory's chunk references, remove the

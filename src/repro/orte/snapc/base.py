@@ -14,6 +14,7 @@ A SNAPC component implements both coordinator sides:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.mca.component import Component
@@ -24,7 +25,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.orte.hnp import HNP
     from repro.orte.job import Job
     from repro.orte.orted import Orted
-    from repro.snapshot import GlobalSnapshotRef
+    from repro.snapshot import GlobalSnapshotMeta, GlobalSnapshotRef
+
+
+@dataclass
+class RestartPlan:
+    """One restart attempt: *ref*'s metadata as :meth:`SNAPCComponent.usable_snapshot`
+    verified it, and what the storage backend read doing so (*checked*, opaque
+    outside the backend), which its preload uses instead of reading again."""
+
+    ref: "GlobalSnapshotRef"
+    meta: "GlobalSnapshotMeta"
+    checked: dict
 
 
 class SNAPCComponent(Component):
@@ -42,9 +54,8 @@ class SNAPCComponent(Component):
         raise NotImplementedError
         yield  # pragma: no cover
 
-    def global_restart(self, hnp: "HNP", ref: "GlobalSnapshotRef", options: dict, meta=None) -> SimGen:
-        """Restart a job from *ref*; returns the new :class:`Job`.  A *meta*
-        :meth:`usable_snapshot` just returned for *ref* is not checked again."""
+    def global_restart(self, hnp: "HNP", plan: RestartPlan, options: dict) -> SimGen:
+        """Restart a job as *plan* says; returns the new :class:`Job`."""
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -53,8 +64,9 @@ class SNAPCComponent(Component):
         error manager before recovery walks ``job.snapshots``)."""
 
     def usable_snapshot(self, hnp: "HNP", ref: "GlobalSnapshotRef", skip: set[str]) -> SimGen:
-        """``(meta, None)`` if *ref* can be restarted from right now,
-        else ``(None, why)``; *skip* holds refs known bad this episode."""
+        """``(plan, None)`` if *ref* can be restarted from right now, else
+        ``(None, why)``; *skip* holds refs known bad this episode.  The
+        only producer of a :class:`RestartPlan`."""
         raise NotImplementedError
         yield  # pragma: no cover
 

@@ -25,6 +25,10 @@ Incremental checkpointing rides the same flow: the staging coordinator
 plans each interval as full or delta (``snapc_full_interval_every``),
 the ranks are told which base interval to diff against, and the global
 metadata records the base-chain of directories a delta restart needs.
+
+Restart is checked once: :meth:`FullSNAPC.usable_snapshot` returns a
+:class:`RestartPlan` (or why there is none) to the tool, migration and
+recovery alike, and :meth:`FullSNAPC.global_restart` runs the plan.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.orte.oob import (
     TAG_SNAPC_LOCAL,
     TAG_SNAPC_LOCAL_DONE,
 )
-from repro.orte.snapc.base import SNAPCComponent
+from repro.orte.snapc.base import RestartPlan, SNAPCComponent
 from repro.orte.snapc.staging import (
     FULL_PLAN,
     KIND_DELTA,
@@ -109,12 +113,31 @@ class FullSNAPC(SNAPCComponent):
         # Nothing is remembered between calls: persisted state is
         # verified afresh, so a transient fault or a since-repaired
         # store does not cost a good interval forever.
+        from repro.apps.registry import has_app
+
         stager = self.stager(hnp)
-        meta = yield from stager.committed_meta(ref.path)
-        if meta is None:
-            return None, "is not committed"
-        why = yield from stager.backends[meta.cas].unusable(ref, meta, skip)
-        return (None, why) if why else (meta, None)
+        # An interval still staging here is waited for (recovery never
+        # waits: ``job.snapshots`` holds COMMITTED intervals only).
+        parsed = parse_global_dirname(ref.path)
+        record = stager.record_for(*parsed) if parsed is not None else None
+        if record is not None and (yield from stager.wait_settled(record)) != STAGE_COMMITTED:
+            return None, f"never reached stable storage: {record.error or 'staging failed'}"
+        try:
+            meta = yield from read_global_meta(hnp.universe.cluster.stable_fs, ref)
+        except ReproError as exc:
+            return None, f"metadata unreadable: {exc}"
+        staging = meta.staging or {}
+        if staging.get("state") == STAGE_FAILED:
+            return None, f"never reached stable storage: {staging.get('error') or 'staging failed'}"
+        if staging.get("state") == STAGE_STAGING:
+            # no live record (the coordinating HNP is gone) and the
+            # metadata says the aggregation never finished
+            return None, "incomplete: staging never committed"
+        if not has_app(meta.app_name):
+            return None, f"unknown application {meta.app_name!r}"
+        plan = RestartPlan(ref, meta, {})
+        why = yield from stager.backends[meta.cas].unusable(ref, meta, skip, plan.checked)
+        return (None, why) if why else (plan, None)
 
     @staticmethod
     def _daemon_for(hnp: "HNP", node_name: str) -> ProcessName:
@@ -383,46 +406,9 @@ class FullSNAPC(SNAPCComponent):
     # Restart (global coordinator side)
     # ------------------------------------------------------------------
 
-    def global_restart(self, hnp: "HNP", ref: GlobalSnapshotRef, options: dict, meta=None) -> "SimGen":
-        from repro.apps.registry import has_app
-
+    def global_restart(self, hnp: "HNP", plan: RestartPlan, options: dict) -> "SimGen":
         universe = hnp.universe
-        stable = universe.cluster.stable_fs
-
-        def never_stable(error: str | None) -> RestartError:
-            return RestartError(
-                f"snapshot {ref.path} never reached stable storage: "
-                f"{error or 'staging failed'}"
-            )
-
-        stager = self.stager(hnp)
-        # recovery hands over the meta its walk-back just verified
-        verified = meta is not None
-        if not verified:
-            # Restart of an interval must wait for its commit: if the
-            # requested snapshot is still staging in this coordinator,
-            # block until it settles (and fail if it failed).
-            parsed = parse_global_dirname(ref.path)
-            record = stager.record_for(*parsed) if parsed is not None else None
-            if record is not None:
-                state = yield from stager.wait_settled(record)
-                if state != STAGE_COMMITTED:
-                    raise never_stable(record.error)
-
-            meta = yield from read_global_meta(stable, ref)
-            staging = meta.staging or {}
-            if staging.get("state") == STAGE_FAILED:
-                raise never_stable(staging.get("error"))
-            if staging.get("state") == STAGE_STAGING:
-                # No live record (the coordinating HNP is gone) and the
-                # metadata says the aggregation never finished.
-                raise RestartError(
-                    f"snapshot {ref.path} is incomplete (staging never committed)"
-                )
-        if not has_app(meta.app_name):
-            raise RestartError(
-                f"snapshot references unknown application {meta.app_name!r}"
-            )
+        ref, meta = plan.ref, plan.meta
         app = AppSpec(meta.app_name, dict(meta.app_args))
         params = MCAParams.from_dict(meta.mca_params)
         # Allow the restart request to override selected parameters
@@ -442,13 +428,11 @@ class FullSNAPC(SNAPCComponent):
         placements = self._plan_restart_placement(
             universe, meta, options.get("placement")
         )
-        backend = stager.backends[meta.cas]
-        specs, entries = yield from backend.plan_restart(
-            ref, meta, job, placements, verified
-        )
+        backend = self.stager(hnp).backends[meta.cas]
+        specs, entries = yield from backend.plan_restart(plan, job, placements)
         try:
             if entries:
-                yield from backend.preload(entries)
+                yield from backend.preload(plan, entries)
             yield from hnp.launch_and_init(job, specs)
         except ReproError:
             # A node dying mid-restart (during preload or launch) must

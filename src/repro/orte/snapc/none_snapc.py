@@ -25,7 +25,7 @@ class NoneSNAPC(SNAPCComponent):
         raise CheckpointError("snapshot coordination disabled (snapc=none)")
         yield  # pragma: no cover
 
-    def global_restart(self, hnp: "HNP", ref, options: dict, meta=None) -> "SimGen":
+    def usable_snapshot(self, hnp: "HNP", ref, skip: set[str]) -> "SimGen":
         raise RestartError("snapshot coordination disabled (snapc=none)")
         yield  # pragma: no cover
 

@@ -72,6 +72,8 @@ log = get_logger("orte.statestore")
 DEFAULT_ROOT = "/universe/statestore"
 BASE_FILE = "base.json"
 WAL_DIR = "wal"
+#: writer back-off while stable storage refuses a record, sim seconds
+RETRY_S = 0.05
 #: pseudo-table naming the base snapshot in its own hash
 _BASE_TABLE = "__base__"
 
@@ -92,14 +94,12 @@ class StateStore:
         universe: "Universe",
         root: str = DEFAULT_ROOT,
         wal_max_records: int = 256,
-        retry_s: float = 0.05,
     ):
         self.universe = universe
         self.kernel = universe.kernel
         self.fs = universe.cluster.stable_fs
         self.root = vpath.normalize(root)
         self.wal_max_records = max(1, int(wal_max_records))
-        self.retry_s = max(1e-6, float(retry_s))
         self._wal_root = vpath.join(self.root, WAL_DIR)
         self._base_path = vpath.join(self.root, BASE_FILE)
         self.fs.mkdir(self._wal_root)
@@ -230,7 +230,7 @@ class StateStore:
                 # record is not allowed to be lost, so pace and retry
                 # until the window closes.
                 retries += 1
-                yield Delay(self.retry_s)
+                yield Delay(RETRY_S)
         span.end(retries=retries)
         return None
 
@@ -377,5 +377,4 @@ def build_statestore(universe: "Universe") -> "StateStore | NullStateStore":
         universe,
         root=params.get("statestore_root", DEFAULT_ROOT),
         wal_max_records=params.get_int("statestore_wal_max_records", 256),
-        retry_s=params.get_float("statestore_retry_s", 0.05),
     )

@@ -45,10 +45,7 @@ KNOWN_PARAMS: dict[str, list[tuple[str, str, str]]] = {
     "plm": [
         ("plm", "rsh", "force PLM component selection"),
         ("plm_rsh_session_cost", "0.030", "rsh launch session latency (s)"),
-        ("plm_rsh_num_concurrent", "8", "concurrent node contacts"),
         ("plm_slurm_jobid", "", "set to select the slurm launcher"),
-        ("plm_slurm_step_cost", "0.005", "slurm step latency (s)"),
-        ("plm_slurm_num_concurrent", "64", "concurrent node contacts under slurm"),
     ],
     "pml": [
         ("pml", "ob1", "force PML component selection"),
@@ -79,7 +76,6 @@ BASE_PARAMS: list[tuple[str, str, str]] = [
     ("orte_hnp_heartbeat_s", "0.25", "failover-window probe cadence in sim seconds (no timers while the HNP is healthy)"),
     ("statestore_root", "/universe/statestore", "stable-storage directory of the control-plane store (base.json + wal/)"),
     ("statestore_wal_max_records", "256", "WAL records accumulated before compaction into base.json"),
-    ("statestore_retry_s", "0.05", "writer retry backoff after a stable-storage fault, sim seconds"),
 ]
 
 

@@ -620,16 +620,16 @@ class TestCASRestartReadsEachChunkOnce:
 
     def test_one_presence_check_and_one_meta_read_per_restart(self):
         """Recovery checks its snapshot once (the walk-back) and the
-        restart reuses that verdict; ``ompi-restart`` checks once too
-        (in ``plan_restart``).  Before, a recovery paid two presence
-        checks and two reads of the global metadata."""
+        restart runs on that plan; ``ompi-restart`` checks once too
+        (through the same ``usable_snapshot``).  Before, a recovery paid
+        two presence checks and two reads of the global metadata."""
         universe, job = two_intervals()
         backend, stable = _cas_backend(universe), universe.cluster.stable_fs
         unusable, read, checks, reads = backend.unusable, stable.read, [], []
 
-        def spy_unusable(ref, meta, skip=()):
+        def spy_unusable(ref, *rest):
             checks.append(ref.path)
-            return (yield from unusable(ref, meta, skip))
+            return (yield from unusable(ref, *rest))
 
         def spy_read(path):
             reads.append(path)
@@ -651,9 +651,29 @@ class TestCASRestartReadsEachChunkOnce:
         assert (checks, meta_reads()) == ([newest.path], [newest.meta_path])
 
 
+    def test_a_recovery_attempt_reads_each_rank_manifest_once(self, monkeypatch):
+        """The walk-back's check reads every rank's ``chunks.json`` and
+        the fetch lands the manifests it read, through the plan: one
+        read per rank per attempt (two while the fetch read them again)."""
+        universe, job = two_intervals()
+        read, reads, stable = chunkstore.read_manifest, [], universe.cluster.stable_fs
+
+        def spy(fs, directory):
+            if fs is stable:  # not the restarted rank reading what landed
+                reads.append(directory)
+            return (yield from read(fs, directory))
+
+        monkeypatch.setattr(chunkstore, "read_manifest", spy)
+        settle_lineage(universe, job)
+        [record] = universe.hnp.errmgr.recovery_log
+        newest = job.snapshots[1]
+        assert record.attempts == 1 and record.snapshot == newest.path
+        assert sorted(reads) == [newest.local_dir(rank) for rank in range(4)]
+
+
 class TestDocumentCodecOnTheRestartPath:
-    """A restart is handed the same ``chunks.json`` three times per rank
-    (``unusable`` once, ``fetch_chunks``, the rank's
+    """A restart is handed the same ``chunks.json`` twice per rank
+    (``unusable``, whose manifests the fetch reuses, and the rank's
     ``reconstruct_chain``); the codec parses each distinct document at
     most once per process."""
 
@@ -693,12 +713,13 @@ class TestDocumentCodecOnTheRestartPath:
         universe.cluster.failures.crash_node_now(job.placements[3])
         kernel.run(until=0.8)
         (second,) = [j for j in universe.jobs.values() if j.state.value == "running"]
-        # per rank 3 manifest reads + 1 manifest written back by the fetch
-        # hit; its local metadata is parsed, once.  (20 hits while the
-        # recovery checked its snapshot twice, 24 while
-        # ``reconstruct_chain`` also read each manifest twice.)
+        # per rank 2 manifest reads + 1 manifest written back by the fetch
+        # hit; its local metadata is parsed, once.  (16 hits while the
+        # fetch read each manifest again, 20 while the recovery checked
+        # its snapshot twice, 24 while ``reconstruct_chain`` also read
+        # each manifest twice.)
         assert CODEC.stats() == {
-            "hits": 16, "decode_misses": 4, "encode_misses": 8, "entries": 20
+            "hits": 12, "decode_misses": 4, "encode_misses": 8, "entries": 20
         }
 
         universe.cluster.failures.crash_node_now(second.placements[2])
@@ -708,8 +729,8 @@ class TestDocumentCodecOnTheRestartPath:
             "/snapshots/ompi_global_snapshot_1.1"
         ] * 2
         stats = CODEC.stats()
-        assert stats == {  # 44 hits, and 52, before, for the same reasons
-            "hits": 36, "decode_misses": 4, "encode_misses": 8, "entries": 20
+        assert stats == {  # 36 hits, 44, and 52, before, for the same reasons
+            "hits": 28, "decode_misses": 4, "encode_misses": 8, "entries": 20
         }
         assert stats["decode_misses"] + stats["encode_misses"] <= written
 
@@ -724,7 +745,7 @@ class TestDocumentCodecOnTheRestartPath:
         stable = universe.cluster.stable_fs
         backend = _cas_backend(universe)
         meta = run_gen(universe.kernel, read_global_meta(stable, ref))
-        assert run_gen(universe.kernel, backend.unusable(ref, meta)) is None
+        assert run_gen(universe.kernel, backend.unusable(ref, meta, (), {})) is None
         good = _read_manifest(universe, ref, 2)  # warm
 
         path = chunkstore.manifest_path(ref.local_dir(2))
@@ -732,7 +753,7 @@ class TestDocumentCodecOnTheRestartPath:
         stable.poke(path, data[: max(1, len(data) // 3)])
         with pytest.raises(SnapshotError, match="bad chunk manifest"):
             _read_manifest(universe, ref, 2)
-        why = run_gen(universe.kernel, backend.unusable(ref, meta))
+        why = run_gen(universe.kernel, backend.unusable(ref, meta, (), {}))
         assert why.startswith("rank 2 manifest unreadable")
         with pytest.raises(RestartError, match="rank 2 manifest unreadable"):
             ompi_restart(universe, ref)
@@ -764,12 +785,12 @@ class TestSkipSetWalkBack:
 
         errmgr = universe.hnp.errmgr
         picked = run_gen(universe.kernel, errmgr._pick_snapshot(job))
-        assert picked is not None and picked[0].path == ref2.path
+        assert picked is not None and picked.ref.path == ref2.path
         # skipping the newest ref walks back to the base
         picked = run_gen(
             universe.kernel, errmgr._pick_snapshot(job, {ref2.path})
         )
-        assert picked is not None and picked[0].path == ref1.path
+        assert picked is not None and picked.ref.path == ref1.path
         # skipping the *base* poisons every chain through it: the delta
         # interval is rejected even though its own ref is not skipped
         picked = run_gen(

@@ -190,14 +190,20 @@ class TestBackoff:
         verdict the sleep has made stale — and the restart follows it."""
         universe, job = two_intervals(orte_errmgr_backoff=repr(backoff))
         rot_newest_at(universe, job, 0.5)  # the first attempt fails
-        snapc, checks = universe.hnp.snapc, []
-        usable = snapc.usable_snapshot
+        snapc, checks, restarted = universe.hnp.snapc, [], []
+        usable, restart = snapc.usable_snapshot, snapc.global_restart
 
         def spy(hnp, ref, skip):
-            checks.append((universe.kernel.now, ref.path))
-            return (yield from usable(hnp, ref, skip))
+            asked_at = universe.kernel.now
+            plan, why = yield from usable(hnp, ref, skip)
+            checks.append((asked_at, plan.ref.path))  # every check a plan
+            return plan, why
 
-        snapc.usable_snapshot = spy
+        def spy_restart(hnp, plan, options):
+            restarted.append(plan)
+            return (yield from restart(hnp, plan, options))
+
+        snapc.usable_snapshot, snapc.global_restart = spy, spy_restart
         settle_lineage(universe, job)
         first, second = recover_spans(universe)
         assert not first.attrs["ok"] and second.attrs["ok"]
@@ -205,6 +211,8 @@ class TestBackoff:
         assert newest == job.snapshots[1].path and checked_at <= first.t0
         assert retry == [(first.t1 + backoff, job.snapshots[0].path)]
         assert second.t0 > first.t1 + backoff
+        # each attempt restarts from the plan its own check returned
+        assert [plan.ref.path for plan in restarted] == [newest, retry[0][1]]
 
 
 class TestRestartCLIErrors:

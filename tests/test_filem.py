@@ -826,8 +826,13 @@ def cas_universe(trace=True):
 
 
 def fetch(universe, store, entries):
-    hnp = universe.hnp
-    return run_gen(universe.kernel, hnp.filem.fetch_chunks(hnp, store, entries))
+    """``fetch_chunks`` handed the manifests a restart's check read."""
+    hnp, stable = universe.hnp, universe.cluster.stable_fs
+    manifests = {
+        chain[-1]: chunkstore.ChunkManifest.from_json(stable.peek(f"{chain[-1]}/chunks.json"))
+        for _node, chain, _dst in entries
+    }
+    return run_gen(universe.kernel, hnp.filem.fetch_chunks(hnp, store, entries, manifests))
 
 
 def cas_tree(universe, store, src: str) -> dict:
@@ -841,10 +846,11 @@ def cas_tree(universe, store, src: str) -> dict:
 class TestFetch:
     def test_reads_then_the_longest_stripe_then_landing_waves(self):
         """6 ranks sharing 9 of their 17 chunks, 4 transfer slots: two
-        waves of (manifest + metadata) reads; the 57 distinct chunks in
-        four stripes, the longest (15 reads) setting the time; two waves
-        of (session + the wire for the whole tree + three local writes).
-        Before, every rank read its own 17 chunks: 102 reads."""
+        waves of metadata reads (the manifests are the ones the restart's
+        check read); the 57 distinct chunks in four stripes, the longest
+        (15 reads) setting the time; two waves of (session + the wire for
+        the whole tree + three local writes).  Before, every rank read its
+        own 17 chunks: 102 reads, and its manifest a second time."""
         universe, store, entries = cas_universe()
         stable = universe.cluster.stable_fs
         read_before = stable.bytes_read
@@ -860,10 +866,9 @@ class TestFetch:
         sizes = {tuple(map(len, tree.values())) for tree in trees}
         assert len(sizes) == 1  # every rank costs the same: the waves are clean
         (image, manifest, meta), = sizes
-        stored = len(stable.peek("/g/rank0/chunks.json"))  # "present": [], not null
         waves = math.ceil(RANKS / SLOTS)
         expected = (
-            waves * (stable_read(stored) + stable_read(meta))
+            waves * stable_read(meta)
             + math.ceil(UNION / SLOTS) * stable_read(CAS_CHUNK)
             + waves * (
                 POW2_SESSION + (image + manifest + meta) / POW2_BPS
@@ -872,7 +877,7 @@ class TestFetch:
         )
         assert universe.kernel.now == expected
         assert moved == RANKS * (image + manifest + meta)
-        assert stable.bytes_read - read_before == RANKS * (stored + meta) + UNION * CAS_CHUNK
+        assert stable.bytes_read - read_before == RANKS * meta + UNION * CAS_CHUNK
 
         tracer = universe.kernel.tracer
         assert tracer.counters["filem.sessions"] == RANKS

@@ -34,6 +34,7 @@ from repro.tools.api import (
 )
 from repro.util.errors import RestartError
 from tests.conftest import make_universe, run_gen
+from tests.test_filem import restart_staging
 
 CHURN = {"loops": 80, "compute_s": 0.01, "state_bytes": 4 << 20}
 DEPTH_ONE = {"obs_trace_enabled": "1", "snapc_full_stage_depth": "1"}
@@ -652,8 +653,26 @@ class TestUnusableInterval:
         with pytest.raises(RestartError):
             ompi_restart(universe, newest)
         picked = run_gen(universe.kernel, hnp.errmgr._pick_snapshot(job))
-        assert picked is not None and picked[0] == oldest
+        assert picked is not None and picked.ref == oldest
         assert ompi_restart(universe, oldest).state.value == "finished"
+
+    def test_tool_restart_is_refused_before_a_job_exists(self, case):
+        """``ompi-restart`` asks the same check recovery does, before it
+        builds anything: the refused restart adds no job and starts no
+        preload (a tree delta's broken base chain included)."""
+        universe = make_universe(4, params=case.params)
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        for at in case.checkpoints_at:
+            ompi_checkpoint(universe, job.jobid, at=at, wait=False)
+        universe.run_job_to_completion(job)
+        run_gen(universe.kernel, case.break_newest(universe, job))
+        jobs, filem, preloads = set(universe.jobs), universe.hnp.filem, []
+        for op in ("broadcast", "fetch_chunks"):
+            setattr(filem, op, lambda *args, op=op: preloads.append(op))
+        with pytest.raises(RestartError, match=case.why):
+            ompi_restart(universe, job.snapshots[-1])
+        assert set(universe.jobs) == jobs and preloads == []
+        assert restart_staging(universe) == set()
 
     def test_autorecover_walks_back_past_it(self, case):
         """Recovery pre-verifies: the damaged interval costs no restart

@@ -64,7 +64,8 @@ def test_line_budgets():
     """No file over 800 lines; the coordinator at most 650; and the seam
     paid for itself: with ``backends.py`` the four files are smaller
     than the three were without it (2 387), the tree than it was
-    (17 386)."""
+    (17 386).  Both budgets were lowered to the sizes the one restart
+    plan left (2 359 and 17 372): deleted lines are not headroom."""
     sizes = {path: len(_lines(path)) for path in SRC.rglob("*.py")}
     assert {p.name: n for p, n in sizes.items() if n > 800} == {}
     assert sizes[SNAPC / "staging.py"] <= 650
@@ -77,8 +78,8 @@ def test_line_budgets():
             SRC / "orte" / "errmgr.py",
         )
     )
-    assert around_the_seam < 2387
-    assert sum(sizes.values()) < 17386
+    assert around_the_seam <= 2359
+    assert sum(sizes.values()) <= 17372
 
 
 def test_snapshot_documents_have_one_memo_and_one_json_site_each():
@@ -180,3 +181,42 @@ def test_every_module_compiles_and_uses_what_it_imports():
                 if bound not in used:
                     unused.append(f"{path.relative_to(SRC)}:{node.lineno}: {bound}")
     assert unused == []
+
+
+def test_a_restart_plan_has_one_producer():
+    """Every restart — ``ompi-restart``, migration, recovery — runs on a
+    plan ``usable_snapshot`` returned; nothing else builds one."""
+    sites = [
+        hit for path in sorted(SRC.rglob("*.py")) for hit in _hits(path, r"RestartPlan\(")
+    ]
+    assert len(sites) == 1 and sites[0].startswith("full.py"), sites
+
+
+def test_every_benchmark_pin_is_asserted_in_tier1():
+    """A deterministic count pinned in ``benchmarks/`` (a ``PINNED_*``
+    constant) is asserted by a test under ``tests/``, which tier-1
+    collects: a pin that only the CI ``bench`` job reads is checked by
+    nobody before merge."""
+    root = SRC.parents[1]
+    pins = {
+        (f"benchmarks.{path.stem}", name)
+        for path in sorted((root / "benchmarks").glob("*.py"))
+        for name in re.findall(r"^(PINNED_\w+)\s*=", path.read_text(), re.M)
+    }
+    asserted = set()
+    for path in sorted((root / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        asserted |= {
+            imported[name.id]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+            for name in ast.walk(node)
+            if isinstance(name, ast.Name) and name.id in imported
+        }
+    assert pins and pins <= asserted, sorted(pins - asserted)
