@@ -21,4 +21,4 @@ __all__ = [
 ]
 
 # Importing the workload modules registers them.
-from repro.apps import cg, churn, jacobi, master_worker, netpipe, pi, ring  # noqa: E402,F401
+from repro.apps import churn, jacobi, master_worker, netpipe, pi, ring  # noqa: E402,F401

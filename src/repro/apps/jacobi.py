@@ -22,14 +22,17 @@ TAG_RIGHT = 12
 def jacobi_main(ctx):
     """args: n_global (default 1024), iters (default 50),
     checkpoint_every (optional int: rank 0 checkpoints every N iters),
-    tol (optional float: stop early when residual < tol)."""
+    tol (optional float: stop early when residual < tol),
+    iter_compute_s (optional: override per-iteration compute time)."""
     n_global = int(ctx.args.get("n_global", 1024))
     iters = int(ctx.args.get("iters", 50))
     checkpoint_every = ctx.args.get("checkpoint_every")
     tol = ctx.args.get("tol")
+    iter_compute_s = ctx.args.get("iter_compute_s")
     rank, size = ctx.rank, ctx.size
 
     n_local = n_global // size + (1 if rank < n_global % size else 0)
+    step_s = max(n_local, 1) * 2e-9 if iter_compute_s is None else float(iter_compute_s)
     # Local slab with two ghost cells; fixed boundary values 1.0 / 0.0.
     u = np.zeros(n_local + 2, dtype=np.float64)
     if rank == 0:
@@ -58,7 +61,7 @@ def jacobi_main(ctx):
         new_interior = 0.5 * (u[:-2] + u[2:])
         residual = float(np.max(np.abs(new_interior - u[1:-1]))) if n_local else 0.0
         u[1:-1] = new_interior
-        yield ctx.compute(seconds=max(n_local, 1) * 2e-9)
+        yield ctx.compute(seconds=step_s)
         completed = it + 1
 
         if tol is not None and it % 10 == 9:

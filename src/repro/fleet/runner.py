@@ -11,7 +11,10 @@ byte-identical to a serial one.
 **Isolation.**  A wedged run cannot hang the sweep: the worker arms a
 ``SIGALRM`` wall-clock watchdog around the simulation and reports a
 timeout in-band; any other exception is likewise caught and returned
-as a failed result.  The parent retries a failed cell up to
+as a failed result.  The alarm repeats until disarmed, because Python
+ignores an exception raised inside a finalizer (a ``__del__``, a
+generator being closed): a one-shot alarm landing there was lost and
+the cell ran to the end.  The parent retries a failed cell up to
 ``FleetSpec.retries`` times (campaign outcomes where the *job* failed
 are valid results, not errors — only worker crashes/timeouts retry).
 
@@ -39,6 +42,9 @@ from repro.util.logging import get_logger
 
 log = get_logger("fleet.runner")
 
+#: watchdog re-fire period once the budget is spent, wall seconds
+REARM_S = 0.05
+
 
 class FleetTimeout(SimInterrupt):
     """A cell exceeded its wall-clock budget (watchdog fired).
@@ -64,10 +70,13 @@ def _arm_watchdog(timeout_s: float | None):
         return None  # pragma: no cover - exotic embedding
 
     def on_alarm(signum, frame):
-        raise FleetTimeout(f"run exceeded {timeout_s:g}s wall clock")
+        # Never into run_cell's own frame or the disarm: what runs there
+        # is the bookkeeping around the body, which must not be cut short.
+        if frame is None or frame.f_code not in _UNINTERRUPTIBLE:
+            raise FleetTimeout(f"run exceeded {timeout_s:g}s wall clock")
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
+    signal.setitimer(signal.ITIMER_REAL, timeout_s, REARM_S)
     return previous
 
 
@@ -119,6 +128,7 @@ def run_cell(payload: dict) -> dict:
         "kernel_stats": None,
     }
     started = time.perf_counter()
+    failure: BaseException | None = None
     token = _arm_watchdog(payload.get("timeout_s"))
     try:
         spec = ClusterSpec(
@@ -140,13 +150,20 @@ def run_cell(payload: dict) -> dict:
         out["scheduler"] = _scheduler_summary(universe)
         out["kernel_stats"] = universe.kernel.stats.to_dict()
     except FleetTimeout as exc:
-        out["error"] = f"timeout: {exc}"
+        failure = exc
     except Exception as exc:  # worker boundary: a cell's failure is a result row
-        out["error"] = f"{type(exc).__name__}: {exc}"
+        failure = exc
     finally:
         _disarm_watchdog(token)
+    if isinstance(failure, FleetTimeout):
+        out["error"] = f"timeout: {failure}"
+    elif failure is not None:
+        out["error"] = f"{type(failure).__name__}: {failure}"
     out["wall_s"] = time.perf_counter() - started
     return out
+
+
+_UNINTERRUPTIBLE = (run_cell.__code__, _disarm_watchdog.__code__)
 
 
 class FleetRunner:

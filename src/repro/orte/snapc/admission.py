@@ -5,15 +5,12 @@ each job's FIFO worker respected only its own ``snapc_full_stage_depth``,
 so ten jobs could aggregate ten intervals at once as if stable storage
 scaled with the job count (and ``filem_rsh_max_concurrent`` bounds
 transfers *within* one FILEM call, not across jobs).  The
-:class:`StagingAdmission` gate restores the shared-medium reality:
-
-* a token bucket bounds how many staging transfers may touch stable
-  storage concurrently across **all** jobs of the universe
-  (``snapc_stage_admission_tokens``; 0 = unlimited, the default), and
-* an aggregate bytes/sec budget (``snapc_stage_admission_Bps``; 0 =
-  unlimited) serializes the bytes themselves, so a burst of checkpoints
-  from one job back-pressures every other job's drain exactly the way
-  a shared RAID head does.
+:class:`StagingAdmission` gate restores the shared-medium reality: a
+token bucket bounds how many staging transfers may touch stable storage
+concurrently across **all** jobs of the universe
+(``snapc_stage_admission_tokens``; 0 = unlimited, the default), so a
+burst of checkpoints from one job back-pressures every other job's
+drain the way a shared RAID head does.
 
 Waiters are woken strictly FIFO — a freed token is handed directly to
 the oldest queued transfer, never returned to the pool while anyone
@@ -29,34 +26,27 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.simenv.kernel import Delay, SimGen, WaitEvent
+from repro.simenv.kernel import SimGen, WaitEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simenv.kernel import Kernel, SimEvent
 
 
 class StagingAdmission:
-    """Token-bucket + shared-bandwidth gate over staging transfers."""
+    """Token-bucket gate over staging transfers."""
 
-    def __init__(
-        self, kernel: "Kernel", tokens: int = 0, bytes_per_s: float = 0.0
-    ):
+    def __init__(self, kernel: "Kernel", tokens: int = 0):
         self.kernel = kernel
         #: concurrent-transfer budget (0 = unlimited)
         self.tokens = max(0, int(tokens))
-        #: aggregate staging bandwidth in bytes/sec (0 = unlimited)
-        self.bytes_per_s = max(0.0, float(bytes_per_s))
         self._available = self.tokens
         #: tokens currently held, per jobid
         self._held: dict[int, int] = {}
         #: FIFO of ``(event, jobid)`` waiting for a token
         self._waiters: deque[tuple["SimEvent", int]] = deque()
-        #: sim time at which the shared byte budget is next free
-        self._next_free = 0.0
         # counters (meta-reports, tests)
         self.admitted = 0
         self.queued = 0
-        self.throttled_s = 0.0
 
     @property
     def unlimited(self) -> bool:
@@ -156,24 +146,3 @@ class StagingAdmission:
         self._waiters.clear()
         self._available = self.tokens
         return reclaimed
-
-    # -- shared byte budget --------------------------------------------------
-
-    def throttle(self, nbytes: int) -> SimGen:
-        """Charge *nbytes* against the universe-wide staging bandwidth.
-
-        The budget is a serializer: each transfer reserves the next
-        free slice of the shared pipe and delays until its slice ends,
-        so concurrent stagings pay for each other's bytes.  Immediate
-        (no event) when unlimited.
-        """
-        if self.bytes_per_s <= 0.0 or nbytes <= 0:
-            return None
-        now = self.kernel.now
-        start = max(now, self._next_free)
-        self._next_free = start + nbytes / self.bytes_per_s
-        wait = self._next_free - now
-        if wait > 0.0:
-            self.throttled_s += wait
-            yield Delay(wait)
-        return None

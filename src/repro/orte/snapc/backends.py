@@ -68,6 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover
 log = get_logger("orte.snapc.stage")
 
 RESTART_STAGING_ROOT = "/restart"
+#: retries of a failed staging transfer before the interval is FAILED
+STAGE_RETRIES = 1
 
 
 class StagingBackend:
@@ -212,7 +214,7 @@ class TreeBackend(StagingBackend):
             ]
 
         last_error: str | None = None
-        for _attempt in range(self.stager.retries + 1):
+        for _attempt in range(STAGE_RETRIES + 1):
             pending = unstaged()
             if not pending:
                 return None
@@ -363,7 +365,7 @@ class CasBackend(StagingBackend):
         span.end(chunks_missing=len(first_missing))
 
         last_error: str | None = None
-        for _attempt in range(self.stager.retries + 1):
+        for _attempt in range(STAGE_RETRIES + 1):
             yield Delay(stable.op_latency_s)
             missing = store.missing(offer)
             if not missing:

@@ -87,6 +87,8 @@ log = get_logger("orte.snapc")
 
 SNAPSHOT_ROOT = "/snapshots"
 LOCAL_STAGING_ROOT = "/ckpt"
+#: how long a request waits for readiness registrations still in flight
+READY_GRACE_S = 0.05
 
 #: request options consumed by the coordinator, not forwarded to ranks
 _COORDINATOR_OPTIONS = ("wait_stable",)
@@ -157,8 +159,7 @@ class FullSNAPC(SNAPCComponent):
         # Readiness registrations travel over OOB and may still be in
         # flight when a request arrives just after launch; give them a
         # short grace period before applying the section-5.1 veto.
-        grace = self.params.get_float("snapc_full_ready_grace", 0.05)
-        deadline = hnp.proc.kernel.now + grace
+        deadline = hnp.proc.kernel.now + READY_GRACE_S
         while True:
             ready = hnp.ckpt_ready.get(job.jobid, set())
             missing = sorted(set(range(job.np)) - ready)
@@ -169,7 +170,7 @@ class FullSNAPC(SNAPCComponent):
                 raise NotCheckpointableError(
                     [str(ProcessName(job.jobid, r)) for r in missing]
                 )
-            yield Delay(grace / 10)
+            yield Delay(READY_GRACE_S / 10)
 
         stager = self.stager(hnp)
         terminate = bool(options.get("terminate", False))

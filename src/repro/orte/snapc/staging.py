@@ -208,7 +208,6 @@ class StagingCoordinator:
         self.hnp = hnp
         params = snapc.params
         self.depth = max(1, params.get_int("snapc_full_stage_depth", 2))
-        self.retries = max(0, params.get_int("snapc_full_stage_retries", 1))
         self.every = max(1, params.get_int("snapc_full_interval_every", 1))
         self.max_chain = max(1, params.get_int("snapc_full_max_chain", 4))
         #: ``record.cas`` / ``meta.cas`` -> the backend storing that interval
@@ -227,7 +226,6 @@ class StagingCoordinator:
             universe.staging_admission = StagingAdmission(
                 hnp.proc.kernel,
                 tokens=params.get_int("snapc_stage_admission_tokens", 0),
-                bytes_per_s=params.get_float("snapc_stage_admission_Bps", 0.0),
             )
         self.admission = universe.staging_admission
         self._jobs: dict[int, _JobStaging] = {}
@@ -489,13 +487,10 @@ class StagingCoordinator:
         if error is None:
             # The transfer itself runs under the universe-level
             # admission gate: a token bounds concurrent stagings across
-            # all jobs, and the moved bytes are charged to the shared
-            # bandwidth budget.  Both are unlimited by default.
+            # all jobs (unlimited by default).
             yield from self.admission.acquire(record.jobid)
             try:
                 error = yield from backend.stage(record)
-                if error is None and record.bytes_moved:
-                    yield from self.admission.throttle(record.bytes_moved)
             finally:
                 self.admission.release(record.jobid)
 

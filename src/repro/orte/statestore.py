@@ -28,8 +28,9 @@ do not stop replay: an HNP dying with unwritten appends queued leaves
 a hole where :meth:`drop_pending` discarded them.
 
 Compaction folds the WAL into ``base.json`` once it grows past
-``statestore_wal_max_records``, and only at a quiet moment (no pending
-appends), so the base always reflects exactly the records it replaces.
+``wal_max_records`` (:data:`WAL_MAX_RECORDS` unless a test asks for
+fewer), and only at a quiet moment (no pending appends), so the base
+always reflects exactly the records it replaces.
 A crash between the base write and the WAL removal is safe: replay
 ignores WAL records whose seq the base already covers.
 
@@ -74,6 +75,8 @@ BASE_FILE = "base.json"
 WAL_DIR = "wal"
 #: writer back-off while stable storage refuses a record, sim seconds
 RETRY_S = 0.05
+#: WAL records accumulated before compaction into the base
+WAL_MAX_RECORDS = 256
 #: pseudo-table naming the base snapshot in its own hash
 _BASE_TABLE = "__base__"
 
@@ -93,7 +96,7 @@ class StateStore:
         self,
         universe: "Universe",
         root: str = DEFAULT_ROOT,
-        wal_max_records: int = 256,
+        wal_max_records: int = WAL_MAX_RECORDS,
     ):
         self.universe = universe
         self.kernel = universe.kernel
@@ -373,8 +376,4 @@ def build_statestore(universe: "Universe") -> "StateStore | NullStateStore":
     params = universe.params
     if not params.get_bool("orte_hnp_failover", False):
         return NullStateStore()
-    return StateStore(
-        universe,
-        root=params.get("statestore_root", DEFAULT_ROOT),
-        wal_max_records=params.get_int("statestore_wal_max_records", 256),
-    )
+    return StateStore(universe, root=params.get("statestore_root", DEFAULT_ROOT))

@@ -23,9 +23,7 @@ KNOWN_PARAMS: dict[str, list[tuple[str, str, str]]] = {
     ],
     "snapc": [
         ("snapc", "full", "force SNAPC component selection"),
-        ("snapc_full_ready_grace", "0.05", "seconds to wait for in-flight readiness"),
         ("snapc_full_stage_depth", "2", "intervals one job may have in flight (queued or staging) before a new checkpoint request blocks"),
-        ("snapc_full_stage_retries", "1", "retries of a failed staging transfer before the interval is FAILED"),
         ("snapc_full_interval_every", "1", "full-image cadence: every Nth interval is full, the rest are deltas (1 = always full)"),
         ("snapc_full_max_chain", "4", "delta-chain length past which the newest interval is compacted to a full image at commit"),
         ("snapc_full_cas", "0", "stage intervals through the content-addressed store (needs a FILEM component with CAS support)"),
@@ -35,7 +33,6 @@ KNOWN_PARAMS: dict[str, list[tuple[str, str, str]]] = {
         ("snapc_sched_min_every", "0.05", "lower clamp of the adaptive cadence (sim seconds)"),
         ("snapc_sched_max_every", "1.0", "upper clamp of the adaptive cadence (sim seconds; 0 = uncapped)"),
         ("snapc_stage_admission_tokens", "0", "universe-wide cap on concurrent staging transfers across all jobs (0 = unlimited)"),
-        ("snapc_stage_admission_Bps", "0", "aggregate staging bandwidth budget shared by all jobs, bytes/sec (0 = unlimited)"),
     ],
     "filem": [
         ("filem", "rsh", "force FILEM component selection"),
@@ -75,7 +72,6 @@ BASE_PARAMS: list[tuple[str, str, str]] = [
     ("orte_hnp_failover", "0", "surviving orteds elect a new HNP when the HNP's node dies (and control-plane state is journalled to stable storage)"),
     ("orte_hnp_heartbeat_s", "0.25", "failover-window probe cadence in sim seconds (no timers while the HNP is healthy)"),
     ("statestore_root", "/universe/statestore", "stable-storage directory of the control-plane store (base.json + wal/)"),
-    ("statestore_wal_max_records", "256", "WAL records accumulated before compaction into base.json"),
 ]
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.registry import get_app, has_app, registered_apps
-from repro.tools.api import ompi_run
+from repro.tools.api import ompi_restart, ompi_run
 from repro.util.errors import RestartError
 from tests.conftest import make_universe
 from tests.test_pml import define_app
@@ -85,6 +85,24 @@ class TestJacobi:
             args={"n_global": 64, "iters": 100000, "tol": 1e-3},
         )
         assert job.results[0]["iters"] < 100000
+
+    def test_sync_checkpoint_mid_solve(self):
+        """Rank 0's in-app checkpoints leave the solve untouched, each
+        one restarts to the uninterrupted results, and the per-iteration
+        compute override moves simulated time only."""
+        args = {"n_global": 128, "iters": 60, "iter_compute_s": 0.002}
+        base = ompi_run(make_universe(4), "jacobi", 4, args=args)
+        assert base.results == ompi_run(
+            make_universe(4), "jacobi", 4, args={"n_global": 128, "iters": 60}
+        ).results
+        universe = make_universe(4)
+        job = ompi_run(universe, "jacobi", 4, args=dict(args, checkpoint_every=20))
+        assert universe.kernel.now >= 60 * 0.002
+        assert job.state.value == "finished"
+        assert len(job.snapshots) == 2  # after iterations 20 and 40
+        assert job.results == base.results
+        for ref in job.snapshots:
+            assert ompi_restart(universe, ref).results == base.results
 
 
 class TestMasterWorker:

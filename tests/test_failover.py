@@ -29,11 +29,14 @@ from repro.simenv.campaign import (
 from repro.simenv.kernel import Kernel
 from repro.snapshot import (
     STAGE_COMMITTED,
+    STAGE_STAGING,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
+    parse_global_dirname,
     read_global_meta,
 )
 from repro.tools.api import ompi_restart, ompi_run
+from repro.util.errors import ReproError
 from tests.conftest import make_universe, run_gen
 
 CHURN = {"loops": 150, "compute_s": 0.01, "state_bytes": 1 << 20}
@@ -89,6 +92,74 @@ def assert_committed_consistent(universe) -> int:
         assert meta.jobid == value["jobid"]
         assert meta.interval == value["interval"]
     return len(committed)
+
+
+class _Recorder:
+    """Stands in for the state store: keeps what the writers would put."""
+
+    def __init__(self):
+        self.tables: dict[str, dict] = {}
+
+    def put(self, table: str, key: str, value) -> None:
+        self.tables.setdefault(table, {})[key] = json.loads(json.dumps(value))
+
+
+def assert_journal_matches_live(universe) -> dict:
+    """``live == replay(journal)`` once a run has settled.
+
+    Replays the store from stable storage into a fresh :class:`StateStore`
+    and compares every table with what its writers journal for the live
+    objects now — each writer's own encoding, so a state change that was
+    not journalled shows as a difference.  Returns the replayed tables.
+    """
+    store, hnp = universe.statestore, universe.hnp
+    run_gen(universe.kernel, store.flush(), name="flush")
+    replayed = run_gen(
+        universe.kernel, StateStore(universe, root=store.root).replay(),
+        name="replay",
+    )
+    live = _Recorder()
+    stager = hnp.snapc.stager(hnp)
+    hnp.statestore = live
+    try:
+        live.put("universe", "jobid_floor", max(universe.jobs))
+        for jobid, job in sorted(universe.jobs.items()):
+            hnp._persist_job(job)
+            for record in stager.job_records(jobid):
+                stager._persist_record(record)
+        for jobid in hnp.ckpt_ready:
+            hnp._persist_ready(jobid)
+        hnp.errmgr._persist()
+        for root in hnp.ckpt_scheduler._observe_start:
+            hnp.ckpt_scheduler._persist_cadence(root)
+    finally:
+        hnp.statestore = store
+    # What is not journalled on purpose: a settled interval's gather work
+    # (adopted with none), registrations of jobs already over (nothing
+    # reads them again), and the lineage link of an ompi-restart'ed job
+    # (folded in lazily from ``job.restarted_from``, which survives).
+    for tables in (live.tables, replayed):
+        for value in tables.get("staging", {}).values():
+            if value["state"] != STAGE_STAGING:
+                value["gather_entries"] = []
+    for key in set(replayed.get("ready", {})) - set(live.tables.get("ready", {})):
+        if universe.jobs[int(key)].is_done:
+            del replayed["ready"][key]
+    journalled = replayed.get("errmgr", {}).get("lineage", {})
+    lineage = live.tables["errmgr"]["lineage"]
+    for key, parent in list(lineage.items()):
+        ref = universe.jobs[int(key)].restarted_from
+        if key not in journalled and ref and parse_global_dirname(ref.path)[0] == parent:
+            del lineage[key]
+    differ = {}
+    for table in sorted(set(live.tables) | set(replayed)):
+        mine, theirs = live.tables.get(table, {}), replayed.get(table, {})
+        for key in sorted(set(mine) | set(theirs)):
+            # an empty live value may never have been journalled at all
+            if mine.get(key) != theirs.get(key) and (mine.get(key) or key in theirs):
+                differ[f"{table}.{key}"] = (mine.get(key), theirs.get(key))
+    assert differ == {}, f"(live, replayed) {differ}"
+    return replayed
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +385,7 @@ class TestFailoverScenarios:
             universe.kernel.tracer.to_dict(), name="hnp.failover"
         )
         assert span["attrs"]["lost"] == 0
+        assert_journal_matches_live(universe)
 
     def test_hnp_crash_mid_stage(self):
         """The crash lands while an interval is in the staging
@@ -342,6 +414,7 @@ class TestFailoverScenarios:
         # never silently dropped
         assert span["attrs"]["committed_adopted"] >= 1
         assert span["attrs"]["restaged"] + span["attrs"]["lost"] >= 1
+        assert_journal_matches_live(universe)
 
     def test_hnp_crash_mid_recovery(self):
         """A compute node dies, and the HNP dies while recovering from
@@ -363,6 +436,7 @@ class TestFailoverScenarios:
         assert_committed_consistent(universe)
         new_errmgr = universe.hnp.errmgr
         assert any(r.recovered for r in new_errmgr.recovery_log)
+        assert_journal_matches_live(universe)
 
     def test_orphaned_rank_failure_hands_off(self):
         """The HNP's node also hosts rank 0: its failure notification
@@ -379,6 +453,7 @@ class TestFailoverScenarios:
         assert span["attrs"]["orphaned"] >= 1
         # the handed-off failure drove a real recovery
         assert final.jobid != job.jobid
+        assert_journal_matches_live(universe)
 
     def test_admission_tokens_reclaimed_across_failover(self):
         """With a one-token universe gate, the token an in-flight
@@ -400,6 +475,7 @@ class TestFailoverScenarios:
         stager = universe.hnp.snapc.stager(universe.hnp)
         assert stager.admission is gate
         assert_committed_consistent(universe)
+        assert_journal_matches_live(universe)
 
     def test_restart_from_newest_committed_after_failover(self):
         """An explicit ompi-restart after a failover-laden run picks
@@ -414,6 +490,72 @@ class TestFailoverScenarios:
         restarted = ompi_restart(universe, final.snapshots[-1])
         assert restarted.state.value == "finished"
         assert restarted.results == final.results
+        assert_journal_matches_live(universe)
+
+    # -- journal writes no other test notices ---------------------------------
+
+    def test_spent_budget_is_journalled(self):
+        """With a one-recovery budget, a crash of the recovered job ends
+        the lineage, and the episode's verdict reaches the journal."""
+        universe = failover_universe(orte_errmgr_max_recoveries="1")
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        universe.cluster.failures.crash_node_at(0.4, "node03")
+        # node02 hosts a rank of the recovered job (placed off node03)
+        universe.cluster.failures.crash_node_at(1.0, "node02")
+        final = settle_lineage(universe, job)
+        assert final.jobid != job.jobid and final.state.value == "failed"
+        first, second = universe.hnp.errmgr.recovery_log
+        assert first.recovered and not second.recovered
+        replayed = assert_journal_matches_live(universe)
+        assert replayed["errmgr"]["log"][1]["error"] == (
+            "recovery budget exhausted (1/1 attempts)"
+        )
+
+    def test_no_usable_snapshot_is_journalled(self):
+        """Every committed interval is unreadable when recovery looks:
+        the episode fails, and says why in the journal."""
+        universe = failover_universe()
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        stable = universe.cluster.stable_fs
+        rotted = []
+
+        def rot():
+            for ref in job.snapshots:
+                stable.poke(ref.meta_path, b"{not json")
+                rotted.append(ref.path)
+
+        universe.kernel.call_at(0.39, rot)
+        universe.cluster.failures.crash_node_at(0.4, "node03")
+        final = settle_lineage(universe, job)
+        assert rotted and final is job and job.state.value == "failed"
+        [record] = universe.hnp.errmgr.recovery_log
+        assert record.error == "no committed snapshot with an intact base chain"
+        replayed = assert_journal_matches_live(universe)
+        assert replayed["errmgr"]["log"][0]["error"] == record.error
+
+    def test_mpirun_crash_while_launching_is_journalled(self):
+        """mpirun dies (its node stays up) while the job is LAUNCHING:
+        the successor cannot finish the modex, fails the job, and
+        journals that it did."""
+        universe = failover_universe(obs_trace_enabled="1")
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        seen = []
+
+        def crash_mpirun():
+            seen.append(job.state.value)
+            universe.hnp.proc.kill(ReproError("mpirun crashed"))
+
+        universe.kernel.call_at(0.01, crash_mpirun)
+        final = settle_lineage(universe, job)
+        assert seen == ["launching"]
+        assert final is job and job.state.value == "failed"
+        assert universe.failovers == 1
+        (span,) = filter_spans(
+            universe.kernel.tracer.to_dict(), name="hnp.failover"
+        )
+        assert (span["attrs"]["replanned"], span["attrs"]["orphaned"]) == (1, 0)
+        replayed = assert_journal_matches_live(universe)
+        assert replayed["jobs"][str(job.jobid)]["state"] == "failed"
 
 
 def test_hnp_crash_not_applicable_without_failover():

@@ -4,12 +4,15 @@ meta-report aggregation (KernelStats.merge)."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.fleet import FleetRunner, FleetSpec, GridCell, derive_cell_seed, run_cell
 from repro.fleet.presets import demo_fleet
 from repro.simenv.campaign import CampaignSpec
 from repro.simenv.kernel import KernelStats
+from tests.test_pml import define_app
 
 QUIET = {"progress": lambda line: None}
 
@@ -113,6 +116,38 @@ class TestRunCell:
         out = run_cell(spec.payload(spec.cells()[0]))
         assert out["ok"] is False
         assert out["error"].startswith("timeout:")
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_watchdog_survives_an_alarm_swallowed_by_a_finalizer(self):
+        """The first alarm lands inside a ``__del__``, where Python
+        ignores the raised timeout; the watchdog fires again and the
+        cell still ends as a timeout instead of running to the end."""
+        cut_short = []
+
+        class Spin:
+            def __del__(self):
+                end = time.perf_counter() + 4.0
+                try:
+                    while time.perf_counter() < end:
+                        pass
+                finally:
+                    cut_short.append(time.perf_counter() < end)
+
+        def main(ctx):
+            if ctx.rank == 0:
+                Spin()  # finalized at once: the alarm lands in its spin
+            for _ in range(200_000):
+                yield ctx.compute(seconds=0.001)
+            return None
+
+        define_app("finalizer-spin", main)
+        # the budget leaves the launch ample wall time to reach the spin
+        spec = small_spec(app="finalizer-spin", timeout_s=1.0)
+        out = run_cell(spec.payload(spec.cells()[0]))
+        assert cut_short == [True]  # the first alarm hit the finalizer
+        assert out["ok"] is False
+        assert out["error"].startswith("timeout:"), out["error"]
+        assert out["wall_s"] < 5.0
 
     def test_successful_cell_ships_report_and_stats(self):
         spec = small_spec()

@@ -18,7 +18,7 @@ from repro.tools.api import (
     ompi_restart,
     ompi_run,
 )
-from repro.tools.info import render_info
+from repro.tools.info import BASE_PARAMS, KNOWN_PARAMS, render_info
 from repro.util.errors import RestartError
 from tests.conftest import make_universe
 
@@ -158,15 +158,24 @@ class TestCLI:
 
 
 def test_every_read_mca_param_is_listed():
-    """``ompi-info`` must document every MCA parameter the code reads."""
-    read_site = re.compile(r'params\.get\w*\(\s*"([a-z]+_\w+)"')
+    """``ompi-info`` documents exactly the MCA parameters the code reads:
+    none unlisted, and none listed that nothing reads (a framework's
+    own name, the component selector, is read by the framework)."""
+    read_site = re.compile(
+        r'params\.get\w*\(\s*"([a-z]+_\w+)"|"([a-z]+_\w+)" in self\.params'
+    )
     src = pathlib.Path(repro.__file__).parent
     read = {
         name
         for path in src.rglob("*.py")
-        for name in read_site.findall(path.read_text())
+        for pair in read_site.findall(path.read_text())
+        for name in pair
+        if name
     }
-    assert len(read) > 30  # the scan found the read sites at all
     listing = render_info()
     unlisted = sorted(n for n in read if f" {n} (default " not in listing)
     assert unlisted == []
+    listed = {key for key, _, _ in BASE_PARAMS} | {
+        key for params in KNOWN_PARAMS.values() for key, _, _ in params
+    }
+    assert listed - set(KNOWN_PARAMS) == read

@@ -15,7 +15,7 @@ import pytest
 
 from repro.orte.scheduler import DalyEstimator
 from repro.simenv import CampaignSpec, run_campaign
-from repro.tools.api import ompi_run
+from repro.tools.api import ompi_restart, ompi_run
 from tests.conftest import make_universe
 
 CHURN_SMALL = {"loops": 200, "compute_s": 0.01, "state_bytes": 4 << 20}
@@ -112,6 +112,20 @@ class TestSchedulerHygiene:
         assert sched.decisions
         assert all(not d["adaptive"] for d in sched.decisions)
         assert all(d["interval_s"] == 0.25 for d in sched.decisions)
+
+    def test_newest_scheduled_snapshot_restarts_exactly(self):
+        """Every scheduled tick commits an interval of the job, and the
+        newest one restarts to the uninterrupted results."""
+        args = {"loops": 60, "compute_s": 0.01, "msgs_per_loop": 2}
+        base = ompi_run(make_universe(2), "churn", 2, args=args).results
+        universe = make_universe(
+            2, params={"snapc_full_checkpoint_every": "0.2"}
+        )
+        job = ompi_run(universe, "churn", 2, args=args)
+        sched = universe.hnp.ckpt_scheduler
+        assert len(sched.taken) >= 2
+        assert sched.taken == [(job.jobid, ref.path) for ref in job.snapshots]
+        assert ompi_restart(universe, job.snapshots[-1]).results == base
 
 
 class TestAdaptiveCadence:

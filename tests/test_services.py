@@ -1,73 +1,8 @@
-"""Tests for the support services (periodic checkpointer, ompi-info),
-the CG workload, and chained checkpoint/restart cycles."""
-
-import numpy as np
-import pytest
+"""Tests for ompi-info and chained checkpoint/restart cycles."""
 
 from repro.tools.api import ompi_restart, ompi_run
 from repro.tools.info import collect_info, component_exists, render_info
-from repro.tools.scheduler import PeriodicCheckpointer
 from tests.conftest import make_universe
-
-
-class TestPeriodicCheckpointer:
-    def test_takes_checkpoints_on_cadence(self):
-        universe = make_universe(4)
-        job = ompi_run(
-            universe,
-            "churn",
-            4,
-            args={"loops": 80, "compute_s": 0.01},
-            wait=False,
-        )
-        service = PeriodicCheckpointer(universe, job.jobid, interval_s=0.25)
-        service.start(first_at=0.1)
-        universe.run_job_to_completion(job)
-        assert job.state.value == "finished"
-        assert len(service.taken) >= 2
-        assert service.taken == [ref.path for ref in job.snapshots]
-        assert not service.active  # stopped itself when the job ended
-
-    def test_max_checkpoints_cap(self):
-        universe = make_universe(2)
-        job = ompi_run(
-            universe,
-            "churn",
-            2,
-            args={"loops": 100, "compute_s": 0.01},
-            wait=False,
-        )
-        service = PeriodicCheckpointer(
-            universe, job.jobid, interval_s=0.15, max_checkpoints=2
-        )
-        service.start(first_at=0.1)
-        universe.run_job_to_completion(job)
-        assert len(service.taken) == 2
-
-    def test_latest_snapshot_restarts_exactly(self):
-        args = {"loops": 60, "compute_s": 0.01, "msgs_per_loop": 2}
-        base = ompi_run(make_universe(2), "churn", 2, args=args).results
-        universe = make_universe(2)
-        job = ompi_run(universe, "churn", 2, args=args, wait=False)
-        service = PeriodicCheckpointer(universe, job.jobid, interval_s=0.2)
-        service.start(first_at=0.15)
-        universe.run_job_to_completion(job)
-        assert service.taken
-        new_job = ompi_restart(universe, job.snapshots[-1])
-        assert new_job.results == base
-
-    def test_rejects_bad_interval(self):
-        universe = make_universe(2)
-        with pytest.raises(ValueError):
-            PeriodicCheckpointer(universe, 1, interval_s=0)
-
-    def test_stops_for_unknown_job(self):
-        universe = make_universe(2)
-        service = PeriodicCheckpointer(universe, 999, interval_s=0.1)
-        service.start(first_at=0.01)
-        universe.kernel.run()
-        assert service.taken == []
-        assert not service.active
 
 
 class TestInfo:
@@ -103,59 +38,6 @@ class TestInfo:
             default = forced[0][1]
             for comp in default.split(","):
                 assert component_exists(framework, comp), (framework, comp)
-
-
-class TestCG:
-    def test_matches_dense_solver(self):
-        n = 128
-        job = ompi_run(
-            make_universe(4),
-            "cg",
-            4,
-            args={"n_global": n, "max_iters": 300, "tol": 1e-10},
-        )
-        matrix = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        expected = float(np.linalg.solve(matrix, np.ones(n)).sum())
-        assert job.results[0]["checksum"] == pytest.approx(expected, rel=1e-8)
-
-    def test_finite_termination(self):
-        """CG on an n x n SPD system converges within n iterations."""
-        job = ompi_run(
-            make_universe(4),
-            "cg",
-            4,
-            args={"n_global": 64, "max_iters": 200, "tol": 1e-12},
-        )
-        assert job.results[0]["iters"] <= 64
-
-    @pytest.mark.parametrize("np_procs", [1, 2, 3, 4])
-    def test_decomposition_invariant(self, np_procs):
-        results = ompi_run(
-            make_universe(4),
-            "cg",
-            np_procs,
-            args={"n_global": 96, "max_iters": 200, "tol": 1e-10},
-        ).results
-        reference = ompi_run(
-            make_universe(4),
-            "cg",
-            1,
-            args={"n_global": 96, "max_iters": 200, "tol": 1e-10},
-        ).results
-        assert results[0]["checksum"] == pytest.approx(
-            reference[0]["checksum"], rel=1e-9
-        )
-
-    def test_sync_checkpoint_mid_cg(self):
-        args = {"n_global": 128, "max_iters": 300, "tol": 1e-10,
-                "checkpoint_at_iter": 20}
-        base = ompi_run(make_universe(4), "cg", 4, args={
-            "n_global": 128, "max_iters": 300, "tol": 1e-10}).results
-        universe = make_universe(4)
-        job = ompi_run(universe, "cg", 4, args=args)
-        assert job.state.value == "finished"
-        assert len(job.snapshots) == 1
-        assert job.results[0]["checksum"] == base[0]["checksum"]
 
 
 class TestChainedRestarts:

@@ -431,10 +431,10 @@ class TestStagingAdmission:
     """
 
     @staticmethod
-    def _gate(kernel, tokens=1, bytes_per_s=0.0):
+    def _gate(kernel, tokens=1):
         from repro.orte.snapc.admission import StagingAdmission
 
-        return StagingAdmission(kernel, tokens=tokens, bytes_per_s=bytes_per_s)
+        return StagingAdmission(kernel, tokens=tokens)
 
     @staticmethod
     def _holder(kernel, gate, jobid, hold_s, grants):
@@ -530,23 +530,6 @@ class TestStagingAdmission:
         # inflate the pool past its capacity.
         gate.release(1)
         assert gate._available <= gate.tokens
-
-    def test_byte_budget_serializes_concurrent_transfers(self, kernel):
-        gate = self._gate(kernel, tokens=0, bytes_per_s=1e6)
-        finished = []
-
-        def mover(jobid):
-            yield from gate.throttle(int(1e6))
-            finished.append((kernel.now, jobid))
-            return None
-
-        kernel.spawn(mover(1), name="mover-1")
-        kernel.spawn(mover(2), name="mover-2")
-        kernel.run()
-        # 1 MB each through a 1 MB/s shared pipe: second pays for the
-        # first's bytes and lands at t=2.
-        assert [t for t, _ in finished] == [1.0, 2.0]
-        assert gate.throttled_s == 3.0
 
     def test_two_jobs_serialize_under_one_token(self):
         """Integration: tokens=1 forces the universe's two staging

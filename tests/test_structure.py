@@ -65,7 +65,10 @@ def test_line_budgets():
     paid for itself: with ``backends.py`` the four files are smaller
     than the three were without it (2 387), the tree than it was
     (17 386).  Both budgets were lowered to the sizes the one restart
-    plan left (2 359 and 17 372): deleted lines are not headroom."""
+    plan left (2 359 and 17 372): deleted lines are not headroom.  One
+    periodic checkpointer, one stencil solver and four fewer knobs left
+    2 357 and 17 136; the tree's budget holds 200 lines more, granted
+    to the invariant oracle (ROADMAP item 1(a)) and to nothing else."""
     sizes = {path: len(_lines(path)) for path in SRC.rglob("*.py")}
     assert {p.name: n for p, n in sizes.items() if n > 800} == {}
     assert sizes[SNAPC / "staging.py"] <= 650
@@ -78,8 +81,8 @@ def test_line_budgets():
             SRC / "orte" / "errmgr.py",
         )
     )
-    assert around_the_seam <= 2359
-    assert sum(sizes.values()) <= 17372
+    assert around_the_seam <= 2357
+    assert sum(sizes.values()) <= 17136 + 200
 
 
 def test_snapshot_documents_have_one_memo_and_one_json_site_each():
