@@ -23,16 +23,14 @@ path, so the exchange itself never perturbs the counts.
 
 **Epochs.** Coordination attempts are numbered by a local *epoch*
 counter that every rank advances in lockstep (one increment per
-global checkpoint attempt).  Bookmarks and abort poison both carry the
-sender's epoch, so control messages that straddle an aborted attempt —
-a peer's bookmark that arrived after we gave up, or our own poison that
-nobody consumed — are recognized as stale and discarded instead of
-corrupting the next interval's exchange.
+global checkpoint attempt).  Bookmarks carry the sender's epoch and are
+filed on arrival: one from an attempt we gave up on is dropped instead
+of corrupting the next interval's exchange, one from an attempt we have
+not entered yet is kept for it.  The coordinating thread wakes once,
+when its attempt's last bookmark is filed (or the attempt is aborted).
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from repro.mca.component import component_of
 from repro.ompi.crcp.base import CRCPComponent
@@ -41,9 +39,6 @@ from repro.simenv.kernel import SimEvent, SimGen, WaitEvent
 from repro.util.errors import CheckpointError
 from repro.util.ids import ProcessName
 from repro.util.logging import get_logger
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 log = get_logger("ompi.crcp.coord")
 
@@ -61,9 +56,15 @@ class CoordCRCP(CRCPComponent):
         self._gate_event: SimEvent | None = None
         self._delivery_event: SimEvent | None = None
         #: coordination attempt number; advances once per attempt on
-        #: every rank, tagging bookmarks/poison so stragglers from an
-        #: aborted attempt cannot pollute the next one
+        #: every rank, tagging bookmarks so stragglers from an aborted
+        #: attempt cannot pollute the next one
         self._epoch = 0
+        #: epoch -> {peer world rank: its bookmark}, filed on arrival
+        self._bookmarks: dict[int, dict[int, int]] = {}
+        #: fires when the current attempt's bookmarks are all filed
+        self._bookmarked: SimEvent | None = None
+        self._n_peers = 0
+        ompi.rml.on(TAG_CRCP_BOOKMARK, self._file_bookmark)
         #: True between ``pml.enter_drain()`` and ``pml.leave_drain()``
         #: so the abort path only undoes a drain it actually entered
         self._draining = False
@@ -103,6 +104,21 @@ class CoordCRCP(CRCPComponent):
             if not event.fired:
                 event.fire(None)
 
+    def _file_bookmark(self, _sender, payload: dict) -> None:
+        epoch = payload["epoch"]
+        if epoch < self._epoch:
+            # A peer's bookmark from an aborted attempt that arrived
+            # after we gave up on it.  Its cumulative count is outdated
+            # — acting on it would end the drain early and lose
+            # messages from the image.
+            return
+        got = self._bookmarks.setdefault(epoch, {})
+        got[payload["from_world"]] = payload["sent_to_you"]
+        event = self._bookmarked
+        if epoch == self._epoch and event is not None and len(got) == self._n_peers:
+            self._bookmarked = None
+            event.fire(None)
+
     # -- phase bookkeeping ---------------------------------------------------------
 
     def _enter_phase(self, name: str) -> None:
@@ -137,6 +153,8 @@ class CoordCRCP(CRCPComponent):
         comm = ompi.comm_world
         me = comm.rank
         peers = comm.peer_ranks()
+        self._n_peers = len(peers)
+        self._bookmarks = {e: b for e, b in self._bookmarks.items() if e >= self._epoch}
         self._coord_span = ompi.kernel.tracer.begin(
             "crcp.coordinate",
             cat="crcp",
@@ -160,24 +178,12 @@ class CoordCRCP(CRCPComponent):
                             "epoch": self._epoch,
                         },
                     )
-                expected: dict[int, int] = {}
-                while len(expected) < len(peers):
-                    _, payload = yield from rml.recv(TAG_CRCP_BOOKMARK)
-                    if self.aborted:
-                        self._abort_cleanup()
-                    if payload.get("abort"):
-                        # Stale poison from a previously aborted attempt;
-                        # this attempt was not asked to stop.
-                        continue
-                    if "from_world" not in payload:
-                        continue
-                    if payload.get("epoch", self._epoch) < self._epoch:
-                        # A peer's bookmark from an aborted attempt that
-                        # arrived after we gave up on it.  Its cumulative
-                        # count is outdated — acting on it would end the
-                        # drain early and lose messages from the image.
-                        continue
-                    expected[payload["from_world"]] = payload["sent_to_you"]
+                expected = self._bookmarks.setdefault(self._epoch, {})
+                if len(expected) < len(peers) and not self.aborted:
+                    self._bookmarked = ompi.kernel.event("crcp-bookmarks")
+                    yield WaitEvent(self._bookmarked)
+                if self.aborted:
+                    self._abort_cleanup()
 
                 # Drain until every peer's bookmark is met.
                 pml = ompi.pml_base
@@ -215,8 +221,8 @@ class CoordCRCP(CRCPComponent):
         """Abandon an in-flight coordination (another process vetoed).
 
         Safe to call from outside the coordinating thread: flags the
-        abort and pokes both wait points (the bookmark collection loop
-        via a poison message, the drain loop via the delivery event).
+        abort and pokes both wait points (the bookmark wait and the
+        drain loop's delivery event).
         The gate stays closed here — it is lifted by ``resume(False)``
         when the coordinating thread runs ``_abort_cleanup`` and, on
         the normal failure path, again by the roll-forward
@@ -227,17 +233,10 @@ class CoordCRCP(CRCPComponent):
         self.aborted = True
         self.stats["aborts"] += 1
         self.ompi.kernel.tracer.count("crcp.aborts")
-        # Poke the bookmark-collection loop with a poison message.  The
-        # epoch tag lets anyone who finds it later tell which attempt
-        # it belonged to.
-        self.ompi.rml._queue(TAG_CRCP_BOOKMARK).put(
-            (None, {"abort": True, "epoch": self._epoch})
-        )
-        # Poke the drain loop.
-        if self._delivery_event is not None:
-            event, self._delivery_event = self._delivery_event, None
-            if not event.fired:
+        for event in (self._bookmarked, self._delivery_event):
+            if event is not None and not event.fired:
                 event.fire(None)
+        self._bookmarked = self._delivery_event = None
 
     def _abort_cleanup(self) -> None:
         # Only undo a drain this attempt actually entered: an abort
@@ -246,32 +245,10 @@ class CoordCRCP(CRCPComponent):
         if self._draining:
             self.ompi.pml_base.leave_drain()
             self._draining = False
-        self._drop_stale_poison()
         self.resume(False)
         raise CheckpointError(
             f"{self.ompi.proc.label}: checkpoint coordination aborted"
         )
-
-    def _drop_stale_poison(self) -> None:
-        """Remove unconsumed abort poison from the bookmark mailbox.
-
-        If the coordinator was past the bookmark loop when ``abort()``
-        ran, the poison was never received and would otherwise leak
-        into the next checkpoint interval's exchange.  Real bookmarks
-        from peers are kept in order — the epoch check in the next
-        ``coordinate()`` decides their fate.
-        """
-        queue = self.ompi.rml._queue(TAG_CRCP_BOOKMARK)
-        kept = []
-        while True:
-            ok, item = queue.try_get()
-            if not ok:
-                break
-            _, payload = item
-            if not payload.get("abort"):
-                kept.append(item)
-        for item in kept:
-            queue.put(item)
 
     def resume(self, restarting: bool) -> None:
         self.gate_active = False

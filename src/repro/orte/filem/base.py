@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.mca.component import Component
-from repro.simenv.kernel import SimGen
-from repro.util.errors import VFSError
+from repro.simenv.kernel import SimGen, WaitAll, WaitEvent
+from repro.util.errors import ReproError, VFSError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mca.registry import FrameworkRegistry
@@ -29,6 +29,39 @@ class FILEMComponent(Component):
     #: protocol against a content-addressed store (ship_chunks /
     #: fetch_chunks) — the deduplicating stage-out path.
     supports_cas = False
+    #: how many of :meth:`run_bounded`'s threads run at once
+    max_concurrent = 1
+
+    def run_bounded(self, hnp: "HNP", op: str, gens: list, preload=False) -> SimGen:
+        """Run *gens* as threads of the HNP, :attr:`max_concurrent` at a
+        time; returns their results in order.  A failed *preload* stops
+        its other transfers: nobody will read them."""
+        kernel = hnp.proc.kernel
+        slots = {"free": max(1, self.max_concurrent)}
+        gate = [kernel.event(f"filem.{op}.slot")]
+
+        def bounded(gen) -> SimGen:
+            while slots["free"] <= 0:
+                yield WaitEvent(gate[0])
+            slots["free"] -= 1
+            try:
+                return (yield from gen)
+            finally:
+                slots["free"] += 1
+                old, gate[0] = gate[0], kernel.event(f"filem.{op}.slot")
+                if not old.fired:
+                    old.fire(None)
+
+        threads = [
+            hnp.proc.spawn_thread(bounded(gen), name=f"filem-{op}-{i}", daemon=True)
+            for i, gen in enumerate(gens)
+        ]
+        try:
+            return (yield WaitAll([thread.done for thread in threads]))
+        except ReproError:
+            for thread in threads if preload else ():
+                thread.kill()
+            raise
 
     # Each op takes a list of work items and returns total bytes moved.
 

@@ -29,9 +29,9 @@ from typing import TYPE_CHECKING
 from repro.mca.component import component_of
 from repro.opal.crs import chunks as chunkstore
 from repro.orte.filem.base import FILEMComponent, node_local_fs
-from repro.simenv.kernel import Delay, SimGen, WaitAll, WaitEvent
+from repro.simenv.kernel import Delay, SimGen
 from repro.snapshot import LOCAL_META
-from repro.util.errors import ReproError, SnapshotError, VFSError
+from repro.util.errors import SnapshotError, VFSError
 from repro.vfs import path as vpath
 from repro.vfs.transfer import copy_tree
 
@@ -82,44 +82,13 @@ class RshFILEM(FILEMComponent):
         span.end(bytes=moved)
         return moved
 
-    def _slots(self, hnp: "HNP", op: str, gens: list, preload=False) -> SimGen:
-        """Run *gens*, ``filem_rsh_max_concurrent`` at a time; returns
-        their results in order.  A failed *preload* stops its other
-        transfers: nobody will read them."""
-        kernel = hnp.proc.kernel
-        slots = {"free": max(1, self.max_concurrent)}
-        gate = [kernel.event(f"filem.{op}.slot")]
-
-        def bounded(gen) -> SimGen:
-            while slots["free"] <= 0:
-                yield WaitEvent(gate[0])
-            slots["free"] -= 1
-            try:
-                return (yield from gen)
-            finally:
-                slots["free"] += 1
-                old, gate[0] = gate[0], kernel.event(f"filem.{op}.slot")
-                if not old.fired:
-                    old.fire(None)
-
-        threads = [
-            hnp.proc.spawn_thread(bounded(gen), name=f"filem-{op}-{i}", daemon=True)
-            for i, gen in enumerate(gens)
-        ]
-        try:
-            return (yield WaitAll([thread.done for thread in threads]))
-        except ReproError:
-            for thread in threads if preload else ():
-                thread.kill()
-            raise
-
     def _bounded(
         self, hnp: "HNP", op: str, gens: list, tally=(), preload=False, **attrs
     ) -> SimGen:
-        """:meth:`_slots` under one ``filem.<op>`` span carrying *attrs* plus,
+        """:meth:`run_bounded` under one ``filem.<op>`` span carrying *attrs* plus,
         at its end, what *gens* added up in *tally*; returns the bytes moved."""
         span = hnp.proc.kernel.tracer.begin(f"filem.{op}", cat="filem", **attrs)
-        moved = sum(int(m or 0) for m in (yield from self._slots(hnp, op, gens, preload)))
+        moved = sum(int(m or 0) for m in (yield from self.run_bounded(hnp, op, gens, preload)))
         span.end(bytes=moved, **dict(tally))
         return moved
 
@@ -225,11 +194,11 @@ class RshFILEM(FILEMComponent):
 
         # a CAS manifest lists every digest itself: the newest directory
         gens = [describe(node, chain[-1]) for node, chain, _dst in entries]
-        docs = yield from self._slots(hnp, "fetch", gens, preload=True)
+        docs = yield from self.run_bounded(hnp, "fetch", gens, preload=True)
         union = list(dict.fromkeys(d for manifest, _meta in docs for d in manifest.hashes))
         readers = max(1, self.max_concurrent)
         stripes = [s for s in (union[i::readers] for i in range(readers)) if s]
-        got = yield from self._slots(hnp, "fetch", list(map(store.get_many, stripes)), preload=True)
+        got = yield from self.run_bounded(hnp, "fetch", list(map(store.get_many, stripes)), preload=True)
         chunks = {d: b for stripe, blobs in zip(stripes, got) for d, b in zip(stripe, blobs)}
         trees = []
         for (_node, chain, _dst), (manifest, meta_raw) in zip(entries, docs):
@@ -250,7 +219,7 @@ class RshFILEM(FILEMComponent):
             return moved
 
         gens = [land(n, fs, dst, tree) for (n, _c, dst), fs, tree in zip(entries, dst_fss, trees)]
-        moved = sum((yield from self._slots(hnp, "fetch", gens, preload=True)))
+        moved = sum((yield from self.run_bounded(hnp, "fetch", gens, preload=True)))
         span.end(
             bytes=moved, chunks=sum(len(m.hashes) for m, _meta in docs), reads=len(union),
             read_bytes=sum(map(len, chunks.values())),

@@ -17,7 +17,7 @@ real (small) price in the experiments.
 from __future__ import annotations
 
 import pickle
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.netsim.transport import Endpoint
 from repro.simenv.kernel import Queue, SimGen
@@ -82,6 +82,8 @@ class RML:
         port = f"oob.{proc.name.jobid}.{proc.name.vpid}.{proc.pid}"
         self.ep: Endpoint = self.fabric.bind(proc.node.name, port)
         self._queues: dict[str, Queue] = {}
+        #: tag -> ``fn(sender, payload)`` filing its messages instead of a queue
+        self._handlers: dict[str, Callable[[Any, Any], None]] = {}
         self._rpc_waiters: dict[int, object] = {}
         self._closed = False
         self.fabric.attach_handler(self.ep, proc.handler(self._route))
@@ -107,9 +109,11 @@ class RML:
             if waiter is not None:
                 waiter.fire((dgram.meta.get("from"), payload))
                 return
-        self._queue(dgram.meta.get("tag", "?")).put(
-            (dgram.meta.get("from"), payload)
-        )
+        tag, sender = dgram.meta.get("tag", "?"), dgram.meta.get("from")
+        if tag in self._handlers:
+            self._handlers[tag](sender, payload)
+        else:
+            self._queue(tag).put((sender, payload))
 
     # -- API -----------------------------------------------------------------
 
@@ -128,6 +132,11 @@ class RML:
             meta={"tag": tag, "from": self.proc.name},
         )
         return None
+
+    def on(self, tag: str, fn: Callable[[Any, Any], None]) -> None:
+        """File every later message under *tag* with ``fn(sender, payload)``,
+        called from the delivery callback (so it must not block)."""
+        self._handlers[tag] = fn
 
     def recv(self, tag: str) -> SimGen:
         """Blocking receive; returns ``(sender_name, payload)``."""

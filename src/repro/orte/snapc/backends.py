@@ -33,6 +33,7 @@ planning, admission, the metadata lifecycle and the failover skeleton.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -172,13 +173,16 @@ class StagingBackend:
 
     def drop_preload(self, entries: list[tuple[str, list[str], str]]) -> None:
         """Remove the job's staging from every node :meth:`preload`
-        landed on (partial trees too), a thread per node, nobody waiting."""
-        for node, staging in dict.fromkeys(
-            (node, vpath.dirname(dst)) for node, _chain, dst in entries
-        ):
+        landed on (partial trees too)."""
+        self.drop_local("restart", ((node, vpath.dirname(dst)) for node, _chain, dst in entries))
+
+    def drop_local(self, what: str, trees) -> None:
+        """Remove node-local *trees* ``(node, dir)``: a thread per tree,
+        nobody waiting (FILEM skips a node that is down)."""
+        for node, tree in dict.fromkeys(trees):
             self.hnp.proc.spawn_thread(
-                self.hnp.filem.remove(self.hnp, [(node, staging)]),
-                name=f"restart-cleanup-{node}", daemon=True,
+                self.hnp.filem.remove(self.hnp, [(node, tree)]),
+                name=f"{what}-cleanup-{node}", daemon=True,
             )
 
     def purge(self, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta) -> SimGen:
@@ -227,9 +231,7 @@ class TreeBackend(StagingBackend):
             missing = unstaged()
             if not missing:
                 return None
-            last_error = (
-                f"{len(missing)} local snapshot(s) missing after gather"
-            )
+            last_error = f"{len(missing)} local snapshot(s) missing after gather"
         return last_error or "gather failed"
 
     def compact(self, record: "StagingRecord") -> SimGen:
@@ -384,28 +386,21 @@ class CasBackend(StagingBackend):
                 # A delta's clean chunks have no local bytes; they must
                 # already be in the store from the base interval.  If
                 # they are not, no amount of retrying helps.
-                return (
-                    f"{unsourced} chunk(s) absent from the store with no "
-                    "local source"
-                )
+                return f"{unsourced} chunk(s) absent from the store with no local source"
             ship_entries = [
                 (entries[pos][1], entries[pos][2], manifests[entries[pos][0]],
                  sorted(indices))
                 for pos, indices in sorted(ship_by.items())
             ]
             try:
-                moved = yield from self.hnp.filem.ship_chunks(
-                    self.hnp, store, ship_entries
-                )
+                moved = yield from self.hnp.filem.ship_chunks(self.hnp, store, ship_entries)
                 record.bytes_moved += int(moved or 0)
             except (VFSError, NetworkError, SnapshotError) as exc:
                 last_error = str(exc)
                 continue
         still_missing = store.missing(offer)
         if still_missing:
-            return last_error or (
-                f"{len(still_missing)} chunk(s) missing after ship"
-            )
+            return last_error or f"{len(still_missing)} chunk(s) missing after ship"
 
         # Commit: per-rank manifest + metadata on stable storage, chunk
         # references registered against the rank directory.
@@ -413,16 +408,11 @@ class CasBackend(StagingBackend):
             manifest = manifests[rank]
             dst = record.ref.local_dir(rank)
             stable.mkdir(dst)
-            cas_manifest = chunkstore.ChunkManifest(
-                kind=chunkstore.KIND_FULL,
-                chunk_bytes=manifest.chunk_bytes,
-                total_bytes=manifest.total_bytes,
-                hashes=list(manifest.hashes),
-                # No chunk bytes live in this directory; restart
-                # fetches them from the store.
-                present=[],
-                base_interval=None,
-                interval=record.interval,
+            # No chunk bytes live in this directory; restart fetches
+            # them from the store.
+            cas_manifest = replace(
+                manifest, kind=chunkstore.KIND_FULL, hashes=list(manifest.hashes),
+                present=[], base_interval=None, interval=record.interval,
             )
             yield from chunkstore.write_manifest(stable, dst, cas_manifest)
             info = record.meta.locals.get(rank, {})
@@ -446,13 +436,9 @@ class CasBackend(StagingBackend):
             )
             yield from store.add_refs(dst, manifest.hashes)
         # Local staging is no longer needed (kept until now so a failed
-        # ship could retry from the same sources).
-        try:
-            yield from self.hnp.filem.remove(
-                self.hnp, [(node, src) for _rank, node, src in entries]
-            )
-        except (VFSError, NetworkError):
-            pass
+        # ship could retry from the same sources); the interval commits
+        # without waiting for its removal.
+        self.drop_local("stage", ((node, src) for _rank, node, src in entries))
         return None
 
     def compact(self, record: "StagingRecord") -> SimGen:
@@ -508,21 +494,30 @@ class CasBackend(StagingBackend):
         return None
 
     def unusable(self, ref, meta, skip, checked) -> SimGen:
-        """Presence of every chunk in the store, rank by rank; each
-        rank directory's manifest goes into *checked*, for the fetch.
+        """Presence of every chunk in the store; the ranks' manifests are
+        read concurrently (FILEM's bound), the verdict is the lowest
+        failing rank's, and each manifest up to it goes into *checked*,
+        for the fetch.
 
         Content is verified chunk-by-chunk during the restart fetch;
         this only keeps a restart (and recovery's attempt budget) from
         being spent on chunks already known to be gone.  Retryable: any
         checkpoint that ships the chunk again repairs the store.
         """
-        for rank in sorted(meta.locals):
-            src = ref.local_dir(rank)
+        def read(src: str) -> SimGen:
             try:
-                checked[src] = yield from chunkstore.read_manifest(self.stable, src)
+                return (yield from chunkstore.read_manifest(self.stable, src))
             except ReproError as exc:
-                return f"rank {rank} manifest unreadable: {exc}"
-            absent = len(self.store.missing(checked[src].hashes))
+                return exc
+
+        ranks = sorted(meta.locals)
+        srcs = [ref.local_dir(rank) for rank in ranks]
+        found = yield from self.hnp.filem.run_bounded(self.hnp, "check", list(map(read, srcs)))
+        for rank, src, manifest in zip(ranks, srcs, found):
+            if isinstance(manifest, ReproError):
+                return f"rank {rank} manifest unreadable: {manifest}"
+            checked[src] = manifest
+            absent = len(self.store.missing(manifest.hashes))
             if absent:
                 return f"rank {rank}: {absent} chunk(s) absent from the store"
         return None

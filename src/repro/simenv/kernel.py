@@ -75,7 +75,7 @@ class WaitEvent(Syscall):
         self.event = event
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"WaitEvent({self.event})"
+        return f"WaitEvent({self.event.name})"
 
 
 class WaitAny(Syscall):
@@ -92,7 +92,7 @@ class WaitAny(Syscall):
         self.events = list(events)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"WaitAny({len(self.events)} events)"
+        return f"WaitAny({', '.join(e.name for e in self.events)})"
 
 
 class WaitAll(Syscall):
@@ -109,7 +109,7 @@ class WaitAll(Syscall):
         self.events = list(events)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"WaitAll({len(self.events)} events)"
+        return f"WaitAll({', '.join(e.name for e in self.events)})"
 
 
 class SimEvent:
@@ -588,51 +588,14 @@ class Kernel:
         thread._waiting = None
         self._ready_push(thread, value, exc)
 
-    def _step(
-        self, thread: SimThread, value: Any, exc: BaseException | None
-    ) -> None:
-        if not thread.alive:
-            return
-        self._current = thread
-        try:
-            if exc is not None:
-                syscall = thread._gen.throw(exc)
-            else:
-                syscall = thread._gen.send(value)
-        except StopIteration as stop:
-            if thread.alive:
-                thread.alive = False
-                self._note_death()
-            thread.result = stop.value
-            if not thread.done.fired:
-                thread.done.fire(stop.value)
-            if self.trace:
-                self.trace(self.now, thread.name, "exit")
-            return
-        except (SimInterrupt, KeyboardInterrupt, SystemExit):
-            # Out-of-band interrupts (wall-clock watchdogs, Ctrl-C)
-            # abort the whole run — they are not a crash of whichever
-            # thread they happened to land in.
-            raise
-        except BaseException as err:  # noqa: BLE001 - anything else is this thread crashing
-            if thread.alive:
-                thread.alive = False
-                self._note_death()
-            if not thread.done.fired:
-                thread.done.fail(err)
-            if self.trace:
-                self.trace(self.now, thread.name, f"crash:{type(err).__name__}")
-            return
-        finally:
-            self._current = None
-
-        thread.blocked_on = syscall
+    def _block(self, thread: SimThread, syscall: Any) -> None:
+        """Register *thread* with what it yielded, past the run loop's
+        fast paths (a bare ``Delay`` or ``WaitEvent``)."""
         if isinstance(syscall, Delay):
-            seconds = syscall.seconds
-            if seconds == 0.0:
+            if syscall.seconds == 0.0:
                 self._ready_push(thread, None, None)
             else:
-                self._push(self.now + seconds, thread)
+                self._push(self.now + syscall.seconds, thread)
         elif isinstance(syscall, WaitEvent):
             syscall.event._add_waiter(thread)
         elif isinstance(syscall, WaitAny):
@@ -642,18 +605,37 @@ class Kernel:
             self.stats.waits_all += 1
             _MultiWait(self, syscall.events, "all", thread)
         else:
-            error = SimError(
-                f"thread {thread.name} yielded non-syscall {syscall!r}"
-            )
+            error = SimError(f"thread {thread.name} yielded non-syscall {syscall!r}")
             self._ready_push(thread, None, error)
+
+    def _finish(self, thread: SimThread, result: Any, err: BaseException | None) -> None:
+        """*thread*'s generator returned *result* or raised *err*."""
+        if thread.alive:
+            thread.alive = False
+            self._note_death()
+        thread.result = result
+        if not thread.done.fired:
+            thread.done.fire(result) if err is None else thread.done.fail(err)
+        if self.trace:
+            self.trace(self.now, thread.name, "exit" if err is None else f"crash:{type(err).__name__}")
+
+    @staticmethod
+    def _deadlock(threads: "Iterable[SimThread]") -> DeadlockError:
+        """Name each blocked thread and what it waits on."""
+        threads = list(threads)
+        return DeadlockError(
+            [t.name for t in threads], [f"{t.name} \u2190 {t.blocked_on!r}" for t in threads]
+        )
 
     # -- run loop -------------------------------------------------------------
 
     def run(self, until: float | None = None) -> float:
         """Drain the event queue; return the final simulated time.
 
-        Raises :class:`DeadlockError` if non-daemon threads remain
-        blocked with nothing left to schedule.
+        One step body serves ready-deque and heap entries alike; the
+        hot counters live in locals and reach :attr:`stats` when the
+        run returns (or raises).  Raises :class:`DeadlockError` if
+        non-daemon threads remain blocked with nothing left to schedule.
         """
         if self._running:
             raise SimError("kernel.run() is not reentrant")
@@ -661,6 +643,9 @@ class Kernel:
         pq = self._pq
         ready = self._ready
         stats = self.stats
+        heappush, heappop = heapq.heappush, heapq.heappop
+        events = ready_hits = heap_pops = heap_pushes = 0
+        peak_heap = stats.peak_heap
         wall0 = _time.perf_counter()
         cpu0 = _time.process_time()
         try:
@@ -672,47 +657,79 @@ class Kernel:
                     pq and pq[0][0] <= self.now and pq[0][1] < ready[0][0]
                 ):
                     _, thread, value, exc = ready.popleft()
-                    stats.events += 1
-                    stats.ready_hits += 1
-                    if thread.alive:
-                        thread.blocked_on = None
-                        self._step(thread, value, exc)
-                    continue
-                entry = heapq.heappop(pq)
-                when, _, item = entry
-                if type(item) is TimerHandle and item.cancelled:
-                    # Lazy-cancelled timer: drop it with the clock
-                    # untouched (see TimerHandle).
-                    stats.heap_pops += 1
-                    continue
-                if until is not None and when > until:
-                    # Re-push untouched: the original seq keeps the
-                    # tie-break invariant self-evident across pauses.
-                    heapq.heappush(pq, entry)
-                    stats.heap_pushes += 1
-                    self.now = until
-                    return self.now
-                self.now = when
-                stats.events += 1
-                stats.heap_pops += 1
-                if type(item) is SimThread:
-                    if item.alive:
-                        item.blocked_on = None
-                        self._step(item, None, None)
-                elif type(item) is TimerHandle:
-                    item.fn()
+                    events += 1
+                    ready_hits += 1
                 else:
-                    item()
+                    entry = heappop(pq)
+                    when, _, thread = entry
+                    kind = type(thread)
+                    if kind is TimerHandle and thread.cancelled:
+                        # Lazy-cancelled timer: drop it with the clock
+                        # untouched (see TimerHandle).
+                        heap_pops += 1
+                        continue
+                    if until is not None and when > until:
+                        # Re-push untouched: the original seq keeps the
+                        # tie-break invariant self-evident across pauses.
+                        heappush(pq, entry)
+                        heap_pushes += 1
+                        self.now = until
+                        return until
+                    self.now = when
+                    events += 1
+                    heap_pops += 1
+                    if kind is not SimThread:
+                        thread.fn() if kind is TimerHandle else thread()
+                        continue
+                    value = exc = None
+                if not thread.alive:
+                    continue
+                thread.blocked_on = None
+                self._current = thread
+                try:
+                    if exc is not None:
+                        syscall = thread._gen.throw(exc)
+                    else:
+                        syscall = thread._gen.send(value)
+                except StopIteration as stop:
+                    self._finish(thread, stop.value, None)
+                    continue
+                except (SimInterrupt, KeyboardInterrupt, SystemExit):
+                    # Out-of-band interrupts (wall-clock watchdogs,
+                    # Ctrl-C) abort the whole run — they are not a crash
+                    # of whichever thread they happened to land in.
+                    raise
+                except BaseException as err:  # noqa: BLE001 - anything else is this thread crashing
+                    self._finish(thread, None, err)
+                    continue
+                finally:
+                    self._current = None
+                thread.blocked_on = syscall
+                kind = type(syscall)
+                if kind is Delay and syscall.seconds != 0.0:
+                    heappush(pq, (self.now + syscall.seconds, self._seq, thread))
+                    self._seq += 1
+                    heap_pushes += 1
+                    if len(pq) > peak_heap:
+                        peak_heap = len(pq)
+                elif kind is WaitEvent:
+                    syscall.event._add_waiter(thread)
+                else:
+                    self._block(thread, syscall)
             blocked = [
-                t.name
-                for t in self._threads
+                t for t in self._threads
                 if t.alive and not t.daemon and t.blocked_on is not None
             ]
             if blocked:
-                raise DeadlockError(blocked)
+                raise self._deadlock(blocked)
             return self.now
         finally:
             self._running = False
+            stats.events += events
+            stats.ready_hits += ready_hits
+            stats.heap_pops += heap_pops
+            stats.heap_pushes += heap_pushes
+            stats.peak_heap = max(stats.peak_heap, peak_heap)
             stats.run_wall_s += _time.perf_counter() - wall0
             stats.run_cpu_s += _time.process_time() - cpu0
 
@@ -729,7 +746,7 @@ class Kernel:
             targets = list(threads)
         while any(t.alive for t in targets):
             if not self.pending:
-                raise DeadlockError([t.name for t in targets if t.alive])
+                raise self._deadlock(t for t in targets if t.alive)
             self.run()
         result = None
         for t in targets:
@@ -737,10 +754,6 @@ class Kernel:
                 raise t.done._exc
             result = t.result
         return result
-
-    @property
-    def live_threads(self) -> list[SimThread]:
-        return [t for t in self._threads if t.alive]
 
     def stats_snapshot(self) -> dict:
         """The :class:`KernelStats` block plus live/dead thread counts."""

@@ -54,9 +54,10 @@ class DeadlockError(SimError):
     satisfy (e.g. a ``recv`` with no matching ``send`` anywhere).
     """
 
-    def __init__(self, blocked: list[str]):
+    def __init__(self, blocked: list[str], waits: list[str] | None = None):
+        # *waits*: one "name ← syscall" per blocked thread, for the message
         super().__init__(
-            "simulation deadlock; blocked threads: " + ", ".join(blocked)
+            "simulation deadlock; blocked threads: " + ", ".join(waits or blocked)
         )
         self.blocked = blocked
 

@@ -839,3 +839,138 @@ class TestCASGarbageCollection:
         assert stats == {
             "blobs": 0, "stored_bytes": 0, "owners": 0, "referenced": 0
         }
+
+
+def _spy_removals(universe, during=None) -> list:
+    """Record ``(start, end, node, tree)`` of every node-local removal
+    FILEM runs; *during(node, tree)* is called as each one starts."""
+    filem, kernel, removals = universe.hnp.filem, universe.kernel, []
+    remove = filem.remove
+
+    def spy(hnp, pairs):
+        start = kernel.now
+        for node, tree in pairs:
+            if during is not None:
+                during(node, tree)
+        moved = yield from remove(hnp, pairs)
+        removals.extend((start, kernel.now, node, tree) for node, tree in pairs)
+        return moved
+
+    filem.remove = spy
+    return removals
+
+
+class TestCASCleanupOffTheCommitPath:
+    def test_an_interval_commits_before_its_local_sources_are_removed(self):
+        universe = make_universe(4, FINE)
+        removals = _spy_removals(universe)
+        job = ompi_run(universe, "churn", 4, args=SMALL, wait=False)
+        for at in (0.1, 0.3):
+            ompi_checkpoint(universe, job.jobid, at=at, wait=False)
+        universe.run_job_to_completion(job)
+        records = _stager(universe).job_records(job.jobid)
+        assert [r.state for r in records] == ["committed", "committed"]
+        for record in records:
+            sources = {(node, src) for node, src, _dst in record.gather_entries}
+            ends = [end for _s, end, node, tree in removals if (node, tree) in sources]
+            assert len(ends) == 4
+            # the commit did not wait for any of them
+            assert all(record.committed_at < end for end in ends)
+
+    def test_no_local_source_of_a_committed_interval_outlives_the_drain(self):
+        universe, job = two_intervals()
+        settle_lineage(universe, job)
+        records = [r for jobid in universe.jobs for r in _stager(universe).job_records(jobid)]
+        committed = [r for r in records if r.state == "committed"]
+        assert [(r.jobid, r.interval) for r in committed] == [(1, 1), (1, 2)]
+        for record in committed:
+            for node_name, src, _dst in record.gather_entries:
+                node = universe.cluster.node(node_name)
+                if node.up:
+                    assert not node.local_fs.exists(src), (node_name, src)
+
+    def test_a_source_node_dying_during_cleanup_keeps_the_commit_and_the_restart(self):
+        """node03 dies 5 sim-ms into removing its interval-1 source (a
+        removal takes 15): the interval stays committed, no thread
+        crashes, and recovery restarts from it to the undisturbed
+        answers."""
+        universe = make_universe(4, {**FINE, "orte_errmgr_autorecover": "1"})
+        failures, crashed = universe.cluster.failures, []
+
+        def during(node, tree):
+            if node == "node03" and not crashed:
+                crashed.append(tree)
+                universe.kernel.call_later(0.005, lambda: failures.crash_node_now("node03"))
+
+        _spy_removals(universe, during)
+        job = ompi_run(universe, "churn", 4, args=SMALL, wait=False)
+        ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        final = settle_lineage(universe, job)
+        [record] = _stager(universe).job_records(job.jobid)
+        assert crashed == [record.gather_entries[3][1]]
+        assert record.state == "committed" and record.committed_at < 0.3
+        [episode] = universe.hnp.errmgr.recovery_log
+        assert episode.recovered and episode.snapshot == record.ref.path
+        assert final.results == ompi_run(make_universe(4), "churn", 4, args=SMALL).results
+
+
+class TestCASConcurrentCheck:
+    @staticmethod
+    def _checkpointed(**params):
+        universe = make_universe(4, {**FINE, **params})
+        job = ompi_run(universe, "churn", 4, args=SMALL, wait=False)
+        handle = ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        universe.run_job_to_completion(job)
+        return universe, checkpoint_ref(handle)
+
+    @staticmethod
+    def _unusable(universe, ref) -> tuple[str | None, dict]:
+        stable, checked = universe.cluster.stable_fs, {}
+
+        def check():
+            meta = yield from read_global_meta(stable, ref)
+            return (yield from _cas_backend(universe).unusable(ref, meta, set(), checked))
+
+        return run_gen(universe.kernel, check()), checked
+
+    @pytest.mark.parametrize("unreadable,absent,reason,checked_ranks", [
+        (1, 3, "rank 1 manifest unreadable", [0]),
+        (3, 1, "rank 1: 1 chunk(s) absent from the store", [0, 1]),
+    ])
+    def test_two_bad_ranks_report_the_lower_ranks_reason(
+        self, unreadable, absent, reason, checked_ranks
+    ):
+        """The manifests are read side by side, yet the verdict (and what
+        *checked* holds) is what a rank-by-rank check finds first."""
+        universe, ref = self._checkpointed()
+        stable, store = universe.cluster.stable_fs, _cas_backend(universe).store
+        manifests = [_peek_manifest(universe, ref, rank) for rank in range(4)]
+        others = {d for rank, m in enumerate(manifests) if rank != absent for d in m.hashes}
+        victim = next(d for d in manifests[absent].hashes if d not in others)
+        run_gen(universe.kernel, stable.remove(store.blob_path(victim)))
+        stable.poke(chunkstore.manifest_path(ref.local_dir(unreadable)), b"{not json")
+        why, checked = self._unusable(universe, ref)
+        assert why.startswith(reason)
+        assert sorted(checked) == [ref.local_dir(rank) for rank in checked_ranks]
+        plan, refused = run_gen(
+            universe.kernel, universe.hnp.snapc.usable_snapshot(universe.hnp, ref, set())
+        )
+        assert plan is None and refused == why
+
+    def test_the_manifests_are_read_at_most_max_concurrent_at_a_time(self, monkeypatch):
+        universe, ref = self._checkpointed(filem_rsh_max_concurrent="2")
+        read, flight = chunkstore.read_manifest, {"now": 0, "peak": 0, "reads": 0}
+
+        def spy(fs, directory):
+            flight["now"] += 1
+            flight["reads"] += 1
+            flight["peak"] = max(flight["peak"], flight["now"])
+            try:
+                return (yield from read(fs, directory))
+            finally:
+                flight["now"] -= 1
+
+        monkeypatch.setattr(chunkstore, "read_manifest", spy)
+        why, checked = self._unusable(universe, ref)
+        assert why is None and len(checked) == 4
+        assert flight == {"now": 0, "peak": 2, "reads": 4}

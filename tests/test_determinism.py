@@ -258,9 +258,14 @@ SEAM_PINS = {
     # metadata a second time, so job 2's seven ``committed_at`` each fall
     # by one stable read (2.107 ms); ``now`` 2.2942 -> 2.2921, ``events``
     # 2870 -> 2869.
+    #
+    # Re-pinned when ``coord`` started filing bookmarks from an RML
+    # handler and waking its coordinating thread once per attempt, not
+    # once per peer bookmark: every simulated value as before, ``events``
+    # 2869 -> 2789.
     "tree": {
         "now": 2.292060979499998,
-        "events": 2869,
+        "events": 2789,
         "threads_spawned": 307,
         "waits_any": 63,
         "waits_all": 57,
@@ -289,20 +294,30 @@ SEAM_PINS = {
     # rank's ``chunks.json`` a second time: the four ranks' metadata
     # reads are one wave, which loses one stable read (2.106 ms) and
     # four kernel events; ``now`` 1.8556 -> 1.8535, ``events`` 2553 -> 2549.
+    #
+    # Re-pinned twice more (each value from two identical runs).  Bookmark
+    # filing (one wake per coordination) changed only ``events``, 2549 ->
+    # 2493.  Then a CAS interval stopped waiting for the removal of its
+    # node-local sources before it commits, and the restart's check
+    # started reading the ranks' manifests concurrently: every
+    # ``committed_at`` is earlier (interval 1 0.3329 -> 0.2729, interval
+    # 7 1.6257 -> 1.5432), ``now`` 1.8535 -> 1.7805, ``events`` 2493 ->
+    # 2531, ``threads_spawned`` 290 -> 322 (a cleanup thread per rank
+    # tree, a reader per rank), ``waits_all`` 47 -> 48 (the check's wave).
     "cas_restage": {
-        "now": 1.8535216390000036,
-        "events": 2549,
-        "threads_spawned": 290,
+        "now": 1.7805040172500015,
+        "events": 2531,
+        "threads_spawned": 322,
         "waits_any": 45,
-        "waits_all": 47,
+        "waits_all": 48,
         "records": [
-            (1, 1, "full", "committed", 0, 0.3329432109166667),
-            (1, 2, "delta", "committed", 0, 0.8150279033333333),
-            (1, 3, "full", "committed", 136970, 1.0014236459166668),
-            (1, 4, "delta", "committed", 137750, 1.1732366181666676),
-            (1, 5, "full", "committed", 138530, 1.324066806666668),
-            (1, 6, "delta", "committed", 139310, 1.4749003376666687),
-            (1, 7, "full", "committed", 140090, 1.6257371961666693),
+            (1, 1, "full", "committed", 0, 0.27294321591666665),
+            (1, 2, "delta", "committed", 0, 0.7350279083333332),
+            (1, 3, "full", "committed", 136970, 0.9414236300833334),
+            (1, 4, "delta", "committed", 137750, 1.0932365931666674),
+            (1, 5, "full", "committed", 138530, 1.2432408419166676),
+            (1, 6, "delta", "committed", 139310, 1.3932450106666676),
+            (1, 7, "full", "committed", 140090, 1.5432492294166675),
         ],
     },
     # "cas_lost": job 1 as before; the recovery is 12.94 ms shorter (one
@@ -315,23 +330,30 @@ SEAM_PINS = {
     # the fetch's manifest read (one wave, 2.106 ms, four events), so job
     # 2's eight ``committed_at`` each fall by 2.106 ms; ``now`` 2.4933 ->
     # 2.4891, ``events`` 3684 -> 3676.
+    #
+    # Re-pinned with "cas_restage" twice more.  Bookmark filing changed
+    # only ``events``, 3676 -> 3580.  Cleanup off the commit path and the
+    # concurrent check made every ``committed_at`` earlier (job 1
+    # interval 1 0.3329 -> 0.2729, job 2 interval 1 1.0950 -> 1.0287,
+    # interval 8 2.1748 -> 2.0835), ``now`` 2.4891 -> 2.4744, ``events``
+    # 3580 -> 3638, ``threads_spawned`` 419 -> 463, ``waits_all`` 71 -> 73.
     "cas_lost": {
-        "now": 2.4891121019166644,
-        "events": 3676,
-        "threads_spawned": 419,
+        "now": 2.4743725064166653,
+        "events": 3638,
+        "threads_spawned": 463,
         "waits_any": 73,
-        "waits_all": 71,
+        "waits_all": 73,
         "records": [
-            (1, 1, "full", "committed", 0, 0.3329432109166667),
+            (1, 1, "full", "committed", 0, 0.27294321591666665),
             (1, 2, "delta", "failed", 0, None),
-            (2, 1, "full", "committed", 3180, 1.0950412284166664),
-            (2, 2, "delta", "committed", 69496, 1.2698055416666674),
-            (2, 3, "full", "committed", 70276, 1.4206239588333345),
-            (2, 4, "delta", "committed", 71056, 1.5714457135000017),
-            (2, 5, "full", "committed", 71836, 1.7222708256666688),
-            (2, 6, "delta", "committed", 72616, 1.8730992753333358),
-            (2, 7, "full", "committed", 73396, 2.023930927500003),
-            (2, 8, "delta", "committed", 74176, 2.1747660721666695),
+            (2, 1, "full", "committed", 3180, 1.0287229834166667),
+            (2, 2, "delta", "committed", 69496, 1.183487291666667),
+            (2, 3, "full", "committed", 70276, 1.333491519583334),
+            (2, 4, "delta", "committed", 71056, 1.4834957100000006),
+            (2, 5, "full", "committed", 71836, 1.6334999579166671),
+            (2, 6, "delta", "committed", 72616, 1.783503946666667),
+            (2, 7, "full", "committed", 73396, 1.933508220416667),
+            (2, 8, "delta", "committed", 74176, 2.0835125441666658),
         ],
     },
 }

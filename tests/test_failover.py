@@ -36,7 +36,7 @@ from repro.snapshot import (
     read_global_meta,
 )
 from repro.tools.api import ompi_restart, ompi_run
-from repro.util.errors import ReproError
+from repro.util.errors import DeadlockError, ReproError
 from tests.conftest import make_universe, run_gen
 
 CHURN = {"loops": 150, "compute_s": 0.01, "state_bytes": 1 << 20}
@@ -585,3 +585,22 @@ def test_hnp_crash_not_applicable_without_failover():
 def test_unknown_fault_kind_still_rejected():
     with pytest.raises(ValueError):
         FaultSpec(kind="hnp_meltdown")
+
+
+def test_the_lost_episode_deadlock_names_what_each_thread_waits_on():
+    """The failover deadlock of ROADMAP item 1(a), pinned at one instant
+    of its window (node03 dies at 0.4 s, the HNP's node at 0.52 s) until
+    that item fixes it: the error says which thread is blocked and on
+    which event — the follower waits on job 1's recovery outcome, which
+    never fires."""
+    universe = failover_universe()
+    job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+    failures = universe.cluster.failures
+    universe.kernel.call_at(0.4, lambda: failures.crash_node_now("node03"))
+    crash_hnp_at(universe, 0.52)
+    with pytest.raises(DeadlockError) as info:
+        settle_lineage(universe, job)
+    assert info.value.blocked == ["follow"]
+    assert str(info.value) == (
+        "simulation deadlock; blocked threads: follow \u2190 WaitEvent(errmgr.outcome.job1)"
+    )

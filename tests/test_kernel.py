@@ -179,6 +179,8 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError) as info:
             kernel.run()
         assert "stuck" in info.value.blocked
+        # the message says what each blocked thread waits on
+        assert str(info.value).endswith("stuck \u2190 WaitEvent(never)")
 
     def test_blocked_daemon_is_not_deadlock(self, kernel):
         event = kernel.event("never")
