@@ -40,10 +40,11 @@ Detection and recovery are traced as ``errmgr.detect`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.orte.job import Job, JobState
+from repro.orte.statestore import Durable, DurableMap
 from repro.simenv.kernel import Delay, SimGen
 from repro.snapshot import GlobalSnapshotRef, parse_global_dirname
 from repro.util.errors import ReproError, RestartError, SnapshotError
@@ -58,8 +59,11 @@ log = get_logger("orte.errmgr")
 
 
 @dataclass
-class RecoveryRecord:
-    """The audit trail of one failure-to-recovery episode."""
+class RecoveryRecord(Durable):
+    """The audit trail of one failure-to-recovery episode (an
+    ``episodes`` row, keyed by the failed jobid)."""
+
+    TABLE = "episodes"
 
     failed_jobid: int
     detected_at: float
@@ -73,6 +77,12 @@ class RecoveryRecord:
     snapshot_sim_time: float | None = None
     #: why recovery gave up (None on success)
     error: str | None = None
+
+    def durable_key(self) -> str:
+        return str(self.failed_jobid)
+
+    def to_durable(self) -> dict:
+        return asdict(self)
 
     @property
     def recovered(self) -> bool:
@@ -93,17 +103,11 @@ class RecoveryRecord:
         return self.detected_at - self.snapshot_sim_time
 
     def to_dict(self) -> dict:
+        """The journalled fields plus the derived latency and work lost."""
         return {
-            "failed_jobid": self.failed_jobid,
-            "new_jobid": self.new_jobid,
-            "detected_at": self.detected_at,
-            "recovered_at": self.recovered_at,
-            "attempts": self.attempts,
-            "snapshot": self.snapshot,
-            "snapshot_sim_time": self.snapshot_sim_time,
+            **self.to_durable(),
             "latency_s": self.latency_s,
             "work_lost_s": self.work_lost_s,
-            "error": self.error,
         }
 
 
@@ -122,19 +126,19 @@ class ErrMgr:
         self.backoff = max(
             0.0, params.get_float("orte_errmgr_backoff", 0.05)
         )
-        #: jobs recovered: (failed_jobid, new_jobid)
-        self.recoveries: list[tuple[int, int]] = []
+        store = hnp.statestore
         #: one record per failure episode, recovered or not
         self.recovery_log: list[RecoveryRecord] = []
-        #: recovered jobid -> the jobid it was recovered from
-        self._lineage: dict[int, int] = {}
+        #: recovered jobid -> the jobid it was recovered from (each
+        #: DurableMap below is a journal table, a row per key)
+        self._lineage = DurableMap(store, "lineage")
         #: lineage root -> restart attempts spent
-        self._attempts: dict[int, int] = {}
+        self._attempts = DurableMap(store, "attempts")
         #: lineage roots with a recovery currently in flight
         self._recovering: set[int] = set()
         #: lineage root -> detection timestamps of its failures (fed to
         #: the adaptive checkpoint scheduler's MTBF estimate)
-        self._failures_by_root: dict[int, list[float]] = {}
+        self._failures = DurableMap(store, "failures", encode=list, decode=tuple)
         hnp.universe.cluster.failures.on_failure(self._on_injected_failure)
 
     # -- detection -------------------------------------------------------------
@@ -210,9 +214,16 @@ class ErrMgr:
             yield from self.on_rank_failure(job, rank, detail)
         return None
 
+    @property
+    def recoveries(self) -> list[tuple[int, int]]:
+        """Jobs recovered, episode by episode: (failed_jobid, new_jobid)."""
+        return [
+            (r.failed_jobid, r.new_jobid) for r in self.recovery_log if r.recovered
+        ]
+
     # -- lineage ---------------------------------------------------------------
 
-    def _root_of(self, job: Job) -> int:
+    def lineage_root(self, job: Job) -> int:
         """The original jobid of *job*'s recovery lineage.
 
         Jobs created by ``ompi-restart`` (including half-launched
@@ -235,13 +246,9 @@ class ErrMgr:
             jobid = self._lineage[jobid]
         return jobid
 
-    def lineage_root(self, job: Job) -> int:
-        """Public lineage-root lookup (scheduler, campaign reporting)."""
-        return self._root_of(job)
-
     def lineage_jobids(self, job: Job) -> set[int]:
         """Every jobid in *job*'s recovery lineage (root included)."""
-        root = self._root_of(job)
+        root = self.lineage_root(job)
         members = {root, job.jobid}
         for jobid in self._lineage:
             if self._root_of_jobid(jobid) == root:
@@ -255,11 +262,11 @@ class ErrMgr:
         enabled or succeeds — the adaptive checkpoint scheduler divides
         observed lifetime by this count for its online MTBF estimate.
         """
-        return list(self._failures_by_root.get(self._root_of(job), ()))
+        return list(self._failures.get(self.lineage_root(job), ()))
 
     def is_recovering(self, job: Job) -> bool:
         """True while *job*'s lineage has a recovery in flight."""
-        return self._root_of(job) in self._recovering
+        return self.lineage_root(job) in self._recovering
 
     # -- outcome plumbing --------------------------------------------------------
 
@@ -287,37 +294,7 @@ class ErrMgr:
 
     # -- durable state (HNP failover) --------------------------------------------
 
-    #: RecoveryRecord fields that persist (derived properties such as
-    #: latency_s must not round-trip into the constructor)
-    _RECORD_FIELDS = (
-        "failed_jobid", "detected_at", "new_jobid", "recovered_at",
-        "attempts", "snapshot", "snapshot_sim_time", "error",
-    )
-
-    def _persist(self) -> None:
-        """Journal lineages, budgets, and the episode log to the store."""
-        store = self.hnp.statestore
-        store.put(
-            "errmgr", "lineage",
-            {str(k): v for k, v in self._lineage.items()},
-        )
-        store.put(
-            "errmgr", "attempts",
-            {str(k): v for k, v in self._attempts.items()},
-        )
-        store.put(
-            "errmgr", "failures",
-            {str(k): list(v) for k, v in self._failures_by_root.items()},
-        )
-        store.put(
-            "errmgr", "log",
-            [
-                {f: getattr(r, f) for f in self._RECORD_FIELDS}
-                for r in self.recovery_log
-            ],
-        )
-
-    def rehydrate(self, table: dict) -> None:
+    def rehydrate(self, tables: dict) -> None:
         """Restore lineages, recovery budgets, and the episode log.
 
         The budget restore is the safety-critical part: a failed-over
@@ -325,26 +302,22 @@ class ErrMgr:
         ``max_recoveries`` budget after each crash of the control
         plane, unbounding recovery.
         """
-        self._lineage = {
-            int(k): int(v) for k, v in table.get("lineage", {}).items()
-        }
-        self._attempts = {
-            int(k): int(v) for k, v in table.get("attempts", {}).items()
-        }
-        self._failures_by_root = {
-            int(k): list(v) for k, v in table.get("failures", {}).items()
-        }
-        self.recovery_log = [
-            RecoveryRecord(
-                **{f: d.get(f) for f in self._RECORD_FIELDS if f in d}
-            )
-            for d in table.get("log", [])
-        ]
-        self.recoveries = [
-            (r.failed_jobid, r.new_jobid)
-            for r in self.recovery_log
-            if r.recovered
-        ]
+        for rows in (self._lineage, self._attempts, self._failures):
+            rows.restore(tables.get(rows.table, {}))
+        self.recovery_log = sorted(
+            (
+                self._episode(**row)
+                for row in tables.get(RecoveryRecord.TABLE, {}).values()
+            ),
+            key=lambda r: (r.detected_at, r.failed_jobid),
+        )
+
+    def _episode(self, **fields) -> RecoveryRecord:
+        """A recovery record bound to the journal, journalled as it is."""
+        record = RecoveryRecord(**fields)
+        record.store = self.hnp.statestore
+        record.change()
+        return record
 
     def resume_pending(self) -> None:
         """Resume recovery episodes the dead incarnation left open.
@@ -362,32 +335,29 @@ class ErrMgr:
                 continue
             if self.recovery_outcome(jobid).fired:
                 continue
-            root = self._root_of(job)
+            root = self.lineage_root(job)
             if root in self._recovering or root in scheduled:
                 continue
             scheduled.add(root)
-            record = next(
-                (
-                    r for r in self.recovery_log
-                    if r.failed_jobid == jobid
-                    and not r.recovered
-                    and r.error is None
-                ),
-                None,
+            record = next((
+                r for r in self.recovery_log
+                if r.failed_jobid == jobid and not r.recovered and r.error is None
+            ), None)
+            log.warning(
+                "resuming interrupted recovery of job %d after HNP failover",
+                jobid,
             )
             self.hnp.proc.spawn_thread(
-                self._resume(job, root, record),
+                self._recover_or_settle(job, root, record),
                 name=f"errmgr-resume-job{jobid}",
                 daemon=True,
             )
 
-    def _resume(
-        self, job: Job, root: int, record: "RecoveryRecord | None"
+    def _recover_or_settle(
+        self, job: Job, root: int, record: "RecoveryRecord | None" = None
     ) -> SimGen:
-        log.warning(
-            "resuming interrupted recovery of job %d after HNP failover",
-            job.jobid,
-        )
+        """Recover *job* when policy and its snapshots allow; else its
+        outcome settles unrecovered."""
         if self.autorecover and job.snapshots:
             yield from self._autorecover(job, root, record)
         else:
@@ -405,11 +375,10 @@ class ErrMgr:
         job.mark_failed()
         if not first_failure:
             return None
-        root = self._root_of(job)
-        self._failures_by_root.setdefault(root, []).append(
-            self.hnp.proc.kernel.now
+        root = self.lineage_root(job)
+        self._failures[root] = (
+            *self._failures.get(root, ()), self.hnp.proc.kernel.now
         )
-        self._persist()
         span = self.hnp.proc.kernel.tracer.begin(
             "errmgr.detect", cat="errmgr", jobid=job.jobid, rank=rank,
             root=root, detail=str(detail),
@@ -425,10 +394,7 @@ class ErrMgr:
             # The failure hit a half-recovered incarnation; the active
             # recovery loop observes it as a failed attempt and retries.
             return None
-        if self.autorecover and job.snapshots:
-            yield from self._autorecover(job, root)
-        else:
-            self._settle(job.jobid, None)
+        yield from self._recover_or_settle(job, root)
         return None
 
     def _abort_survivors(self, job: Job) -> None:
@@ -451,11 +417,8 @@ class ErrMgr:
             return None
         kernel = self.hnp.proc.kernel
         if record is None:
-            record = RecoveryRecord(
-                failed_jobid=job.jobid, detected_at=kernel.now
-            )
+            record = self._episode(failed_jobid=job.jobid, detected_at=kernel.now)
             self.recovery_log.append(record)
-        self._persist()
         self._recovering.add(root)
         retry = 0
         #: refs that failed a restart *this episode* — skipped until the
@@ -466,12 +429,11 @@ class ErrMgr:
             while True:
                 spent = self._attempts.get(root, 0)
                 if spent >= self.max_recoveries:
-                    record.error = (
+                    record.change(error=(
                         f"recovery budget exhausted "
                         f"({spent}/{self.max_recoveries} attempts)"
-                    )
+                    ))
                     log.warning("job %d: %s", job.jobid, record.error)
-                    self._persist()
                     self._settle(job.jobid, None)
                     return None
                 # Back off first: the restart acts on a check made after
@@ -480,20 +442,18 @@ class ErrMgr:
                     yield Delay(self.backoff * (2 ** (retry - 1)))
                 plan = yield from self._pick_snapshot(job, skip)
                 if plan is None:
-                    record.error = (
-                        "no committed snapshot with an intact base chain"
+                    record.change(
+                        error="no committed snapshot with an intact base chain"
                     )
                     log.warning("job %d: %s", job.jobid, record.error)
-                    self._persist()
                     self._settle(job.jobid, None)
                     return None
                 ref = plan.ref
-                self._attempts[root] = spent + 1
-                record.attempts += 1
-                retry += 1
                 # Durable *before* the restart runs: a failed-over HNP
                 # must charge this attempt against the lineage budget.
-                self._persist()
+                self._attempts[root] = spent + 1
+                record.change(attempts=record.attempts + 1)
+                retry += 1
                 span = kernel.tracer.begin(
                     "errmgr.recover", cat="errmgr", jobid=job.jobid,
                     attempt=record.attempts, snapshot=ref.path,
@@ -527,12 +487,12 @@ class ErrMgr:
                     continue
                 span.end(ok=True, new_jobid=new_job.jobid)
                 self._lineage[new_job.jobid] = root
-                self.recoveries.append((job.jobid, new_job.jobid))
-                record.new_jobid = new_job.jobid
-                record.recovered_at = kernel.now
-                record.snapshot = ref.path
-                record.snapshot_sim_time = plan.meta.sim_time
-                self._persist()
+                record.change(
+                    new_jobid=new_job.jobid,
+                    recovered_at=kernel.now,
+                    snapshot=ref.path,
+                    snapshot_sim_time=plan.meta.sim_time,
+                )
                 self._seed_baseline(job, new_job, ref)
                 self._settle(job.jobid, new_job)
                 log.warning(
@@ -581,4 +541,4 @@ class ErrMgr:
             return
         prefix = list(old.snapshots[: idx + 1])
         tail = [r for r in new_job.snapshots if r not in prefix]
-        new_job.snapshots = prefix + tail
+        new_job.change(snapshots=prefix + tail)

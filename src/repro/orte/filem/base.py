@@ -83,13 +83,17 @@ class FILEMComponent(Component):
         yield  # pragma: no cover
 
     def remove(self, hnp: "HNP", entries: list[tuple[str, str]]) -> SimGen:
-        """Delete node-local trees.  ``entries``: ``(node_name, dir)``."""
+        """Delete node-local trees.  ``entries``: ``(node_name, dir)``;
+        a node that is down, or dies mid-removal, is skipped."""
         total = 0
         for node_name, tree in entries:
             node = hnp.universe.cluster.node(node_name)
             if node.local_fs is None or not node.local_fs.reachable:
                 continue
-            total += yield from node.local_fs.remove_tree(tree)
+            try:
+                total += yield from node.local_fs.remove_tree(tree)
+            except VFSError:
+                continue
         return total
 
     def stage_out(self, hnp: "HNP", entries: list[tuple[str, str, str]]) -> SimGen:

@@ -30,9 +30,12 @@ from repro.orte.oob import (
     TAG_RESTART_REPLY,
     TAG_RESTART_REQUEST,
 )
-from repro.simenv.kernel import Queue, SimGen
+from repro.orte.statestore import DurableMap
+from repro.simenv.kernel import Delay, Queue, SimGen, WaitEvent
 from repro.snapshot import GlobalSnapshotRef, parse_global_dirname
-from repro.util.errors import LaunchError, NetworkError, ReproError, RestartError
+from repro.util.errors import (
+    CheckpointError, LaunchError, NetworkError, ReproError, RestartError,
+)
 from repro.util.ids import ProcessName
 from repro.util.logging import get_logger
 
@@ -64,8 +67,11 @@ class HNP:
         self.filem = self.registry.framework("filem").open(universe.params, context=self)
         self.errmgr = ErrMgr(self)
         self.ckpt_scheduler = CheckpointScheduler(self)
-        #: jobid -> set of ranks registered checkpointable (section 5.1)
-        self.ckpt_ready: dict[int, set[int]] = {}
+        #: jobid -> frozenset of ranks registered checkpointable (section
+        #: 5.1); a ``ready`` row each
+        self.ckpt_ready = DurableMap(
+            self.statestore, "ready", encode=sorted, decode=frozenset
+        )
         #: jobid -> queue of INIT_READY payloads
         self._init_queues: dict[int, Queue] = {}
         self._start_handlers()
@@ -106,40 +112,11 @@ class HNP:
         while True:
             yield from self.rml.recv(TAG_HNP_HEARTBEAT)
 
-    # -- control-plane persistence -------------------------------------------
-
-    def _persist_job(self, job: Job) -> None:
-        """Journal *job*'s control-plane view to the state store."""
-        self.statestore.put(
-            "jobs",
-            str(job.jobid),
-            {
-                "app": job.app.name,
-                "app_args": dict(job.app.args),
-                "np": job.np,
-                "state": job.state.value,
-                "placements": {str(r): n for r, n in job.placements.items()},
-                "restarted_from": (
-                    job.restarted_from.path
-                    if job.restarted_from is not None
-                    else None
-                ),
-                "next_interval": job.next_interval,
-                "snapshots": [ref.path for ref in job.snapshots],
-            },
-        )
-
-    def _persist_ready(self, jobid: int) -> None:
-        self.statestore.put(
-            "ready", str(jobid), sorted(self.ckpt_ready.get(jobid, set()))
-        )
-
     # -- job launch -----------------------------------------------------------
 
     def submit(self, job: Job) -> None:
         """Asynchronously launch *job* (called from outside the sim)."""
         specs = self._plan_placement(job)
-        self._persist_job(job)
         self.proc.spawn_thread(
             self._launch_wrapper(job, specs), name=f"hnp-launch-job{job.jobid}",
             daemon=True,
@@ -174,9 +151,9 @@ class HNP:
 
     def launch_and_init(self, job: Job, specs: list[ProcSpec]) -> SimGen:
         """PLM launch + the MPI_INIT rendezvous (modex exchange)."""
-        job.state = JobState.LAUNCHING
-        job.placements = {s.rank: s.node_name for s in specs}
-        self._persist_job(job)
+        job.change(
+            JobState.LAUNCHING, placements={s.rank: s.node_name for s in specs}
+        )
         init_queue = self.proc.kernel.queue(f"init.job{job.jobid}")
         self._init_queues[job.jobid] = init_queue
         yield from self.plm.launch(self, specs)
@@ -200,9 +177,11 @@ class HNP:
                 TAG_INIT_GO,
                 {"modex": modex, "np": job.np},
             )
-        job.state = JobState.RUNNING
-        self._persist_job(job)
         self._init_queues.pop(job.jobid, None)
+        if job.is_done:
+            # A rank died while the modex went out: a failed launch.
+            raise LaunchError(f"job {job.jobid} failed during launch")
+        job.change(JobState.RUNNING)
         # Recovered jobs come through here too, so every incarnation
         # keeps checkpointing on the configured cadence.
         self.ckpt_scheduler.attach(job)
@@ -224,9 +203,8 @@ class HNP:
             return None
         failed = payload.get("failed", False)
         job.note_exit(rank, payload.get("result"), failed)
-        self.ckpt_ready.get(jobid, set()).discard(rank)
-        self._persist_job(job)
-        self._persist_ready(jobid)
+        if rank in self.ckpt_ready.get(jobid, ()):
+            self.ckpt_ready[jobid] -= {rank}
         if failed:
             init_queue = self._init_queues.get(jobid)
             if init_queue is not None:
@@ -243,12 +221,11 @@ class HNP:
         return None
 
     def _on_ckpt_ready(self, sender, payload: dict) -> SimGen:
-        ready = self.ckpt_ready.setdefault(payload["jobid"], set())
-        if payload.get("ready", True):
-            ready.add(payload["rank"])
-        else:
-            ready.discard(payload["rank"])
-        self._persist_ready(payload["jobid"])
+        jobid, rank = payload["jobid"], {payload["rank"]}
+        ready = self.ckpt_ready.get(jobid, frozenset())
+        self.ckpt_ready[jobid] = (
+            ready | rank if payload.get("ready", True) else ready - rank
+        )
         yield from ()
         return None
 
@@ -302,12 +279,6 @@ class HNP:
         """Process migration (a paper section 8 extension): checkpoint
         the job to stable storage, let it terminate, and restart it
         with the requested rank→node placement."""
-        from repro.simenv.kernel import WaitEvent
-
-        from repro.orte.job import JobState
-        from repro.simenv.kernel import Delay
-        from repro.util.errors import CheckpointError
-
         try:
             job = self.universe.job(payload["jobid"])
             # A periodic checkpoint may be in flight; wait it out.
@@ -366,38 +337,40 @@ class HNP:
         """Rebuild the control plane from the durable store (new HNP).
 
         Ordering is load-bearing: (1) replay the store; (2) restore the
-        jobid floor before anything can mint a job; (3) error-manager
-        lineages/budgets and scheduler cadence state, which later steps
-        consult; (4) checkpointable-rank registrations, filtered to
-        ranks still alive; (5) reclaim admission tokens orphaned by the
-        dead incarnation's transfers, then rebuild staging from the
+        jobid floor (the highest journalled jobid) before anything can
+        mint a job; (3) error-manager lineages/budgets/episodes and
+        scheduler cadence state, which later steps consult; (4)
+        checkpointable-rank registrations, filtered to ranks still
+        alive; (5) reclaim admission tokens orphaned by the dead
+        incarnation's transfers, then rebuild staging from the
         persisted interval records (committed intervals adopted,
         in-flight ones re-staged idempotently); (6) hand off failures
-        injected while no HNP was alive; (7) re-attach live jobs and
-        re-plan half-launched incarnations; (8) resume recovery
-        episodes the old HNP left unsettled.
+        injected while no HNP was alive; (7) re-attach live jobs,
+        re-plan half-launched incarnations, and journal every job as it
+        now is; (8) resume recovery episodes the old HNP left unsettled.
+        Every table is decoded by its record type's codec, and restoring
+        goes through the funnel, which journals nothing already held.
         """
-        from repro.simenv.kernel import Delay
-
         universe = self.universe
         span = self.proc.kernel.tracer.begin(
             "hnp.failover", cat="orte", node=self.proc.node.name
         )
         tables = yield from self.statestore.replay()
-        floor = int(tables.get("universe", {}).get("jobid_floor", 0) or 0)
-        universe.restore_jobid_floor(floor)
+        jobs = tables.get("jobs", {})
+        universe.restore_jobid_floor(max(map(int, jobs), default=0))
         # Live Job objects survive in universe.jobs (campaign followers
-        # hold references to them and their done events); the persisted
-        # records contribute the counters only the store kept durable.
-        for key, rec in tables.get("jobs", {}).items():
+        # hold references to them and their done events); the journal
+        # contributes the one counter only it may have kept higher.
+        for key, row in jobs.items():
             job = universe.jobs.get(int(key))
-            if job is not None and rec.get("next_interval"):
-                job.next_interval = max(
-                    job.next_interval, int(rec["next_interval"])
-                )
-        self.errmgr.rehydrate(tables.get("errmgr", {}))
+            if job is not None and row["next_interval"] > job.next_interval:
+                job.change(next_interval=row["next_interval"])
+        self.errmgr.rehydrate(tables)
         self.ckpt_scheduler.rehydrate(tables.get("sched", {}))
-        self._rehydrate_ready(tables.get("ready", {}))
+        self.ckpt_ready.restore({
+            key: [r for r in ranks if universe.lookup(ProcessName(int(key), r))]
+            for key, ranks in tables.get("ready", {}).items()
+        })
         tokens_freed = 0
         restaged = lost = adopted = 0
         stager_fn = getattr(self.snapc, "stager", None)
@@ -434,21 +407,6 @@ class HNP:
         )
         return None
 
-    def _rehydrate_ready(self, table: dict) -> None:
-        """Checkpointable-rank registrations, filtered to live ranks."""
-        for key, ranks in table.items():
-            jobid = int(key)
-            job = self.universe.jobs.get(jobid)
-            if job is None or job.is_done:
-                continue
-            live = {
-                int(r) for r in ranks
-                if self.universe.lookup(ProcessName(jobid, int(r)))
-                is not None
-            }
-            if live:
-                self.ckpt_ready[jobid] = live
-
     def _reattach_jobs(self) -> tuple[int, int]:
         """Adopt or re-plan every non-terminal job; returns the counts
         ``(reattached, replanned)``.
@@ -456,12 +414,14 @@ class HNP:
         RUNNING jobs with all ranks alive re-attach to the checkpoint
         scheduler.  CHECKPOINTING flips back to RUNNING first — the
         coordination RPCs died with the old HNP, but the orted-side
-        local phase settles on its own and the ranks resume computing.
+        local phase settles on its own and the ranks resume computing (a
+        checkpoint-and-terminate stays CHECKPOINTING until it halts).
         A job caught LAUNCHING lost its modex rendezvous and cannot be
         completed, only re-planned through the error manager; PENDING
         jobs are simply re-submitted.  Jobs with dead ranks go down the
         ordinary rank-failure path (detection the PROC_EXIT message
-        never got to deliver).
+        never got to deliver).  Every adopted job is then journalled as
+        it is: the dead incarnation's last appends may have been dropped.
         """
         universe = self.universe
         reattached = replanned = 0
@@ -476,11 +436,10 @@ class HNP:
             if job.state == JobState.LAUNCHING:
                 job.mark_failed()
                 self.errmgr._abort_survivors(job)
-                self._persist_job(job)
                 replanned += 1
                 continue
-            if job.state == JobState.CHECKPOINTING:
-                job.state = JobState.RUNNING
+            if job.state == JobState.CHECKPOINTING and not job.halting:
+                job.change(JobState.RUNNING)
             dead = [
                 rank for rank in range(job.np)
                 if self.universe.lookup(ProcessName(job.jobid, rank)) is None
@@ -497,5 +456,6 @@ class HNP:
             else:
                 self.ckpt_scheduler.attach(job)
                 reattached += 1
-            self._persist_job(job)
+        for job in universe.jobs.values():
+            job.change()
         return reattached, replanned

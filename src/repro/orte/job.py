@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.simenv.kernel import SimGen
+from repro.orte.statestore import Durable
+from repro.simenv.kernel import SimGen, WaitEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simenv.process import SimProcess
@@ -51,8 +52,22 @@ class JobState(enum.Enum):
     HALTED = "halted"  # checkpoint-and-terminate
 
 
-class Job:
-    """One parallel application instance."""
+#: each state -> the states a job may move to (terminal ones: none)
+JOB_LIFECYCLE = {
+    JobState.PENDING: {JobState.LAUNCHING, JobState.FAILED},
+    JobState.LAUNCHING: {JobState.RUNNING, JobState.FAILED},
+    JobState.RUNNING: {JobState.CHECKPOINTING, JobState.FINISHED, JobState.FAILED},
+    JobState.CHECKPOINTING: {
+        JobState.RUNNING, JobState.HALTED, JobState.FINISHED, JobState.FAILED,
+    },
+}
+
+
+class Job(Durable):
+    """One parallel application instance (a ``jobs`` row)."""
+
+    TABLE = "jobs"
+    LIFECYCLE = JOB_LIFECYCLE
 
     def __init__(self, jobid: int, app: AppSpec, np: int, params):
         self.jobid = jobid
@@ -75,6 +90,28 @@ class Job:
         #: restarted-from reference, if this job came from ompi-restart
         self.restarted_from: "GlobalSnapshotRef | None" = None
 
+    def durable_key(self) -> str:
+        return str(self.jobid)
+
+    def to_durable(self) -> dict:
+        # CHECKPOINTING journals as running: its coordination dies with
+        # the HNP, and a successor resumes the job RUNNING.
+        state = self.state
+        if state is JobState.CHECKPOINTING:
+            state = JobState.RUNNING
+        return {
+            "app": self.app.name,
+            "app_args": dict(self.app.args),
+            "np": self.np,
+            "state": state.value,
+            "placements": {str(r): n for r, n in self.placements.items()},
+            "restarted_from": (
+                self.restarted_from.path if self.restarted_from else None
+            ),
+            "next_interval": self.next_interval,
+            "snapshots": [ref.path for ref in self.snapshots],
+        }
+
     @property
     def is_done(self) -> bool:
         return self.state in (JobState.FINISHED, JobState.FAILED, JobState.HALTED)
@@ -87,24 +124,21 @@ class Job:
             self.results[rank] = result
         if len(self.exited) == self.np and not self.is_done:
             if self.failed_ranks:
-                self.state = JobState.FAILED
-            elif self.halting:
-                self.state = JobState.HALTED
+                self._end(JobState.FAILED)
             else:
-                self.state = JobState.FINISHED
-            if self.done_event is not None and not self.done_event.fired:
-                self.done_event.fire(self.state)
+                self._end(JobState.HALTED if self.halting else JobState.FINISHED)
 
     def mark_failed(self) -> None:
         if not self.is_done:
-            self.state = JobState.FAILED
-            if self.done_event is not None and not self.done_event.fired:
-                self.done_event.fire(self.state)
+            self._end(JobState.FAILED)
+
+    def _end(self, state: JobState) -> None:
+        self.change(state)
+        if self.done_event is not None and not self.done_event.fired:
+            self.done_event.fire(state)
 
     def wait(self) -> SimGen:
         """Generator: block until the job reaches a terminal state."""
-        from repro.simenv.kernel import WaitEvent
-
         if self.is_done:
             return self.state
         state = yield WaitEvent(self.done_event)

@@ -48,6 +48,7 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.orte.job import Job, JobState
+from repro.orte.statestore import Durable
 from repro.simenv.kernel import SimGen, WaitAny
 from repro.util.errors import ReproError
 from repro.util.logging import get_logger
@@ -58,36 +59,48 @@ if TYPE_CHECKING:  # pragma: no cover
 log = get_logger("orte.sched")
 
 
-class DalyEstimator:
-    """Online Young/Daly interval calculator.
+class DalyEstimator(Durable):
+    """Online Young/Daly interval calculator of one lineage (a ``sched``
+    row, keyed by the lineage root).
 
     Pure bookkeeping (no kernel access), so the convergence, clamping,
     and cold-start behaviour are unit-testable in isolation.  Keeps a
     bounded window of recent checkpoint-cost samples; the interval is
     ``clamp(sqrt(2 · MTBF · mean_cost))``, or the clamped fallback
-    while either estimate is missing.
+    while either estimate is missing.  ``observe_start`` is when the
+    lineage's MTBF observation window opened.
     """
 
+    TABLE = "sched"
     #: cost samples kept (recent window, so cost drift is tracked)
     WINDOW = 8
 
-    def __init__(self, fallback: float, min_every: float, max_every: float):
+    def __init__(
+        self, fallback: float, min_every: float, max_every: float, root: int = 0
+    ):
         self.fallback = fallback
         self.min_every = min_every
         self.max_every = max_every
-        self._costs: list[float] = []
+        self.root = root
+        self.observe_start: float | None = None
+        self.costs: list[float] = []
+
+    def durable_key(self) -> str:
+        return str(self.root)
+
+    def to_durable(self) -> dict:
+        return {"observe_start": self.observe_start, "costs": list(self.costs)}
 
     def observe_cost(self, cost_s: float) -> None:
         if cost_s > 0:
-            self._costs.append(cost_s)
-            del self._costs[: -self.WINDOW]
+            self.change(costs=[*self.costs, cost_s][-self.WINDOW:])
 
     @property
     def cost_s(self) -> float | None:
         """Mean app-blocked checkpoint cost over the recent window."""
-        if not self._costs:
+        if not self.costs:
             return None
-        return sum(self._costs) / len(self._costs)
+        return sum(self.costs) / len(self.costs)
 
     def clamp(self, interval: float) -> float:
         out = max(self.min_every, interval)
@@ -126,8 +139,6 @@ class CheckpointScheduler:
         #: lineage root -> Daly estimator (recovered incarnations
         #: inherit their ancestors' cost/failure observations)
         self._estimators: dict[int, DalyEstimator] = {}
-        #: lineage root -> sim time observation started (first attach)
-        self._observe_start: dict[int, float] = {}
 
     @property
     def enabled(self) -> bool:
@@ -138,21 +149,12 @@ class CheckpointScheduler:
     def _estimator(self, root: int) -> DalyEstimator:
         est = self._estimators.get(root)
         if est is None:
-            est = DalyEstimator(self.every, self.min_every, self.max_every)
+            est = DalyEstimator(
+                self.every, self.min_every, self.max_every, root=root
+            )
+            est.store = self.hnp.statestore
             self._estimators[root] = est
         return est
-
-    def _persist_cadence(self, root: int) -> None:
-        """Journal *root*'s cadence observations to the state store."""
-        est = self._estimators.get(root)
-        self.hnp.statestore.put(
-            "sched",
-            str(root),
-            {
-                "observe_start": self._observe_start.get(root),
-                "costs": list(est._costs) if est is not None else [],
-            },
-        )
 
     def rehydrate(self, table: dict) -> None:
         """Restore per-lineage cadence state after an HNP failover.
@@ -161,51 +163,33 @@ class CheckpointScheduler:
         MTBF observation window and forget every cost sample, snapping
         every lineage back to the cold-start cadence.
         """
-        for key, rec in table.items():
-            root = int(key)
-            start = rec.get("observe_start")
-            if start is not None:
-                self._observe_start.setdefault(root, float(start))
-            costs = [float(c) for c in rec.get("costs", [])]
-            if costs:
-                self._estimator(root)._costs = costs[-DalyEstimator.WINDOW:]
+        for key, row in table.items():
+            self._estimator(int(key)).change(**row)
 
-    def _mtbf(self, job: Job, root: int) -> float | None:
+    def _mtbf(self, job: Job, est: DalyEstimator) -> float | None:
         """Observed lineage lifetime over failure count (None cold)."""
         times = self.hnp.errmgr.lineage_failure_times(job)
-        if not times:
+        if not times or est.observe_start is None:
             return None
-        start = self._observe_start.get(root)
-        if start is None:
-            return None
-        elapsed = self.hnp.proc.kernel.now - start
+        elapsed = self.hnp.proc.kernel.now - est.observe_start
         if elapsed <= 0:
             return None
         return elapsed / len(times)
 
     def interval_for(self, job: Job) -> float:
         """The cadence this job's next tick should use (records why)."""
-        if not self.adaptive:
-            self.decisions.append({
-                "jobid": job.jobid,
-                "at": self.hnp.proc.kernel.now,
-                "interval_s": self.every,
-                "mtbf_s": None,
-                "cost_s": None,
-                "adaptive": False,
-            })
-            return self.every
-        root = self.hnp.errmgr.lineage_root(job)
-        est = self._estimator(root)
-        mtbf = self._mtbf(job, root)
-        interval = est.interval(mtbf)
+        interval, mtbf, cost = self.every, None, None
+        if self.adaptive:
+            est = self._estimator(self.hnp.errmgr.lineage_root(job))
+            mtbf, cost = self._mtbf(job, est), est.cost_s
+            interval = est.interval(mtbf)
         self.decisions.append({
             "jobid": job.jobid,
             "at": self.hnp.proc.kernel.now,
             "interval_s": interval,
             "mtbf_s": mtbf,
-            "cost_s": est.cost_s,
-            "adaptive": True,
+            "cost_s": cost,
+            "adaptive": self.adaptive,
         })
         return interval
 
@@ -218,9 +202,9 @@ class CheckpointScheduler:
         if not self.hnp.proc.alive:
             return
         self._attached.add(job.jobid)
-        root = self.hnp.errmgr.lineage_root(job)
-        self._observe_start.setdefault(root, self.hnp.proc.kernel.now)
-        self._persist_cadence(root)
+        est = self._estimator(self.hnp.errmgr.lineage_root(job))
+        if est.observe_start is None:
+            est.change(observe_start=self.hnp.proc.kernel.now)
         self.hnp.proc.spawn_thread(
             self._loop(job), name=f"ckpt-sched-job{job.jobid}", daemon=True
         )
@@ -304,7 +288,6 @@ class CheckpointScheduler:
         # The request returns at app resume: its duration is the
         # app-blocked cost C of the Young/Daly formula.
         self._estimator(root).observe_cost(kernel.now - started)
-        self._persist_cadence(root)
         self.taken.append((job.jobid, ref.path))
         kernel.tracer.count("snapc.scheduled_ckpts")
         return None

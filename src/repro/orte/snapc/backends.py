@@ -105,7 +105,8 @@ class StagingBackend:
 
     def compact(self, record: "StagingRecord") -> SimGen:
         """Make a staged delta restartable on its own; returns an error."""
-        record.kind = record.meta.kind = chunkstore.KIND_FULL
+        record.meta.kind = chunkstore.KIND_FULL
+        record.change(kind=chunkstore.KIND_FULL)
         record.meta.base_interval = None
         record.meta.base_chain = []
         return None

@@ -187,8 +187,7 @@ class FullSNAPC(SNAPCComponent):
             )
 
         interval = job.next_interval
-        job.next_interval += 1
-        job.state = JobState.CHECKPOINTING
+        job.change(JobState.CHECKPOINTING, next_interval=interval + 1)
         tracer = hnp.proc.kernel.tracer
         ckpt_span = tracer.begin(
             "snapc.checkpoint", cat="snapc", jobid=job.jobid,
@@ -314,7 +313,7 @@ class FullSNAPC(SNAPCComponent):
         if errors or len(results) != job.np:
             job.halting = False
             if job.state == JobState.CHECKPOINTING:
-                job.state = JobState.RUNNING
+                job.change(JobState.RUNNING)
             stager.release_slot(job.jobid)
             ckpt_span.end(ok=False)
             raise CheckpointError(
@@ -386,7 +385,7 @@ class FullSNAPC(SNAPCComponent):
         stager.dispatch(record)
         ckpt_span.end(ok=True, kind=plan["kind"])
         if not terminate and job.state == JobState.CHECKPOINTING:
-            job.state = JobState.RUNNING
+            job.change(JobState.RUNNING)
         log.info(
             "job %d checkpoint interval %d (%s) local phase complete -> %s",
             job.jobid,
@@ -416,15 +415,16 @@ class FullSNAPC(SNAPCComponent):
         # (e.g. a different BTL on the new topology).
         for key, value in options.get("mca_overrides", {}).items():
             params.set(key, value)
-        job = universe.create_job(app, meta.n_procs, params)
-        job.restarted_from = ref
         # Seed the new job's snapshot history with the interval it came
         # from (preceded by the committed ancestors that interval
         # depends on): a failure before the job's first own checkpoint
         # then still has a recovery baseline to walk back through.
-        job.snapshots = [
-            GlobalSnapshotRef(d) for d in meta.base_chain if d != ref.path
-        ] + [ref]
+        job = universe.create_job(
+            app, meta.n_procs, params, restarted_from=ref,
+            snapshots=[
+                GlobalSnapshotRef(d) for d in meta.base_chain if d != ref.path
+            ] + [ref],
+        )
 
         placements = self._plan_restart_placement(
             universe, meta, options.get("placement")

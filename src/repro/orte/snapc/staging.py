@@ -8,7 +8,8 @@ job returns to RUNNING; the FILEM gather, local-staging cleanup, and
 global-metadata commit run here, in a per-job background worker inside
 the HNP.
 
-Lifecycle of one interval (a :class:`StagingRecord`):
+Lifecycle of one interval (a :class:`StagingRecord`, declared as
+:data:`STAGE_LIFECYCLE`):
 
 ``STAGING`` (enqueued, metadata persisted with ``staging.state =
 "staging"``) → ``COMMITTED`` (all local snapshots on stable storage,
@@ -45,6 +46,7 @@ from repro.opal.crs.chunks import KIND_DELTA, KIND_FULL
 from repro.orte.job import JobState
 from repro.orte.snapc.admission import StagingAdmission
 from repro.orte.snapc.backends import CasBackend, StagingBackend, TreeBackend
+from repro.orte.statestore import Durable
 from repro.simenv.kernel import SimGen, WaitEvent
 from repro.snapshot import (
     STAGE_COMMITTED,
@@ -83,9 +85,19 @@ FULL_PLAN = {
 }
 
 
+#: each state -> the states an interval may move to
+STAGE_LIFECYCLE = {STAGE_STAGING: {STAGE_COMMITTED, STAGE_FAILED}}
+
+
 @dataclass
-class StagingRecord:
-    """One interval's journey from local snapshots to stable storage."""
+class StagingRecord(Durable):
+    """One interval's journey from local snapshots to stable storage (a
+    ``staging`` row, journalled at dispatch, compaction and settle, so a
+    failed-over HNP knows which intervals were in flight and which are
+    durable: the COMMITTED rows are the never-re-ship contract)."""
+
+    TABLE = "staging"
+    LIFECYCLE = STAGE_LIFECYCLE
 
     jobid: int
     interval: int
@@ -120,6 +132,9 @@ class StagingRecord:
     def settled(self) -> bool:
         return self.state != STAGE_STAGING
 
+    def durable_key(self) -> str:
+        return f"{self.jobid}.{self.interval}"
+
     def to_durable(self) -> dict:
         """The lifecycle state journalled to the control-plane store."""
         return {
@@ -145,34 +160,13 @@ class StagingRecord:
         meta: GlobalSnapshotMeta,
         done: "SimEvent",
         now: float,
-        **overrides,
     ) -> "StagingRecord":
-        """Rebuild a record from its :meth:`to_durable` form.
-
-        *meta*, *done* and *now* are the fields that never persist;
-        *overrides* replace decoded fields (a lost interval is rebuilt
-        as ``state=failed``).
-        """
-        fields = {
-            "jobid": int(value["jobid"]),
-            "interval": int(value["interval"]),
-            "ref": GlobalSnapshotRef(value["path"]),
-            "meta": meta,
-            "kind": value.get("kind", meta.kind),
-            "base_chain": list(value.get("base_chain", [])),
-            "compact": bool(value.get("compact", False)),
-            "gather_entries": [
-                tuple(e) for e in value.get("gather_entries", [])
-            ],
-            "terminate": bool(value.get("terminate", False)),
-            "done": done,
-            "enqueued_at": now,
-            "cas": bool(value.get("cas", False)),
-            "state": value.get("state", STAGE_STAGING),
-            "error": value.get("error"),
-            "committed_at": value.get("committed_at"),
-        }
-        fields.update(overrides)
+        """Rebuild a record from its :meth:`to_durable` form; *meta*,
+        *done* and *now* are the fields that never persist."""
+        fields = {**value, "meta": meta, "done": done, "enqueued_at": now}
+        fields["ref"] = GlobalSnapshotRef(fields.pop("path"))
+        fields["base_chain"] = list(value["base_chain"])
+        fields["gather_entries"] = [tuple(e) for e in value["gather_entries"]]
         return cls(**fields)
 
 
@@ -297,22 +291,8 @@ class StagingCoordinator:
 
     # -- durable state -------------------------------------------------------
 
-    def _persist_record(self, record: StagingRecord) -> None:
-        """Journal *record*'s lifecycle state to the control-plane store.
-
-        Written at dispatch (``staging``) and at every settle
-        (``committed``/``failed``), so a failed-over HNP knows exactly
-        which intervals were in flight and which are durable — the
-        COMMITTED set in the store is the never-re-ship contract.
-        """
-        self.hnp.statestore.put(
-            "staging",
-            f"{record.jobid}.{record.interval}",
-            record.to_durable(),
-        )
-
     def _record_from(
-        self, value: dict, meta: GlobalSnapshotMeta | None = None, **overrides
+        self, value: dict, meta: GlobalSnapshotMeta | None = None
     ) -> StagingRecord:
         """A journalled record brought back to life in this incarnation.
 
@@ -327,22 +307,21 @@ class StagingCoordinator:
                 jobid=jobid, interval=interval, n_procs=0,
                 sim_time=0.0, app_name="",
             )
-        return StagingRecord.from_durable(
+        record = StagingRecord.from_durable(
             value,
             meta=meta,
             done=self._kernel.event(f"snapc.commit.job{jobid}.{interval}"),
             now=self._kernel.now,
-            **overrides,
         )
+        record.store = self.hnp.statestore
+        return record
 
     def _fail(self, st: _JobStaging, record: StagingRecord, error: str) -> None:
         """Settle *record* FAILED: anything chained on it is doomed and
         the next checkpoint is forced to a full image."""
-        record.state = STAGE_FAILED
-        record.error = error
+        record.change(STAGE_FAILED, error=error)
         st.failed_dirs.add(record.ref.path)
         st.force_full = True
-        self._persist_record(record)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -362,7 +341,8 @@ class StagingCoordinator:
         else:
             st.since_full += 1
             st.chain_dirs.append(record.ref.path)
-        self._persist_record(record)
+        record.store = self.hnp.statestore
+        record.change()  # journalled as dispatched, STAGING
         st.queue.put(record)
         if not st.worker_started:
             st.worker_started = True
@@ -509,15 +489,13 @@ class StagingCoordinator:
                 error = f"commit metadata write failed: {bounced}"
 
         if error is None:
-            record.state = STAGE_COMMITTED
-            record.committed_at = self._kernel.now
+            record.change(STAGE_COMMITTED, committed_at=self._kernel.now)
             job = self.hnp.universe.jobs.get(record.jobid)
             # HALTED jobs (checkpoint-and-terminate) still collect their
             # final commit; FAILED jobs must not — recovery may already
             # be walking job.snapshots.
             if job is not None and not st.aborted and job.state != JobState.FAILED:
-                job.snapshots.append(record.ref)
-            self._persist_record(record)
+                job.change(snapshots=[*job.snapshots, record.ref])
             log.info(
                 "job %d interval %d committed to stable storage (%s, %d bytes)",
                 record.jobid, record.interval, record.kind, record.bytes_moved,
@@ -568,7 +546,7 @@ class StagingCoordinator:
                 st.last_interval = interval
             job = self.hnp.universe.jobs.get(jobid)
             if job is not None and job.next_interval <= interval:
-                job.next_interval = interval + 1
+                job.change(next_interval=interval + 1)
             if value.get("state") in (STAGE_COMMITTED, STAGE_FAILED):
                 self._adopt_settled(st, value, job)
                 adopted += 1
@@ -582,7 +560,7 @@ class StagingCoordinator:
         self, st: _JobStaging, value: dict, job: "Job | None"
     ) -> None:
         """Reinstate a COMMITTED/FAILED record without touching bytes."""
-        record = self._record_from(value, gather_entries=[])
+        record = self._record_from(value)
         record.done.fire(record.state)
         st.records[record.interval] = record
         if record.state == STAGE_FAILED:
@@ -592,7 +570,7 @@ class StagingCoordinator:
         ):
             # Records arrive in interval order, so the newest committed
             # interval lands last — exactly what restart picks.
-            job.snapshots.append(record.ref)
+            job.change(snapshots=[*job.snapshots, record.ref])
 
     def _restage(self, st: _JobStaging, value: dict) -> SimGen:
         """Re-dispatch one in-flight interval; True if it re-entered
@@ -620,13 +598,11 @@ class StagingCoordinator:
         # interval up — into what the previous incarnation wrote when
         # that was readable (updated, never clobbered), into a
         # placeholder only when it was not.
-        record = self._record_from(
-            value, meta, gather_entries=[], state=STAGE_FAILED, error=error
-        )
+        record = self._record_from(value, meta)
         record.meta.staging = staging_state(STAGE_FAILED, error)
-        record.done.fire(record.state)
         st.records[record.interval] = record
         self._fail(st, record, error)
+        record.done.fire(record.state)
         yield from self._write_meta(record)
         log.warning(
             "job %d interval %d lost across HNP failover: %s",

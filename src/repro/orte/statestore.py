@@ -39,23 +39,30 @@ incarnation via :meth:`attach`), so it dies with the HNP and the next
 incarnation's :meth:`replay` sees only what actually reached stable
 storage.
 
+Every value reaches :meth:`StateStore.put` through one funnel,
+:meth:`StateStore.journal`, which puts a row only when it differs from
+what the key holds.  A :class:`Durable` record (a job, a staging
+interval, a recovery episode, a cadence estimator) changes, checks its
+edge and is journalled whole in one :meth:`Durable.change`; a
+:class:`DurableMap` journals each row it assigns.  :data:`TABLES`
+declares the tables, in the order a successor replays them.
+
 With ``orte_hnp_failover`` off the universe carries a
-:class:`NullStateStore`, which performs no I/O and posts no kernel
-events.  That null twin stays, as the one seam, and ``orte_hnp_failover``
-alone selects it.  A live store is not an idle cost that could simply be
-left on: every ``put`` becomes one WAL file written through
+:class:`NullStateStore`, which performs no I/O, posts no kernel events
+and encodes nothing.  A live store is not an idle cost that could
+simply be left on: every ``put`` becomes one WAL file written through
 ``stable_fs.write``, which takes simulated time on the stable-storage
 server that checkpoint staging shares, so the simulated makespan of
 every run without failover would move.  Both values of the switch are
 in real use (the fault campaigns run with failover, everything else
-without), and nothing wants a journal that no HNP can ever replay.
+without).
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import TYPE_CHECKING, Any
+from collections import UserDict, deque
+from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from repro.simenv.kernel import Delay, SimGen, WaitEvent
 from repro.util.errors import VFSError
@@ -79,6 +86,13 @@ RETRY_S = 0.05
 WAL_MAX_RECORDS = 256
 #: pseudo-table naming the base snapshot in its own hash
 _BASE_TABLE = "__base__"
+#: what a key no row holds is never equal to
+_ABSENT = object()
+#: the journal's tables, in the order a successor replays them
+TABLES = (
+    "jobs", "lineage", "attempts", "failures", "episodes", "sched", "ready",
+    "staging",
+)
 
 
 def _record_sha(seq: int, table: str, key: str, value: Any) -> str:
@@ -116,6 +130,9 @@ class StateStore:
         self._next_seq = 0
         self._written_seq = -1
         self._base_seq = -1
+        #: True from :meth:`drop_pending` until :meth:`replay`: the view
+        #: then holds only what was journalled since the drop
+        self._partial = False
         # counters (tests, meta-reports)
         self.appended = 0
         self.compactions = 0
@@ -141,15 +158,18 @@ class StateStore:
 
     # -- mutation -------------------------------------------------------------
 
-    def put(self, table: str, key: str, value: Any) -> None:
-        """Record ``tables[table][key] = value``; durable in order.
+    def journal(self, table: str, key: Any, encode: Callable, *args: Any) -> None:
+        """The funnel: journal ``encode(*args)`` as ``tables[table][key]``
+        unless that is exactly what the key already holds."""
+        if table not in TABLES:
+            raise ValueError(f"undeclared statestore table {table!r}")
+        value, key = encode(*args), str(key)
+        if self.tables.get(table, {}).get(key, _ABSENT) != value:
+            self.put(table, key, value)
 
-        Synchronous (callable from handlers and from outside the sim):
-        the in-memory view updates now, the WAL append is queued for
-        the writer thread.  *value* must be JSON-serializable; it is
-        serialized here, so later caller-side mutation cannot change
-        what lands on disk.
-        """
+    def put(self, table: str, key: str, value: Any) -> None:
+        """Record ``tables[table][key] = value`` now; the WAL append,
+        serialized here, is queued for the writer thread."""
         seq = self._next_seq
         self._next_seq += 1
         self.tables.setdefault(table, {})[key] = value
@@ -177,17 +197,19 @@ class StateStore:
     def drop_pending(self) -> int:
         """Discard queued-but-unwritten appends (HNP death).
 
-        Called synchronously by the election path *before* the new HNP
-        attaches its writer: the dead incarnation's un-durable appends
-        must not be written by the successor as if they had happened.
-        Their seqs become permanent WAL gaps, which replay tolerates.
-        The in-memory tables are not rewound here — the successor's
-        :meth:`replay` rebuilds them from what is actually on disk.
+        Called by the election path *before* the new HNP attaches its
+        writer: the dead incarnation's un-durable appends must not be
+        written by the successor.  Their seqs become WAL gaps, which
+        replay tolerates.
         """
         count = len(self._pending)
         self._pending.clear()
         self._flush_waiters.clear()
         self.dropped += count
+        # The view forgets the dropped values with them: until replay
+        # lays it over what is on disk, it holds only later journalling.
+        self.tables = {}
+        self._partial = True
         return count
 
     # -- the writer ------------------------------------------------------------
@@ -214,6 +236,7 @@ class StateStore:
             self._fire_flush_waiters()
             if (
                 not self._pending
+                and not self._partial
                 and self._written_seq - self._base_seq >= self.wal_max_records
             ):
                 yield from self._compact()
@@ -288,8 +311,9 @@ class StateStore:
     def replay(self) -> SimGen:
         """Generator: rebuild the tables from stable storage.
 
-        Returns the replayed ``{table: {key: value}}`` mapping (also
-        installed as :attr:`tables`).  Torn records — a hash mismatch
+        Returns the replayed ``{table: {key: value}}`` mapping, with
+        whatever was journalled since :meth:`drop_pending` laid over it
+        (also installed as :attr:`tables`).  Torn records — a hash mismatch
         or unparsable JSON — end the replay at that point: everything
         after a torn record is untrusted, exactly like a torn WAL
         suffix.  Missing seqs are skipped over (dropped appends).
@@ -330,7 +354,10 @@ class StateStore:
             tables.setdefault(doc["table"], {})[doc["key"]] = doc["value"]
             last = seq
             applied += 1
+        for table, rows in self.tables.items():
+            tables.setdefault(table, {}).update(rows)
         self.tables = tables
+        self._partial = False
         self._written_seq = last
         self._base_seq = base_seq
         # Never rewind the in-memory counter: un-durable seqs that were
@@ -341,34 +368,70 @@ class StateStore:
 
 
 class NullStateStore:
-    """Store used when failover is off: no I/O, no kernel events.
-
-    The determinism suite compares default-configuration runs event by
-    event, so the disabled store must not even post wake events — its
-    generators complete without a single yield.
-    """
+    """Store used when failover is off: no writer, no kernel events, no
+    encoding.  Nothing elects a successor then, so nothing flushes,
+    drops or replays it either."""
 
     enabled = False
-
-    def __init__(self):
-        self.tables: dict[str, dict[str, Any]] = {}
 
     def attach(self, proc: "SimProcess") -> None:
         return None
 
-    def put(self, table: str, key: str, value: Any) -> None:
+    def journal(self, table: str, key: Any, encode, *args: Any) -> None:
         return None
 
-    def drop_pending(self) -> int:
-        return 0
 
-    def flush(self) -> SimGen:
-        return None
-        yield  # pragma: no cover - unreachable; makes flush a generator
+NULL_STORE = NullStateStore()
 
-    def replay(self) -> SimGen:
-        return {}
-        yield  # pragma: no cover - unreachable; makes replay a generator
+
+class IllegalTransition(RuntimeError):
+    """A change asked for an edge its lifecycle does not declare."""
+
+
+class Durable:
+    """A record journalled whole as the ``durable_key()`` row of
+    :attr:`TABLE`, encoded by ``to_durable()``; its fields change only
+    through :meth:`change`.  ``store`` is bound by the record's creator
+    (unbound, it journals nowhere)."""
+
+    TABLE: ClassVar[str]
+    LIFECYCLE: ClassVar[dict] = {}
+    store: "StateStore | NullStateStore" = NULL_STORE
+
+    def change(self, state: Any = None, **fields: Any) -> None:
+        """Move to *state* along a :attr:`LIFECYCLE` edge (each state ->
+        the states it may move to), set *fields*, journal the record."""
+        if state is not None:
+            if state not in self.LIFECYCLE.get(self.state, ()):
+                raise IllegalTransition(
+                    f"{self.TABLE}: {getattr(self.state, 'value', self.state)}"
+                    f" -> {getattr(state, 'value', state)}"
+                )
+            fields["state"] = state
+        for attr, value in fields.items():
+            setattr(self, attr, value)
+        self.store.journal(self.TABLE, self.durable_key(), self.to_durable)
+
+
+class DurableMap(UserDict):
+    """The rows of one table keyed by an int id: each assignment is
+    journalled as ``encode(value)``.  Values are immutable, so a change
+    can only be an assignment."""
+
+    def __init__(self, store, table: str, encode=lambda v: v, decode=lambda v: v):
+        super().__init__()
+        self.store, self.table, self.encode, self.decode = (
+            store, table, encode, decode
+        )
+
+    def __setitem__(self, key: int, value: Any) -> None:
+        self.data[key] = value
+        self.store.journal(self.table, key, self.encode, value)
+
+    def restore(self, rows: dict) -> None:
+        """Install replayed rows (journalling only what differs)."""
+        for key, value in rows.items():
+            self[int(key)] = self.decode(value)
 
 
 def build_statestore(universe: "Universe") -> "StateStore | NullStateStore":

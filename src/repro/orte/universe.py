@@ -134,7 +134,11 @@ class Universe:
 
     # -- jobs ------------------------------------------------------------------
 
-    def create_job(self, app: AppSpec, np: int, params: MCAParams | None = None) -> Job:
+    def create_job(
+        self, app: AppSpec, np: int, params: MCAParams | None = None, **durable
+    ) -> Job:
+        """A new PENDING job, journalled at once with *durable* fields:
+        a failed-over HNP never re-mints a journalled jobid."""
         if np < 1:
             raise LaunchError("np must be >= 1")
         merged = self.params.copy()
@@ -143,9 +147,8 @@ class Universe:
         job = Job(self.new_jobid(), app, np, merged)
         job.done_event = self.kernel.event(f"job{job.jobid}.done")
         self.jobs[job.jobid] = job
-        # Persist the jobid floor so a failed-over HNP never re-mints a
-        # jobid that already names snapshot directories on disk.
-        self.statestore.put("universe", "jobid_floor", job.jobid)
+        job.store = self.statestore
+        job.change(**durable)
         return job
 
     def submit(self, app: AppSpec, np: int, params: MCAParams | None = None) -> Job:
@@ -191,8 +194,7 @@ class Universe:
 
     def restore_jobid_floor(self, floor: int) -> None:
         """Never allocate at or below *floor* (or any live jobid)."""
-        highest = max([floor, *self.jobs.keys()]) if self.jobs else floor
-        self._next_jobid = itertools.count(highest + 1)
+        self._next_jobid = itertools.count(max([floor, *self.jobs]) + 1)
 
     def elect_hnp(self, orted: "Orted") -> bool:
         """Install *orted*'s node as the new HNP; returns False if an

@@ -214,12 +214,13 @@ class FS:
         return blobs
 
     def remove(self, path: str) -> SimGen:
-        """Remove one file."""
+        """Remove one file (a filesystem lost during the delay keeps it)."""
         self._check()
         norm = vpath.normalize(path)
         if norm not in self._files:
             raise VFSError(f"{self.name}: no such file {norm}")
         yield Delay(self.op_latency_s)
+        self._check()
         if norm in self._files:
             self._unindex_file(norm)
         self._files.pop(norm, None)
@@ -227,10 +228,12 @@ class FS:
         return None
 
     def remove_tree(self, prefix: str) -> SimGen:
-        """Remove every file under *prefix* (and the dir markers)."""
+        """Remove every file under *prefix* (and the dir markers); a
+        filesystem lost during the delay keeps them."""
         self._check()
         victims = self.list_tree(prefix)
         yield Delay(self.op_latency_s * max(1, len(victims)))
+        self._check()
         for path in victims:
             if path in self._files:
                 self._unindex_file(path)

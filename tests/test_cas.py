@@ -14,6 +14,7 @@ import pytest
 
 from repro.opal.crs import chunks as chunkstore
 from repro.orte import oob
+from repro.simenv.campaign import _drain_background
 from repro.simenv.kernel import Kernel
 from repro.snapshot import CODEC, read_global_meta
 from repro.tools.api import (
@@ -402,6 +403,18 @@ class TestCASStaging:
         assert meta.cas is True
         # CAS intervals are self-contained: restart never walks a chain
         assert meta.base_chain == []
+
+    def test_the_store_lives_under_its_configured_root(self):
+        universe = make_universe(4, params={**FINE, "snapc_full_cas_root": "/stores/chunks"})
+        job = ompi_run(universe, "churn", 4, args=SMALL, wait=False)
+        handle = ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        universe.run_job_to_completion(job)
+        stable = universe.cluster.stable_fs
+        assert _cas_backend(universe).store.root == "/stores/chunks"
+        assert stable.list_tree("/stores/chunks/objects")
+        assert stable.list_tree("/cas") == []
+        restarted = ompi_restart(universe, checkpoint_ref(handle))
+        assert restarted.results == job.results
 
     def test_shared_filem_falls_back_to_plain_staging(self):
         # The shared-FS FILEM writes directly to stable storage; it
@@ -912,6 +925,29 @@ class TestCASCleanupOffTheCommitPath:
         [episode] = universe.hnp.errmgr.recovery_log
         assert episode.recovered and episode.snapshot == record.ref.path
         assert final.results == ompi_run(make_universe(4), "churn", 4, args=SMALL).results
+
+    def test_a_node_dying_mid_removal_keeps_its_disk(self):
+        """node03 dies 5 sim-ms into removing ``/ckpt/job1/interval1/rank3``
+        (a removal takes 15): the removal fails instead of emptying the
+        dead node's disk, and FILEM skips the node as if it had been down."""
+        universe = make_universe(4, FINE)
+        failures, crashed = universe.cluster.failures, []
+        node03 = universe.cluster.node("node03")
+
+        def during(node, tree):
+            if node == "node03" and not crashed:
+                crashed.append((tree, sorted(node03.local_fs.list_tree(tree))))
+                universe.kernel.call_later(0.005, lambda: failures.crash_node_now("node03"))
+
+        removals = _spy_removals(universe, during)
+        job = ompi_run(universe, "churn", 4, args=SMALL, wait=False)
+        ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        universe.run_job_to_completion(job)
+        _drain_background(universe)
+        [(tree, files)] = crashed
+        assert tree == "/ckpt/job1/interval1/rank3" and files
+        assert all(path in node03.local_fs._files for path in files)
+        assert [t for _s, _e, node, t in removals if node == "node03"] == [tree]
 
 
 class TestCASConcurrentCheck:

@@ -219,10 +219,15 @@ class TestVetoRule:
         assert job.state.value == "finished"
 
 
+#: ends at 0.333 sim-s undisturbed: the checkpoint at 0.04 s commits and
+#: the crash at 0.25 s lands mid-run
+SHORT_JACOBI = {"n_global": 256, "iters": 500, "iter_compute_s": 6e-4}
+
+
 class TestAutorecovery:
-    def test_node_crash_triggers_recovery(self, jacobi_baseline):
+    def test_node_crash_triggers_recovery(self):
         universe = make_universe(4, params={"orte_errmgr_autorecover": "1"})
-        args = {"n_global": 256, "iters": 50000}
+        args = SHORT_JACOBI
         expected = ompi_run(make_universe(4), "jacobi", 4, args=args).results
         job = ompi_run(universe, "jacobi", 4, args=args, wait=False)
         ompi_checkpoint(universe, job.jobid, at=0.04, wait=False)
@@ -237,9 +242,7 @@ class TestAutorecovery:
 
     def test_no_recovery_without_snapshot(self):
         universe = make_universe(4, params={"orte_errmgr_autorecover": "1"})
-        job = ompi_run(
-            universe, "jacobi", 4, args={"n_global": 256, "iters": 50000}, wait=False
-        )
+        job = ompi_run(universe, "jacobi", 4, args=SHORT_JACOBI, wait=False)
         universe.cluster.failures.crash_node_at(0.1, "node01")
         universe.run_job_to_completion(job)
         assert job.state.value == "failed"
@@ -247,9 +250,7 @@ class TestAutorecovery:
 
     def test_no_recovery_when_disabled(self):
         universe = make_universe(4)
-        job = ompi_run(
-            universe, "jacobi", 4, args={"n_global": 256, "iters": 50000}, wait=False
-        )
+        job = ompi_run(universe, "jacobi", 4, args=SHORT_JACOBI, wait=False)
         ompi_checkpoint(universe, job.jobid, at=0.04, wait=False)
         universe.cluster.failures.crash_node_at(0.25, "node03")
         universe.run_job_to_completion(job)

@@ -14,10 +14,12 @@ import json
 
 import pytest
 
+from repro.mca.params import MCAParams
 from repro.obs.report import filter_spans
+from repro.orte.job import AppSpec, Job, JobState
 from repro.orte.snapc.admission import StagingAdmission
 from repro.orte.snapc.staging import StagingRecord
-from repro.orte.statestore import StateStore
+from repro.orte.statestore import DEFAULT_ROOT, IllegalTransition, StateStore
 from repro.simenv.campaign import (
     FAULT_HNP_CRASH,
     CampaignSpec,
@@ -26,13 +28,12 @@ from repro.simenv.campaign import (
     follow_lineage,
     run_campaign,
 )
-from repro.simenv.kernel import Kernel
+from repro.simenv.kernel import Kernel, WaitEvent
 from repro.snapshot import (
     STAGE_COMMITTED,
     STAGE_STAGING,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
-    parse_global_dirname,
     read_global_meta,
 )
 from repro.tools.api import ompi_restart, ompi_run
@@ -94,72 +95,69 @@ def assert_committed_consistent(universe) -> int:
     return len(committed)
 
 
-class _Recorder:
-    """Stands in for the state store: keeps what the writers would put."""
-
-    def __init__(self):
-        self.tables: dict[str, dict] = {}
-
-    def put(self, table: str, key: str, value) -> None:
-        self.tables.setdefault(table, {})[key] = json.loads(json.dumps(value))
+def live_tables(universe) -> dict:
+    """What the journal should hold for the live control plane now: every
+    durable record and row, each encoded by its own record type."""
+    hnp = universe.hnp
+    errmgr, stager = hnp.errmgr, hnp.snapc.stager(hnp)
+    records = [
+        *universe.jobs.values(),
+        *(r for jobid in universe.jobs for r in stager.job_records(jobid)),
+        *errmgr.recovery_log,
+        *hnp.ckpt_scheduler._estimators.values(),
+    ]
+    tables: dict[str, dict] = {}
+    for record in records:
+        tables.setdefault(record.TABLE, {})[record.durable_key()] = record.to_durable()
+    for rows in (hnp.ckpt_ready, errmgr._lineage, errmgr._attempts, errmgr._failures):
+        if rows:
+            tables[rows.table] = {str(k): rows.encode(v) for k, v in rows.items()}
+    return tables
 
 
 def assert_journal_matches_live(universe) -> dict:
     """``live == replay(journal)`` once a run has settled.
 
     Replays the store from stable storage into a fresh :class:`StateStore`
-    and compares every table with what its writers journal for the live
-    objects now — each writer's own encoding, so a state change that was
-    not journalled shows as a difference.  Returns the replayed tables.
+    and compares every table with what the live objects encode to now, so
+    a state change that was not journalled shows as a difference; nothing
+    is forgiven.  Returns the replayed tables.
     """
-    store, hnp = universe.statestore, universe.hnp
+    store = universe.statestore
     run_gen(universe.kernel, store.flush(), name="flush")
     replayed = run_gen(
         universe.kernel, StateStore(universe, root=store.root).replay(),
         name="replay",
     )
-    live = _Recorder()
-    stager = hnp.snapc.stager(hnp)
-    hnp.statestore = live
-    try:
-        live.put("universe", "jobid_floor", max(universe.jobs))
-        for jobid, job in sorted(universe.jobs.items()):
-            hnp._persist_job(job)
-            for record in stager.job_records(jobid):
-                stager._persist_record(record)
-        for jobid in hnp.ckpt_ready:
-            hnp._persist_ready(jobid)
-        hnp.errmgr._persist()
-        for root in hnp.ckpt_scheduler._observe_start:
-            hnp.ckpt_scheduler._persist_cadence(root)
-    finally:
-        hnp.statestore = store
-    # What is not journalled on purpose: a settled interval's gather work
-    # (adopted with none), registrations of jobs already over (nothing
-    # reads them again), and the lineage link of an ompi-restart'ed job
-    # (folded in lazily from ``job.restarted_from``, which survives).
-    for tables in (live.tables, replayed):
-        for value in tables.get("staging", {}).values():
-            if value["state"] != STAGE_STAGING:
-                value["gather_entries"] = []
-    for key in set(replayed.get("ready", {})) - set(live.tables.get("ready", {})):
-        if universe.jobs[int(key)].is_done:
-            del replayed["ready"][key]
-    journalled = replayed.get("errmgr", {}).get("lineage", {})
-    lineage = live.tables["errmgr"]["lineage"]
-    for key, parent in list(lineage.items()):
-        ref = universe.jobs[int(key)].restarted_from
-        if key not in journalled and ref and parse_global_dirname(ref.path)[0] == parent:
-            del lineage[key]
-    differ = {}
-    for table in sorted(set(live.tables) | set(replayed)):
-        mine, theirs = live.tables.get(table, {}), replayed.get(table, {})
-        for key in sorted(set(mine) | set(theirs)):
-            # an empty live value may never have been journalled at all
-            if mine.get(key) != theirs.get(key) and (mine.get(key) or key in theirs):
-                differ[f"{table}.{key}"] = (mine.get(key), theirs.get(key))
+    live = live_tables(universe)
+    differ = {
+        f"{table}.{key}": (live.get(table, {}).get(key), rows.get(key))
+        for table in sorted(set(live) | set(replayed))
+        for rows in [replayed.get(table, {})]
+        for key in sorted(set(live.get(table, {})) | set(rows))
+        if live.get(table, {}).get(key) != rows.get(key)
+    }
     assert differ == {}, f"(live, replayed) {differ}"
     return replayed
+
+
+def journal_census(universe) -> dict:
+    """Count the store's puts per table from now on: ``puts``, the
+    ``unchanged`` ones (rewriting the value the key already holds) and
+    the ``bytes`` of the values' JSON."""
+    store = universe.statestore
+    put = store.put
+    rows: dict[str, dict] = {}
+
+    def counting(table, key, value):
+        row = rows.setdefault(table, {"puts": 0, "unchanged": 0, "bytes": 0})
+        row["puts"] += 1
+        row["unchanged"] += store.tables.get(table, {}).get(key, put) == value
+        row["bytes"] += len(json.dumps(value, sort_keys=True))
+        put(table, key, value)
+
+    store.put = counting
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +293,53 @@ def test_staging_record_durable_roundtrip(cas):
     )
     assert again == record
     assert again.to_durable() == value
+
+
+def test_an_illegal_edge_raises_and_changes_nothing():
+    kernel = Kernel()
+    job = Job(1, AppSpec("churn"), 1, MCAParams())
+    for state in (JobState.LAUNCHING, JobState.RUNNING, JobState.FINISHED):
+        job.change(state)
+    with pytest.raises(IllegalTransition, match="jobs: finished -> running"):
+        job.change(JobState.RUNNING)
+    assert job.state is JobState.FINISHED
+    meta = GlobalSnapshotMeta(
+        jobid=1, interval=1, n_procs=1, sim_time=0.1, app_name="churn"
+    )
+    record = StagingRecord(
+        jobid=1, interval=1, ref=GlobalSnapshotRef("/snapshots/job1/1"),
+        meta=meta, kind="full", base_chain=[], compact=False,
+        gather_entries=[], terminate=False, done=kernel.event("done"),
+        enqueued_at=0.1,
+    )
+    record.change(STAGE_COMMITTED, committed_at=0.2)
+    with pytest.raises(IllegalTransition, match="staging: committed -> staging"):
+        record.change(STAGE_STAGING, committed_at=None)
+    assert (record.state, record.committed_at) == (STAGE_COMMITTED, 0.2)
+
+
+#: the journal census scenarios: churn np=4 with (fault, instant) pairs
+CENSUS = {
+    "no fault": [],
+    "HNP node at 0.3 s": [("hnp", 0.3)],
+    "node03 at 0.4 s": [("node03", 0.4)],
+    "node03 at 0.4 s, HNP node at 0.6 s": [("node03", 0.4), ("hnp", 0.6)],
+}
+
+
+@pytest.mark.parametrize("faults", CENSUS.values(), ids=list(CENSUS))
+def test_no_put_rewrites_the_value_its_key_holds(faults):
+    universe = failover_universe()
+    rows = journal_census(universe)
+    job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+    for target, at in faults:
+        if target == "hnp":
+            crash_hnp_at(universe, at)
+        else:
+            universe.cluster.failures.crash_node_at(at, target)
+    settle_lineage(universe, job)
+    assert rows and {t: r["unchanged"] for t, r in rows.items() if r["unchanged"]} == {}
+    assert_journal_matches_live(universe)
 
 
 def test_reclaim_all_returns_tokens_and_clears_dead_waiters():
@@ -492,6 +537,25 @@ class TestFailoverScenarios:
         assert restarted.results == final.results
         assert_journal_matches_live(universe)
 
+    def test_a_moved_statestore_root_holds_the_whole_journal(self):
+        """With ``statestore_root`` moved, the successor replays from there
+        and nothing is ever written under the default root."""
+        universe = failover_universe(
+            obs_trace_enabled="1", statestore_root="/journal/control"
+        )
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        crash_hnp_at(universe, 0.35)
+        final = settle_lineage(universe, job)
+        assert final.state.value == "finished" and universe.failovers == 1
+        (span,) = filter_spans(
+            universe.kernel.tracer.to_dict(), name="statestore.replay"
+        )
+        assert span["attrs"]["applied"] > 0
+        stable = universe.cluster.stable_fs
+        assert stable.list_tree("/journal/control/wal")
+        assert stable.list_tree(DEFAULT_ROOT) == [] and not stable.isdir(DEFAULT_ROOT)
+        assert_journal_matches_live(universe)
+
     # -- journal writes no other test notices ---------------------------------
 
     def test_spent_budget_is_journalled(self):
@@ -507,7 +571,7 @@ class TestFailoverScenarios:
         first, second = universe.hnp.errmgr.recovery_log
         assert first.recovered and not second.recovered
         replayed = assert_journal_matches_live(universe)
-        assert replayed["errmgr"]["log"][1]["error"] == (
+        assert replayed["episodes"][str(second.failed_jobid)]["error"] == (
             "recovery budget exhausted (1/1 attempts)"
         )
 
@@ -531,7 +595,41 @@ class TestFailoverScenarios:
         [record] = universe.hnp.errmgr.recovery_log
         assert record.error == "no committed snapshot with an intact base chain"
         replayed = assert_journal_matches_live(universe)
-        assert replayed["errmgr"]["log"][0]["error"] == record.error
+        assert replayed["episodes"][str(job.jobid)]["error"] == record.error
+
+    @pytest.mark.parametrize("at", [0.001, 0.02])
+    def test_hnp_node_crash_while_launching_is_journalled(self, at):
+        """The HNP's node, and rank 0 with it, dies while a fresh job is
+        LAUNCHING: the orphaned failure fails the job, and the journal
+        says so.  At 0.001 s the job's first appends were still queued
+        and were dropped; the successor journals the job it adopts."""
+        universe = failover_universe()
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        crash_hnp_at(universe, at)
+        final = settle_lineage(universe, job)
+        assert final is job and job.state.value == "failed"
+        assert universe.statestore.dropped == (2 if at < 0.01 else 0)
+        replayed = assert_journal_matches_live(universe)
+        assert replayed["jobs"][str(job.jobid)]["state"] == "failed"
+
+    def test_a_transition_dropped_with_mpirun_is_journalled_again(self):
+        """mpirun dies 1 ms after the job FINISHED, before that append was
+        written: the successor journals the job it adopts as it is."""
+        universe = failover_universe()
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+
+        def crash_after_finish():
+            yield WaitEvent(job.done_event)
+            universe.kernel.call_later(
+                0.001, lambda: universe.hnp.proc.kill(ReproError("mpirun crashed"))
+            )
+
+        universe.kernel.spawn(crash_after_finish(), name="crasher", daemon=True)
+        final = settle_lineage(universe, job)
+        assert final is job and job.state.value == "finished"
+        assert (universe.failovers, universe.statestore.dropped) == (1, 1)
+        replayed = assert_journal_matches_live(universe)
+        assert replayed["jobs"][str(job.jobid)]["state"] == "finished"
 
     def test_mpirun_crash_while_launching_is_journalled(self):
         """mpirun dies (its node stays up) while the job is LAUNCHING:

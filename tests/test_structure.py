@@ -11,6 +11,7 @@ places that have a reason for one.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -67,8 +68,10 @@ def test_line_budgets():
     (17 386).  Both budgets were lowered to the sizes the one restart
     plan left (2 359 and 17 372): deleted lines are not headroom.  One
     periodic checkpointer, one stencil solver and four fewer knobs left
-    2 357 and 17 136; the tree's budget holds 200 lines more, granted
-    to the invariant oracle (ROADMAP item 1(a)) and to nothing else."""
+    2 357 and 17 136; one journal funnel in place of five hand-wired
+    writers left 2 289 and 17 119.  The tree's budget holds 200 lines
+    more, granted to the invariant oracle (ROADMAP item 1(a)) and to
+    nothing else."""
     sizes = {path: len(_lines(path)) for path in SRC.rglob("*.py")}
     assert {p.name: n for p, n in sizes.items() if n > 800} == {}
     assert sizes[SNAPC / "staging.py"] <= 650
@@ -81,8 +84,8 @@ def test_line_budgets():
             SRC / "orte" / "errmgr.py",
         )
     )
-    assert around_the_seam <= 2357
-    assert sum(sizes.values()) <= 17136 + 200
+    assert around_the_seam <= 2289
+    assert sum(sizes.values()) <= 17119 + 200
 
 
 def test_snapshot_documents_have_one_memo_and_one_json_site_each():
@@ -223,3 +226,99 @@ def test_every_benchmark_pin_is_asserted_in_tier1():
             if isinstance(name, ast.Name) and name.id in imported
         }
     assert pins and pins <= asserted, sorted(pins - asserted)
+
+
+def _functions(path: Path):
+    """``(function name, node)`` for every node inside a function."""
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                yield fn.name, node
+
+
+def _durable_fields() -> set[str]:
+    """Attribute names a durable record journals."""
+    from repro.mca.params import MCAParams
+    from repro.orte.errmgr import RecoveryRecord
+    from repro.orte.job import AppSpec, Job
+    from repro.orte.scheduler import DalyEstimator
+    from repro.orte.snapc.staging import StagingRecord
+
+    job = Job(1, AppSpec("churn"), 1, MCAParams())
+    names = {name for name in job.to_durable() if hasattr(job, name)}
+    names |= set(DalyEstimator(0.1, 0.1, 0.1).to_durable())
+    names |= {f.name for f in dataclasses.fields(RecoveryRecord)}
+    names |= {f.name for f in dataclasses.fields(StagingRecord)} & set(
+        StagingRecord.to_durable.__code__.co_names
+    )
+    return names
+
+
+def _names_field(node: ast.AST, fields: set[str]) -> bool:
+    """``name.field`` for a journalled field (``record.meta.kind`` is the
+    metadata document's, not the record's)."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.attr in fields
+    )
+
+
+MUTATORS = {"append", "extend", "insert", "add", "discard", "remove", "pop",
+            "update", "clear", "setdefault", "sort"}
+
+
+def test_the_journal_has_one_funnel():
+    """Durable control-plane state changes in one act.  The state store's
+    ``put`` is called from one place, the funnel ``StateStore.journal``;
+    ``setattr`` in ``orte`` only in ``Durable.change``; and a journalled
+    field (a job's or an interval's ``state`` among them) is assigned or
+    mutated in place nowhere but in its record's constructor."""
+    puts, setattrs, assigned = [], [], []
+    fields = _durable_fields()
+    assert {"state", "snapshots", "next_interval", "committed_at", "costs"} <= fields
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        for name, node in _functions(path):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "put" and len(node.args) == 3:
+                    puts.append((where, name))
+                target = node.func.value
+                if node.func.attr in MUTATORS and _names_field(target, fields) \
+                        and where.startswith("orte/"):
+                    assigned.append((where, name, ast.unparse(node.func)))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr" \
+                    and where.startswith("orte/"):
+                setattrs.append((where, name))
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                else []
+            )
+            for target in targets:
+                target = target.value if isinstance(target, ast.Subscript) else target
+                if _names_field(target, fields) and where.startswith("orte/") \
+                        and name != "__init__":
+                    assigned.append((where, name, ast.unparse(target)))
+    assert puts == [("orte/statestore.py", "journal")]
+    assert setattrs == [("orte/statestore.py", "change")]
+    assert assigned == []
+
+
+def test_the_docs_name_the_declared_tables_and_edges():
+    """``docs/CONTROLPLANE.md`` §1's table lists exactly the journal's
+    declared tables, in replay order, and the state graphs in
+    ``docs/STAGING.md`` and ``docs/RECOVERY.md`` are the declared ones,
+    edge for edge."""
+    from repro.orte.job import JOB_LIFECYCLE
+    from repro.orte.snapc.staging import STAGE_LIFECYCLE
+    from repro.orte.statestore import TABLES
+
+    docs = SRC.parents[1] / "docs"
+    section = (docs / "CONTROLPLANE.md").read_text().split("\n## 1.")[1].split("\n## ")[0]
+    assert re.findall(r"^\| `(\w+)` \|", section, re.M) == list(TABLES)
+    for doc, graph in (("STAGING.md", STAGE_LIFECYCLE), ("RECOVERY.md", JOB_LIFECYCLE)):
+        name = lambda state: getattr(state, "value", state).upper()  # noqa: E731
+        declared = {(name(old), name(new)) for old, news in graph.items() for new in news}
+        drawn = re.findall(r"^([A-Z]+) +-> ([A-Z]+) ", (docs / doc).read_text(), re.M)
+        assert len(drawn) == len(set(drawn)) and set(drawn) == declared, doc
