@@ -203,7 +203,7 @@ def test_e6_restart_time_vs_image_size(benchmark):
     sizes = sorted(results)
     full, chain = columns
     assert results[sizes[-1]][full] > results[sizes[0]][full]
-    # the chain is flattened at the source: it lands the same three
+    # the chain is flattened at the source: it lands the same two
     # files, and costs its extra stable reads, not a multiple
     for size in sizes:
         assert results[size][full] < results[size][chain] < 1.25 * results[size][full]

@@ -60,9 +60,11 @@ class CRSComponent(Component):
     # -- framework-level flow (shared by components) -----------------------------
 
     def checkpoint(self, opal: "OpalLayer", request: "CheckpointRequest") -> SimGen:
-        """Take a local snapshot; returns ``(ref, meta)``.
+        """Take a local snapshot; returns ``(ref, meta, manifest)``, the
+        last the ``chunks.json`` it wrote (every digest is listed there
+        and nowhere else).
 
-        Writes the image plus ``metadata.json`` into
+        Writes the image, ``chunks.json`` and ``metadata.json`` into
         ``request.snapshot_dir`` on ``request.target_fs``, paying the
         serialization, hashing and disk costs.  Chunk digests are
         compared before they are hashed (``chunks.hash_chunks``): only
@@ -174,12 +176,10 @@ class CRSComponent(Component):
             written_bytes=written,
             chunk_bytes=chunk_bytes,
             total_bytes=len(blob),
-            chunk_hashes=hashes,
-            present_chunks=present,
         )
         yield from write_local_meta(fs, ref, meta)
         span.end()
-        return ref, meta
+        return ref, meta, manifest
 
     def restart_extract_chain(
         self, fs: "FS", refs: list[LocalSnapshotRef]
@@ -201,7 +201,14 @@ class CRSComponent(Component):
                 f"snapshot {newest.path} was taken by CRS "
                 f"{meta.crs_component!r}, not {self.name!r}"
             )
-        blob, _manifest = yield from chunkstore.reconstruct_chain(fs, [r.path for r in refs])
+        blob, manifest = yield from chunkstore.reconstruct_chain(fs, [r.path for r in refs])
+        # A preloaded image lands without its manifest: its size is
+        # checked against the metadata that landed beside it.
+        if manifest is None and len(blob) != meta.total_bytes:
+            raise RestartError(
+                f"image at {newest.path} is {len(blob)} bytes, "
+                f"its metadata says {meta.total_bytes}"
+            )
         try:
             image = pickle.loads(blob)
         except Exception as exc:  # bytes read back from storage: anything can come out

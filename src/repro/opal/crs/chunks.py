@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.simenv.kernel import SimGen
 from repro.snapshot import CODEC, IMAGE_FILE, LOCAL_META, field_values
@@ -143,22 +143,12 @@ def hash_chunks(
     return hashes, hashed
 
 
-def full_image_tree(
-    blob: bytes, manifest: ChunkManifest | None, meta_raw: bytes | None = None
-) -> dict[str, bytes]:
-    """The files of a self-contained full image, in the order they are
-    to be written: ``image.pkl``, a ``kind="full"`` manifest listing
-    every digest of *manifest* (a pre-incremental image has none), then
-    *meta_raw* as ``metadata.json`` — last, the "tree complete" marker."""
-    files = {IMAGE_FILE: blob}
-    if manifest is not None:
-        files[CHUNK_MANIFEST] = replace(
-            manifest, kind=KIND_FULL, total_bytes=len(blob), base_interval=None,
-            present=list(range(manifest.n_chunks)),
-        ).to_json()
-    if meta_raw is not None:
-        files[LOCAL_META] = meta_raw
-    return files
+def full_image_tree(blob: bytes, meta_raw: bytes) -> dict[str, bytes]:
+    """The files a restarting rank finds, in the order they are written:
+    ``image.pkl``, then *meta_raw* as ``metadata.json`` — last, the "tree
+    complete" marker.  No manifest: the digests were checked before the
+    image left stable storage, and the metadata records its size."""
+    return {IMAGE_FILE: blob, LOCAL_META: meta_raw}
 
 
 def reconstruct_chain(fs: FS, chain_dirs: list[str]) -> SimGen:

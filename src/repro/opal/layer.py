@@ -128,7 +128,7 @@ class OpalLayer:
     def entry_point(self, request: CheckpointRequest) -> SimGen:
         """Run the full single-process checkpoint sequence.
 
-        Returns ``(LocalSnapshotRef, LocalSnapshotMeta)``.
+        Returns ``(LocalSnapshotRef, LocalSnapshotMeta, ChunkManifest)``.
         """
         if not self.checkpoint_enabled:
             raise NotCheckpointableError([self.proc.label])
@@ -141,12 +141,12 @@ class OpalLayer:
         try:
             yield from self.inc_stack.invoke(FTState.CHECKPOINT)
             prepared = True
-            ref, meta = yield from self.crs.checkpoint(self, request)
+            ref, meta, manifest = yield from self.crs.checkpoint(self, request)
             post = FTState.HALT if request.terminate else FTState.CONTINUE
             yield from self.inc_stack.invoke(post)
             if request.terminate:
                 self.incr_chunk_cache = None
-            return ref, meta
+            return ref, meta, manifest
         except CheckpointError:
             if prepared:
                 # The library is quiesced (gates closed, IB down) but

@@ -11,8 +11,9 @@ and what is bounded depends on the operation:
   back-pressure, so this pricing is part of every write workload.
 * ``broadcast`` (restart preload): a session per destination *node*,
   whose ranks stream through it back to back in entry order, one full
-  image tree each (a delta chain is flattened and verified at the
-  source; see :meth:`RshFILEM.broadcast`); the bound is on *node streams*.
+  image tree each (every chain, a full interval's one directory too, is
+  rebuilt and verified at the source; see :meth:`RshFILEM.broadcast`);
+  the bound is on *node streams*.
 * ``ship_chunks`` (CAS): a session per entry.
 * ``fetch_chunks`` (CAS restart preload): the ranks' metadata (bounded),
   then each distinct chunk their manifests list read once, in
@@ -208,7 +209,7 @@ class RshFILEM(FILEMComponent):
                     f"{chain[-1]}: fetched image is {len(blob)} bytes, "
                     f"manifest says {manifest.total_bytes}"
                 )
-            trees.append(chunkstore.full_image_tree(blob, manifest, meta_raw))
+            trees.append(chunkstore.full_image_tree(blob, meta_raw))
 
         def land(node_name: str, dst_fs, dst_dir: str, tree: dict) -> SimGen:
             inner = tracer.begin("filem.transfer", cat="filem", op="fetch", node=node_name)
@@ -227,41 +228,33 @@ class RshFILEM(FILEMComponent):
         return moved
 
     def broadcast(self, hnp: "HNP", entries: list[tuple[str, list[str], str]]) -> SimGen:
-        """Land one full image tree per rank.  A full interval's
-        directory is copied as it is; a delta chain is rebuilt on stable
-        storage (every chunk re-hashed against the newest manifest, so a
-        bad chain is refused before any process is launched) and shipped
-        once — a chunk a later delta overwrote is read, never sent.  A
+        """Land one full image tree per rank.  Each rank's chain — one
+        directory for a full interval — is rebuilt on stable storage
+        (every chunk re-hashed against the newest manifest, so a bad
+        chain is refused before any process is launched) and shipped
+        once: a chunk a later delta overwrote is read, never sent.  A
         node's ranks, and so their rebuilds, follow one another."""
         tracer = hnp.proc.kernel.tracer
         stable = hnp.universe.cluster.stable_fs
-        eth = self._eth_bw(hnp)
         ranks: dict[str, list[tuple[list[str], str]]] = {}
         for node_name, chain, dst_dir in entries:
             ranks.setdefault(node_name, []).append((chain, dst_dir))
         tally = {"files": 0, "read_bytes": 0}
 
         def land(node_name: str, chain: list[str], dst_fs, dst_dir: str) -> SimGen:
-            link_ok = self._link_check(hnp, node_name)
             span = tracer.begin(
                 "filem.transfer", cat="filem", op="broadcast", node=node_name, links=len(chain)
             )
-            if len(chain) == 1:
-                moved = read = yield from copy_tree(
-                    stable, chain[0], dst_fs, dst_dir, extra_net_Bps=eth, link_ok=link_ok
-                )
-            else:
-                link_ok()
-                source = _CountedReads(stable)
-                blob, manifest = yield from chunkstore.reconstruct_chain(source, chain)
-                meta_raw = yield from source.read(vpath.join(chain[-1], LOCAL_META))
-                tree = chunkstore.full_image_tree(blob, manifest, meta_raw)
-                moved = yield from self._land(hnp, node_name, dst_fs, dst_dir, tree)
-                read = source.nbytes
-            span.end(bytes=moved, read_bytes=read)
+            self._link_check(hnp, node_name)()
+            source = _CountedReads(stable)
+            blob, _manifest = yield from chunkstore.reconstruct_chain(source, chain)
+            meta_raw = yield from source.read(vpath.join(chain[-1], LOCAL_META))
+            tree = chunkstore.full_image_tree(blob, meta_raw)
+            moved = yield from self._land(hnp, node_name, dst_fs, dst_dir, tree)
+            span.end(bytes=moved, read_bytes=source.nbytes)
             if tracer.enabled:
-                tally["files"] += len(dst_fs.list_tree(dst_dir))
-                tally["read_bytes"] += read
+                tally["files"] += len(tree)
+                tally["read_bytes"] += source.nbytes
             return moved
 
         def stream(node_name: str, dst_fs, pairs) -> SimGen:

@@ -104,7 +104,7 @@ class OrteProcLayer:
             options=dict(payload.get("options", {})),
         )
         try:
-            ref, meta = yield from self.opal.entry_point(request)
+            ref, meta, manifest = yield from self.opal.entry_point(request)
         except ReproError as exc:
             log.warning("%s: checkpoint failed: %s", self.proc.label, exc)
             return {"ok": False, "error": str(exc)}
@@ -123,8 +123,8 @@ class OrteProcLayer:
             # manifests first.
             "chunk_bytes": meta.chunk_bytes,
             "total_bytes": meta.total_bytes,
-            "hashes": meta.chunk_hashes,
-            "present": meta.present_chunks,
+            "hashes": manifest.hashes,
+            "present": manifest.present,
         }
 
     def _resolve_fs(self, kind: str):

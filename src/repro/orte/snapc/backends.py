@@ -19,7 +19,8 @@ Two backends exist, and both carry checked traffic:
   another directory: its persisted base chain is empty, compaction is
   a metadata change, and restart fetches (and verifies) chunks from
   the store, listed by the manifests the restart's check read.  Either
-  way a restarting rank finds one full image.
+  way a restarting rank finds two files: one full image and its
+  metadata.
 
 The code picks the backend itself.  At checkpoint time it is CAS iff
 ``snapc_full_cas`` is set, the FILEM component can ship chunks, and
@@ -41,12 +42,12 @@ from repro.opal.crs import chunks as chunkstore
 from repro.orte.job import ProcSpec
 from repro.simenv.kernel import Delay, SimGen
 from repro.snapshot import (
+    IMAGE_FILE,
     LOCAL_META,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
     LocalSnapshotMeta,
     LocalSnapshotRef,
-    read_local_meta,
     write_local_meta,
 )
 from repro.util.errors import (
@@ -239,8 +240,9 @@ class TreeBackend(StagingBackend):
         """Rewrite the interval as a full image, entirely on stable
         storage: reconstruct each rank's image from its chain, write
         ``image.pkl`` plus a full manifest into the interval's own
-        directory, and drop the chain from the metadata.  Restart of
-        this interval then needs no other directory."""
+        directory (later deltas chain onto it), and drop the chain from
+        the metadata.  Restart of this interval then needs no other
+        directory."""
         stable = self.stable
         chain = [d for d in record.base_chain if d != record.ref.path]
         chain.append(record.ref.path)
@@ -249,8 +251,11 @@ class TreeBackend(StagingBackend):
                 dirs = [vpath.join(d, f"rank{rank}") for d in chain]
                 blob, manifest = yield from chunkstore.reconstruct_chain(stable, dirs)
                 dst = record.ref.local_dir(rank)
-                for name, data in chunkstore.full_image_tree(blob, manifest).items():
-                    yield from stable.write(vpath.join(dst, name), data)
+                yield from stable.write(vpath.join(dst, IMAGE_FILE), blob)
+                yield from chunkstore.write_manifest(stable, dst, replace(
+                    manifest, kind=chunkstore.KIND_FULL, total_bytes=len(blob),
+                    base_interval=None, present=list(range(manifest.n_chunks)),
+                ))
         except (VFSError, RestartError) as exc:
             return f"compaction failed: {exc}"
         log.info(
@@ -429,8 +434,6 @@ class CasBackend(StagingBackend):
                 kind=chunkstore.KIND_FULL,
                 chunk_bytes=manifest.chunk_bytes,
                 total_bytes=manifest.total_bytes,
-                chunk_hashes=list(manifest.hashes),
-                present_chunks=[],
             )
             yield from write_local_meta(
                 stable, LocalSnapshotRef(stable.name, dst), local_meta
@@ -453,13 +456,12 @@ class CasBackend(StagingBackend):
         return (yield from super().compact(record))
 
     def resume(self, record: "StagingRecord") -> SimGen:
-        """Rebuild the rank manifests from the source nodes' local
-        snapshot metadata.
+        """Rebuild the rank manifests from the source nodes.
 
         The capture-side manifests lived only in the dead HNP's heap,
-        but each rank's local ``metadata.json`` records the same chunk
-        geometry (digests, chunk size, present set), so the ship
-        negotiation can restart from the nodes that still hold bytes.
+        but each is also the ``chunks.json`` beside the rank's local
+        snapshot, so the ship negotiation can restart from the nodes
+        that still hold bytes.
         """
         ranks = sorted(record.meta.locals)
         if len(ranks) != len(record.gather_entries):
@@ -477,21 +479,11 @@ class CasBackend(StagingBackend):
             if not node.up or node.local_fs is None:
                 return f"source node {node_name} is down"
             try:
-                local = yield from read_local_meta(
-                    node.local_fs,
-                    LocalSnapshotRef(node.local_fs.name, src),
+                record.rank_manifests[rank] = yield from chunkstore.read_manifest(
+                    node.local_fs, src
                 )
             except (SnapshotError, VFSError) as exc:
                 return f"local snapshot on {node_name} unreadable: {exc}"
-            record.rank_manifests[rank] = chunkstore.ChunkManifest(
-                kind=local.kind,
-                chunk_bytes=local.chunk_bytes,
-                total_bytes=local.total_bytes,
-                hashes=list(local.chunk_hashes),
-                present=list(local.present_chunks),
-                base_interval=local.base_interval,
-                interval=local.interval,
-            )
         return None
 
     def unusable(self, ref, meta, skip, checked) -> SimGen:

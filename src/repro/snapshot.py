@@ -16,13 +16,14 @@ Because the runtime parameters and application identity are recorded
 at checkpoint time, ``ompi-restart`` needs nothing beyond the global
 reference — the paper's usability point.
 
-References are serialized as JSON into the simulated filesystems; the
-two whose size grows with the chunk count go through :class:`DocumentCodec`.
+References are serialized as JSON into the simulated filesystems.  A
+local reference lists no chunk digest: those live once, in the
+checkpointer's ``chunks.json``, the one document whose size grows with
+the chunk count and so the one that goes through :class:`DocumentCodec`.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ def pack_hashes(hashes: "list[str]") -> "str | list[str]":
     """Join sha256 hex digests into one string for JSON transport.
 
     Encoding thousands of 64-char strings one by one dominates
-    manifest/metadata serialization cost for finely chunked images.
+    manifest serialization cost for finely chunked images.
     Lists holding anything other than full-width digests (test
     fixtures) pass through unpacked so the round trip is exact.
     """
@@ -68,8 +69,8 @@ def field_values(doc) -> dict:
 
 
 class DocumentCodec:
-    """The one memo of the chunk-bearing documents (``ChunkManifest``,
-    ``LocalSnapshotMeta``): bounded, LRU, keyed by content, never by path.
+    """The one memo of the chunk-bearing document (``ChunkManifest``):
+    bounded, LRU, keyed by content, never by path.
 
     Decoding is a pure function of the bytes and encoding of the field
     values, so each happens once per content, and a writer seeds the
@@ -79,7 +80,7 @@ class DocumentCodec:
     fresh document that shares nothing mutable with them.
     """
 
-    BOUND = 512  # as the per-substring cache it replaces; scale_1000 needs 186
+    BOUND = 512  # as the per-substring cache it replaces; scale_1000 needs 132
 
     def clear(self) -> None:
         self._memo: OrderedDict = OrderedDict()
@@ -121,8 +122,7 @@ class DocumentCodec:
             fields = self._lookup((kind, raw), "decode_misses", lambda: self._frozen(parse()))
         except (ValueError, TypeError, KeyError) as exc:
             raise SnapshotError(f"bad {what}: {exc}") from exc
-        # deepcopy: ``app_params`` is a dict; scalars copy to themselves
-        return kind(*(list(v) if type(v) is tuple else copy.deepcopy(v) for v in fields))
+        return kind(*(list(v) if type(v) is tuple else v for v in fields))
 
 
 CODEC = DocumentCodec()
@@ -148,28 +148,20 @@ class LocalSnapshotMeta:
     base_interval: int | None = None
     #: bytes physically written for this snapshot (full image or delta)
     written_bytes: int = 0
-    #: CAS-ready manifest summary (chunk geometry + every chunk's
-    #: digest); empty on pre-CAS snapshots
+    #: chunk geometry and size of the image (its digests are listed in
+    #: the checkpointer's ``chunks.json``, not here)
     chunk_bytes: int = 0
     total_bytes: int = 0
-    chunk_hashes: list[str] = field(default_factory=list)
-    #: chunk indices physically present in the snapshot directory
-    present_chunks: list[int] = field(default_factory=list)
 
     def to_json(self) -> bytes:
-        # not memoised: rank and sim_time make every one distinct
-        data = field_values(self)
-        data["chunk_hashes"] = pack_hashes(self.chunk_hashes)
-        return json.dumps(data, sort_keys=True).encode()
+        return json.dumps(field_values(self), sort_keys=True).encode()
 
     @classmethod
     def from_json(cls, raw: bytes) -> "LocalSnapshotMeta":
-        def parse() -> "LocalSnapshotMeta":
-            data = json.loads(raw.decode())
-            data["chunk_hashes"] = unpack_hashes(data.get("chunk_hashes", []))
-            return cls(**data)
-
-        return CODEC.decode(cls, raw, parse, "local snapshot metadata")
+        try:
+            return cls(**json.loads(raw.decode()))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise SnapshotError(f"bad local snapshot metadata: {exc}") from exc
 
 
 #: staging lifecycle states persisted in global snapshot metadata

@@ -18,6 +18,8 @@ from repro.mca.params import MCAParams
 from repro.obs.report import filter_spans
 from repro.orte.job import AppSpec, Job, JobState
 from repro.orte.snapc.admission import StagingAdmission
+from repro.opal.crs.chunks import ChunkManifest
+from repro.orte.snapc.backends import CasBackend
 from repro.orte.snapc.staging import StagingRecord
 from repro.orte.statestore import DEFAULT_ROOT, IllegalTransition, StateStore
 from repro.simenv.campaign import (
@@ -31,6 +33,7 @@ from repro.simenv.campaign import (
 from repro.simenv.kernel import Kernel, WaitEvent
 from repro.snapshot import (
     STAGE_COMMITTED,
+    STAGE_FAILED,
     STAGE_STAGING,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
@@ -654,6 +657,103 @@ class TestFailoverScenarios:
         assert (span["attrs"]["replanned"], span["attrs"]["orphaned"]) == (1, 0)
         replayed = assert_journal_matches_live(universe)
         assert replayed["jobs"][str(job.jobid)]["state"] == "failed"
+
+
+class TestCasStagingAcrossFailover:
+    """``CasBackend.resume``: mpirun dies while a CAS interval is
+    STAGING, its node stays up, and the successor rebuilds the ranks'
+    manifests from the ``chunks.json`` beside each local snapshot."""
+
+    PARAMS = {"snapc_full_cas": "1", "filem": "rsh"}
+
+    def _kill_mpirun_mid_stage(self, monkeypatch, harm=None):
+        """Run churn np=4 and kill mpirun the first time one of its
+        intervals is STAGING and journalled so (no append pending; an
+        append still queued dies with mpirun, and with it the record).
+        *harm(universe, record)* runs just before.
+        Returns ``(universe, job, caught record, resume results)``; each
+        resume result is ``(record, error, manifests its sources hold)``."""
+        resumed = []
+        resume = CasBackend.resume
+
+        def spy(backend, record):
+            error = yield from resume(backend, record)
+            cluster = backend.hnp.universe.cluster
+            held = {} if error else {
+                rank: ChunkManifest.from_json(
+                    cluster.node(node).local_fs.peek(f"{src}/chunks.json")
+                )
+                for rank, (node, src, _dst) in zip(
+                    sorted(record.meta.locals), record.gather_entries
+                )
+            }
+            resumed.append((record, error, held))
+            return error
+
+        monkeypatch.setattr(CasBackend, "resume", spy)
+        universe = failover_universe(**self.PARAMS)
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        kernel, caught = universe.kernel, []
+
+        def poll():
+            hnp = universe.hnp
+            staging = [
+                r for r in hnp.snapc.stager(hnp).job_records(job.jobid)
+                if r.state == STAGE_STAGING
+            ]
+            if not staging or universe.statestore._pending:
+                kernel.call_at(kernel.now + 0.001, poll)
+                return
+            caught.append(staging[0])
+            if harm is not None:
+                harm(universe, staging[0])
+            hnp.proc.kill(ReproError("mpirun killed"))
+
+        kernel.call_at(0.2, poll)
+        final = settle_lineage(universe, job)
+        assert final.state.value == "finished" and universe.failovers == 1
+        [record] = caught
+        assert record.cas
+        return universe, final, record, resumed
+
+    def test_successor_rebuilds_the_manifests_and_commits(self, monkeypatch):
+        universe, final, caught, resumed = self._kill_mpirun_mid_stage(monkeypatch)
+        [(record, error, held)] = resumed
+        assert error is None and record.interval == caught.interval
+        # the rebuilt manifests are the ones the capture wrote and the
+        # dead HNP held
+        assert record.rank_manifests == held == caught.rank_manifests
+        stable = universe.cluster.stable_fs
+        meta = run_gen(universe.kernel, read_global_meta(stable, record.ref))
+        assert meta.cas and meta.staging["state"] == STAGE_COMMITTED
+        assert record.ref in final.snapshots
+        assert_committed_consistent(universe)
+        assert_journal_matches_live(universe)
+        baseline = ompi_run(make_universe(6), "churn", 4, args=CHURN).results
+        assert ompi_restart(universe, record.ref).results == baseline
+
+    def test_a_missing_chunks_json_fails_the_interval_durably(self, monkeypatch):
+        def harm(universe, record):
+            node, src, _dst = record.gather_entries[1]
+            local = universe.cluster.node(node).local_fs
+            universe.kernel.spawn(local.remove(f"{src}/chunks.json"), name="harm")
+
+        universe, final, caught, resumed = self._kill_mpirun_mid_stage(monkeypatch, harm)
+        [(record, error, _held)] = resumed
+        assert record.interval == caught.interval
+        assert "unreadable" in error
+        stable = universe.cluster.stable_fs
+        meta = run_gen(universe.kernel, read_global_meta(stable, record.ref))
+        assert meta.staging["state"] == STAGE_FAILED
+        assert "unreadable" in meta.staging["error"]
+        replayed = assert_journal_matches_live(universe)
+        [row] = [
+            v for v in replayed["staging"].values()
+            if v["jobid"] == caught.jobid and v["interval"] == caught.interval
+        ]
+        assert row["state"] == STAGE_FAILED
+        assert record.ref not in final.snapshots
+        assert_committed_consistent(universe)
 
 
 def test_hnp_crash_not_applicable_without_failover():

@@ -1,10 +1,11 @@
 """The ``rsh`` FILEM restart preload: one rsh session per destination
-node, one full image tree landed per rank, a delta chain flattened at
-the source; for CAS, each distinct chunk of the restart read once.
+node, one full image tree (``image.pkl`` + ``metadata.json``) landed per
+rank, every chain rebuilt at the source; for CAS, each distinct chunk of
+the restart read once.
 
 ``RshFILEM.broadcast`` is priced here against the primitives it is
-built from (``copy_tree`` for a full interval, ``reconstruct_chain`` +
-``full_image_tree`` for a chain, both on a second kernel), counted
+built from (``reconstruct_chain`` + ``full_image_tree``, a full
+interval's one directory included, on a second kernel), counted
 through the ``filem.sessions`` tracer counter, and failed at every
 point a rank's landing can fail.  ``RshFILEM.fetch_chunks`` is priced
 in closed form on a filesystem whose every cost is a power of two.  The
@@ -25,20 +26,13 @@ from repro.simenv.kernel import Delay, WaitAll
 from repro.tools.api import checkpoint_ref, ompi_checkpoint, ompi_restart, ompi_run
 from repro.util.errors import NetworkError, RestartError, SnapshotError, VFSError
 from repro.vfs.cas import ChunkStore, chunk_digest
-from repro.vfs.transfer import copy_tree
 from tests.conftest import make_universe, run_gen
 
 SESSION_S = 0.020  # the filem_rsh_session_cost default
 MARKER = "metadata.json"  # the last file of a rank directory to land
-TREE = ("image.pkl", "chunks.json", MARKER)  # what a landed rank holds
+TREE = ("image.pkl", MARKER)  # what a landed rank holds
+SNAPSHOT = ("image.pkl", "chunks.json", MARKER)  # what a rank's checkpoint writes
 CHUNK = 4096
-
-
-def seed_tree(universe, src_dir: str, image_bytes: int) -> None:
-    stable = universe.cluster.stable_fs
-    stable.poke(f"{src_dir}/image.pkl", b"I" * image_bytes)
-    stable.poke(f"{src_dir}/chunks.json", b"{}" * 40)
-    stable.poke(f"{src_dir}/{MARKER}", b"m" * 200)
 
 
 def seed_chain(universe, dirs: list[str], image_bytes: int) -> bytes:
@@ -73,16 +67,12 @@ def seed_chain(universe, dirs: list[str], image_bytes: int) -> bytes:
 
 
 def seeded(entries, sizes=None, n_nodes=4, params=None, trace=True):
-    """A universe with every entry's chain on stable storage: a plain
-    tree for one link, full + deltas for more (sizes differ so that no
-    two ranks cost the same)."""
+    """A universe with every entry's chain on stable storage: a full
+    interval for one link, full + deltas for more (sizes differ so that
+    no two ranks cost the same)."""
     universe = make_universe(n_nodes, params=params)
     for i, (_node, chain, _dst) in enumerate(entries):
-        size = (sizes or {}).get(chain[-1], 50_000 * (i + 1))
-        if len(chain) == 1:
-            seed_tree(universe, chain[0], size)
-        else:
-            seed_chain(universe, chain, size)
+        seed_chain(universe, chain, (sizes or {}).get(chain[-1], 50_000 * (i + 1)))
     if trace:
         universe.kernel.tracer.enable()
     return universe
@@ -91,6 +81,38 @@ def seeded(entries, sizes=None, n_nodes=4, params=None, trace=True):
 def broadcast(universe, entries):
     hnp = universe.hnp
     return run_gen(universe.kernel, hnp.filem.broadcast(hnp, entries))
+
+
+def reference_broadcast(twin, entries):
+    """``broadcast`` rebuilt from its primitives on a second kernel: per
+    node one session, then per rank in entry order ``reconstruct_chain``
+    on stable storage + the newest ``metadata.json`` + the wire for the
+    two files + two local writes; the nodes in parallel.  Returns the
+    bytes landed."""
+    stable = twin.cluster.stable_fs
+    eth = twin.cluster.eth.model.bandwidth_Bps
+
+    def stream(node):
+        local = twin.cluster.node(node).local_fs
+        yield Delay(SESSION_S)
+        total = 0
+        for entry_node, chain, dst in entries:
+            if entry_node != node:
+                continue
+            blob, _manifest = yield from chunkstore.reconstruct_chain(stable, chain)
+            meta_raw = yield from stable.read(f"{chain[-1]}/{MARKER}")
+            tree = chunkstore.full_image_tree(blob, meta_raw)
+            yield Delay(sum(map(len, tree.values())) / eth)
+            for name, data in tree.items():
+                total += yield from local.write(f"{dst}/{name}", data)
+        return total
+
+    def run():
+        nodes = dict.fromkeys(node for node, _chain, _dst in entries)
+        threads = [twin.kernel.spawn(stream(node), name=node) for node in nodes]
+        return sum((yield WaitAll([t.done for t in threads])))
+
+    return run_gen(twin.kernel, run())
 
 
 def transfers(universe, node=None):
@@ -147,77 +169,50 @@ FIVE_CHAINS = chains(FIVE_TREES)
 
 class TestPricing:
     def test_broadcast_costs_one_session_per_node_plus_its_trees(self):
-        """2 nodes, 5 full-interval ranks: exactly ``session + Σ
-        copy_tree(latency 0)`` per node, the nodes in parallel — the
-        loop below, run on a second kernel, ends at the same instant."""
+        """2 nodes, 5 full-interval ranks: exactly ``session + Σ (the
+        rank's rebuild + its two files landed)`` per node, the nodes in
+        parallel — ``reference_broadcast`` on a second kernel ends at the
+        same instant.  Restated when a full interval started landing
+        through the chain path: it was ``session + Σ copy_tree`` and
+        landed three files per rank (``files`` 15), each read as moved."""
         universe = seeded(FIVE_TREES)
+        stable = universe.cluster.stable_fs
+        read_before = stable.bytes_read
         moved = broadcast(universe, FIVE_TREES)
 
         twin = seeded(FIVE_TREES, trace=False)
-        stable = twin.cluster.stable_fs
-        eth = twin.cluster.eth.model.bandwidth_Bps
-
-        def stream(node):
-            yield Delay(SESSION_S)
-            total = 0
-            for entry_node, (src,), dst in FIVE_TREES:
-                if entry_node == node:
-                    total += yield from copy_tree(
-                        stable, src, twin.cluster.node(node).local_fs, dst,
-                        extra_net_Bps=eth, extra_latency_s=0,
-                    )
-            return total
-
-        def reference():
-            threads = [
-                twin.kernel.spawn(stream(node), name=node)
-                for node in ("node01", "node02")
-            ]
-            return sum((yield WaitAll([t.done for t in threads])))
-
-        assert moved == run_gen(twin.kernel, reference())
+        assert moved == reference_broadcast(twin, FIVE_TREES)
         assert universe.kernel.now == twin.kernel.now
         for node in ("node01", "node02"):
-            assert local_files(universe, node) == local_files(twin, node)
+            assert local_files(universe, node) == local_files(twin, node) == {
+                f"{dst}/{name}" for entry_node, _chain, dst in FIVE_TREES
+                if entry_node == node for name in TREE
+            }
         tracer = universe.kernel.tracer
         assert tracer.counters["filem.sessions"] == 2
-        # re-pinned for the per-rank entries: before, "entries" counted
-        # trees and there was no "links" / "read_bytes"
+        # a full interval reads its manifest too, and lands without it
+        read = stable.bytes_read - read_before
+        assert read > moved
         assert whole_span(universe).attrs == {
             "entries": 5, "links": 5, "streams": 2, "sessions": 2,
-            "bytes": moved, "files": 15, "read_bytes": moved,
+            "bytes": moved, "files": 10, "read_bytes": read,
         }
         assert len(transfers(universe)) == 5
 
     def test_a_chain_costs_its_stable_reads_plus_one_flattened_tree(self):
         """Two ranks of one node, full + delta + delta each: the stream
         is ``session + Σ (reconstruct_chain on stable storage + the
-        newest metadata.json + the wire for three files + three local
-        writes)`` — the loop below on a second kernel — and a chunk a
-        later delta overwrote is read but not shipped."""
+        newest metadata.json + the wire for two files + two local
+        writes)`` — ``reference_broadcast`` on a second kernel — and a
+        chunk a later delta overwrote is read but not shipped."""
         entries = FIVE_CHAINS[0::2][:2]
         universe = seeded(entries)
         moved = broadcast(universe, entries)
 
         twin = seeded(entries, trace=False)
         stable = twin.cluster.stable_fs
-        local = twin.cluster.node("node01").local_fs
-        eth = twin.cluster.eth.model.bandwidth_Bps
         read_before = stable.bytes_read
-
-        def reference():
-            yield Delay(SESSION_S)
-            total = 0
-            for _node, chain, dst in entries:
-                blob, manifest = yield from chunkstore.reconstruct_chain(stable, chain)
-                meta_raw = yield from stable.read(f"{chain[-1]}/{MARKER}")
-                tree = chunkstore.full_image_tree(blob, manifest, meta_raw)
-                yield Delay(sum(map(len, tree.values())) / eth)
-                for name, data in tree.items():
-                    total += yield from local.write(f"{dst}/{name}", data)
-            return total
-
-        assert moved == run_gen(twin.kernel, reference())
+        assert moved == reference_broadcast(twin, entries)
         assert universe.kernel.now == twin.kernel.now
         assert local_files(universe, "node01") == local_files(twin, "node01") == {
             f"{dst}/{name}" for _node, _chain, dst in entries for name in TREE
@@ -225,7 +220,7 @@ class TestPricing:
         read = stable.bytes_read - read_before
         assert whole_span(universe).attrs == {
             "entries": 2, "links": 6, "streams": 1, "sessions": 1,
-            "bytes": moved, "files": 6, "read_bytes": read,
+            "bytes": moved, "files": 4, "read_bytes": read,
         }
         # each delta carries its own chunk 0: two superseded copies per rank
         assert read > moved + 2 * 2 * CHUNK
@@ -235,10 +230,10 @@ class TestPricing:
         assert sum(s.attrs["bytes"] for s in spans) == moved
         assert sum(s.attrs["read_bytes"] for s in spans) == read
 
-    def test_the_landed_tree_is_the_newest_image_under_a_full_manifest(self):
-        """What a chain lands is what ``fetch_chunks`` lands for CAS:
-        the newest image, a ``kind="full"`` manifest listing every
-        digest of the newest manifest, and the newest metadata."""
+    def test_the_landed_tree_is_the_newest_image_and_its_metadata(self):
+        """What a chain lands is what ``fetch_chunks`` lands for CAS: the
+        newest image and the newest metadata, no manifest (restated: it
+        landed a ``kind="full"`` manifest listing every digest too)."""
         [entry] = chains([FIVE_TREES[0]])
         universe = make_universe(4)
         image = seed_chain(universe, entry[1], 60_000)
@@ -246,18 +241,15 @@ class TestPricing:
         stable = universe.cluster.stable_fs
         fs = universe.cluster.node("node01").local_fs
         dst = entry[2]
+        assert fs.list_tree(dst) == sorted(f"{dst}/{name}" for name in TREE)
         assert fs.peek(f"{dst}/image.pkl") == image
         assert fs.peek(f"{dst}/{MARKER}") == stable.peek(f"{entry[1][-1]}/{MARKER}")
         newest = chunkstore.ChunkManifest.from_json(stable.peek(f"{entry[1][-1]}/chunks.json"))
-        landed = chunkstore.ChunkManifest.from_json(fs.peek(f"{dst}/chunks.json"))
         assert newest.kind == "delta" and len(newest.present) == 2
-        assert (landed.kind, landed.base_interval) == ("full", None)
-        assert landed.hashes == newest.hashes
-        assert landed.present == list(range(len(newest.hashes)))
-        assert (landed.interval, landed.total_bytes) == (3, len(image))
+        assert newest.total_bytes == len(image)
         # and a rank restarting from it reads exactly that image back
-        blob, _ = run_gen(universe.kernel, chunkstore.reconstruct_chain(fs, [dst]))
-        assert blob == image
+        blob, manifest = run_gen(universe.kernel, chunkstore.reconstruct_chain(fs, [dst]))
+        assert (blob, manifest) == (image, None)
 
     def test_session_cost_moves_a_single_wave_by_exactly_its_delta(self):
         """``filem_rsh_session_cost`` is charged once per stream: four
@@ -288,7 +280,7 @@ class TestPricing:
         universe = make_universe()
         universe.kernel.tracer.enable()
         fs = universe.cluster.node("node01").local_fs
-        for name in TREE:
+        for name in SNAPSHOT:
             fs.poke(f"/ckpt/r1/{name}", b"x" * 100)
         hnp = universe.hnp
         start = universe.kernel.now
@@ -338,10 +330,11 @@ def restart_staging(universe) -> set[str]:
 class TestChainRestart:
     def test_sixteen_ranks_three_links_open_eight_sessions(self):
         """full + delta + delta of 16 ranks on 8 nodes: 16 flattened
-        trees move through 8 sessions and each rank finds 3 files.
+        trees move through 8 sessions and each rank finds 2 files.
         Re-pinned: before, 48 trees (one per link) landed as
         ``part0..2`` and each rank read 12 files to rebuild its image;
-        192 sessions when each file paid one."""
+        192 sessions when each file paid one; 3 files a rank (a full
+        manifest too) until the digests stayed on stable storage."""
         universe, job, reference, baseline = halted_chain_job()
         stable = universe.cluster.stable_fs
         backend = universe.hnp.snapc.stager(universe.hnp).backends[False]
@@ -363,20 +356,19 @@ class TestChainRestart:
             assert fs.list_tree(dst) == sorted(f"{dst}/{name}" for name in TREE)
             shipped += sum(len(fs.peek(f"{dst}/{name}")) for name in TREE)
             newest = reference.local_dir(rank)
-            landed = chunkstore.ChunkManifest.from_json(fs.peek(f"{dst}/chunks.json"))
             wanted = chunkstore.ChunkManifest.from_json(stable.peek(f"{newest}/chunks.json"))
-            assert wanted.kind == "delta" and landed.kind == "full"
-            assert landed.hashes == wanted.hashes
+            assert wanted.kind == "delta"
+            assert len(fs.peek(f"{dst}/image.pkl")) == wanted.total_bytes
             assert fs.peek(f"{dst}/{MARKER}") == stable.peek(f"{newest}/{MARKER}")
             # the marker is the last file down
-            assert fs.stat(f"{dst}/{MARKER}").mtime > fs.stat(f"{dst}/chunks.json").mtime
+            assert fs.stat(f"{dst}/{MARKER}").mtime > fs.stat(f"{dst}/image.pkl").mtime
         assert restart_staging(universe) == {
             f"/restart/job{restarted.jobid}/rank{rank}/{name}"
             for rank in range(16) for name in TREE
         }
         whole = whole_span(universe)
         assert whole.attrs["bytes"] == shipped
-        assert (whole.attrs["entries"], whole.attrs["links"], whole.attrs["files"]) == (16, 48, 48)
+        assert (whole.attrs["entries"], whole.attrs["links"], whole.attrs["files"]) == (16, 48, 32)
         assert whole.attrs["streams"] == whole.attrs["sessions"] == 8
         # chunks a later delta overwrote were read and stayed behind
         assert whole.attrs["read_bytes"] > shipped
@@ -573,13 +565,55 @@ class TestChainRestart:
             previous = image
         broadcast(universe, [("node02", chain, "/restart/odd/rank0")])
         fs = universe.cluster.node("node02").local_fs
+        assert fs.list_tree("/restart/odd/rank0") == [
+            f"/restart/odd/rank0/{name}" for name in sorted(TREE)
+        ]
         assert fs.peek("/restart/odd/rank0/image.pkl") == image
         assert fs.peek(f"/restart/odd/rank0/{MARKER}") == b"meta%d" % len(images)
-        landed = chunkstore.ChunkManifest.from_json(fs.peek("/restart/odd/rank0/chunks.json"))
-        assert (landed.kind, landed.chunk_bytes, landed.total_bytes) == ("full", cuts[-1], len(image))
-        assert landed.hashes == hashes
         blob, _ = run_gen(universe.kernel, chunkstore.reconstruct_chain(fs, ["/restart/odd/rank0"]))
         assert blob == image
+
+
+class TestLandedImageSize:
+    """Nothing lands a manifest, so a rank checks the image it reads
+    against the ``total_bytes`` of the metadata that landed beside it: an
+    image cut short between the preload and the rank's read is refused
+    by name, not left to the unpickler."""
+
+    @staticmethod
+    def _truncate_after_preload(universe, cas: bool, rank: int = 1) -> None:
+        backend = universe.hnp.snapc.stager(universe.hnp).backends[cas]
+        preload = backend.preload
+
+        def truncating(plan, entries):
+            yield from preload(plan, entries)
+            node, _chain, dst = entries[rank]
+            fs = universe.cluster.node(node).local_fs
+            fs.poke(f"{dst}/image.pkl", fs.peek(f"{dst}/image.pkl")[:-100])
+
+        backend.preload = truncating
+
+    def _refused(self, universe, reference, cas: bool) -> None:
+        self._truncate_after_preload(universe, cas)
+        with pytest.raises(RestartError, match=r"image at /restart/job\d+/rank1 is \d+ "
+                           r"bytes, its metadata says \d+"):
+            ompi_restart(universe, reference)
+        refused = universe.job(max(universe.jobs))
+        assert refused.restarted_from == reference
+        assert refused.state is JobState.FAILED
+
+    def test_after_a_tree_chain_broadcast(self):
+        universe, _job, reference, _baseline = halted_chain_job(4, 4)
+        self._refused(universe, reference, cas=False)
+
+    def test_after_a_cas_fetch(self):
+        universe = make_universe(4, params={"filem": "rsh", "snapc_full_cas": "1"})
+        args = {"loops": 40, "compute_s": 0.01, "state_bytes": 64 << 10}
+        job = ompi_run(universe, "churn", 4, args=args, wait=False)
+        handle = ompi_checkpoint(universe, job.jobid, at=0.1, wait=False, terminate=True)
+        universe.run_job_to_completion(job)
+        assert job.state is JobState.HALTED
+        self._refused(universe, checkpoint_ref(handle), cas=True)
 
 
 class TestConcurrency:
@@ -690,8 +724,7 @@ class TestFailures:
         universe = seeded(entries)
         failures = universe.cluster.failures
         # t0 is where rank 1 ended; the probe before rank 2's first
-        # (chain) or last (full tree) write is the first to see a
-        # partition opened just after it
+        # write is the first to see a partition opened just after it
         universe.kernel.call_at(
             t0 + 1e-9, lambda: failures.partition_node_now("node01", 10.0)
         )
@@ -701,8 +734,7 @@ class TestFailures:
         assert fs.exists(f"/restart/i1/rank0/{MARKER}")
         assert not fs.exists(f"/restart/i2/rank0/{MARKER}")
         assert not fs.exists("/restart/i3/rank0")
-        if entries is FIVE_CHAINS:
-            assert fs.list_tree("/restart/i2") == []
+        assert fs.list_tree("/restart/i2") == []
 
     def test_partition_between_two_trees_fails_the_second(self):
         """The link probe runs around every rank, not only when the
@@ -840,7 +872,7 @@ def cas_tree(universe, store, src: str) -> dict:
     stable = universe.cluster.stable_fs
     manifest = chunkstore.ChunkManifest.from_json(stable.peek(f"{src}/chunks.json"))
     image = b"".join(stable.peek(store.blob_path(d)) for d in manifest.hashes)
-    return chunkstore.full_image_tree(image, manifest, stable.peek(f"{src}/{MARKER}"))
+    return chunkstore.full_image_tree(image, stable.peek(f"{src}/{MARKER}"))
 
 
 class TestFetch:
@@ -849,8 +881,9 @@ class TestFetch:
         waves of metadata reads (the manifests are the ones the restart's
         check read); the 57 distinct chunks in four stripes, the longest
         (15 reads) setting the time; two waves of (session + the wire for
-        the whole tree + three local writes).  Before, every rank read its
-        own 17 chunks: 102 reads, and its manifest a second time."""
+        the whole tree + two local writes).  Before, every rank read its
+        own 17 chunks: 102 reads, and its manifest a second time; and it
+        landed a full manifest as a third file."""
         universe, store, entries = cas_universe()
         stable = universe.cluster.stable_fs
         read_before = stable.bytes_read
@@ -865,18 +898,18 @@ class TestFetch:
         trees = [cas_tree(universe, store, chain[-1]) for _node, chain, _dst in entries]
         sizes = {tuple(map(len, tree.values())) for tree in trees}
         assert len(sizes) == 1  # every rank costs the same: the waves are clean
-        (image, manifest, meta), = sizes
+        (image, meta), = sizes
         waves = math.ceil(RANKS / SLOTS)
         expected = (
             waves * stable_read(meta)
             + math.ceil(UNION / SLOTS) * stable_read(CAS_CHUNK)
             + waves * (
-                POW2_SESSION + (image + manifest + meta) / POW2_BPS
-                + local_write(image) + local_write(manifest) + local_write(meta)
+                POW2_SESSION + (image + meta) / POW2_BPS
+                + local_write(image) + local_write(meta)
             )
         )
         assert universe.kernel.now == expected
-        assert moved == RANKS * (image + manifest + meta)
+        assert moved == RANKS * (image + meta)
         assert stable.bytes_read - read_before == RANKS * meta + UNION * CAS_CHUNK
 
         tracer = universe.kernel.tracer
@@ -888,18 +921,20 @@ class TestFetch:
         }
         spans = transfers(universe)
         assert {s.attrs["op"] for s in spans} == {"fetch"} and len(spans) == RANKS
-        assert [s.attrs["bytes"] for s in spans] == [image + manifest + meta] * RANKS
+        assert [s.attrs["bytes"] for s in spans] == [image + meta] * RANKS
 
-    def test_each_rank_lands_its_image_under_a_full_manifest(self):
+    def test_each_rank_lands_its_image_and_its_metadata(self):
+        """Two files a rank, the marker last (restated: a ``kind="full"``
+        manifest listing every digest landed between them)."""
         universe, store, entries = cas_universe(trace=False)
         fetch(universe, store, entries)
         for node, chain, dst in entries:
             fs = universe.cluster.node(node).local_fs
             tree = cas_tree(universe, store, chain[-1])
+            assert fs.list_tree(dst) == sorted(f"{dst}/{name}" for name in TREE)
             assert {name: fs.peek(f"{dst}/{name}") for name in TREE} == tree
-            landed = chunkstore.ChunkManifest.from_json(tree["chunks.json"])
-            assert (landed.kind, landed.present) == ("full", list(range(SHARED + OWN)))
-            assert fs.stat(f"{dst}/{MARKER}").mtime > fs.stat(f"{dst}/chunks.json").mtime
+            assert len(tree["image.pkl"]) == CAS_CHUNK * (SHARED + OWN)
+            assert fs.stat(f"{dst}/{MARKER}").mtime > fs.stat(f"{dst}/image.pkl").mtime
 
     def test_nothing_is_recorded_with_the_tracer_off(self):
         universe, store, entries = cas_universe(trace=False)

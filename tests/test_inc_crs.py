@@ -2,6 +2,7 @@
 and the compare-before-hash pass of ``CRSComponent.checkpoint``."""
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from repro.opal.layer import CheckpointRequest, OpalLayer
 from repro.orte.job import JobState
 from repro.simenv.cluster import Cluster, ClusterSpec
 from repro.simenv.process import SimProcess
+from repro.snapshot import pack_hashes
 from repro.tools.api import checkpoint_ref, ompi_checkpoint, ompi_restart, ompi_run
 from repro.util.errors import CheckpointError, NotCheckpointableError
 from repro.util.ids import ProcessName
@@ -169,15 +171,18 @@ class TestOpalLayer:
         request = CheckpointRequest(3, cluster.stable_fs, "/snap/r0")
 
         def main():
-            ref, meta = yield from opal.entry_point(request)
-            return ref, meta
+            return (yield from opal.entry_point(request))
 
-        ref, meta = run_gen(cluster.kernel, main())
+        ref, meta, manifest = run_gen(cluster.kernel, main())
         assert cluster.stable_fs.exists(ref.image_path)
         assert cluster.stable_fs.exists(ref.meta_path)
         assert meta.interval == 3
         assert meta.crs_component == "simcr"
         assert meta.origin_node == proc.node.name
+        # the caller gets the manifest it wrote: the one list of digests
+        written = cluster.stable_fs.peek(f"{ref.path}/chunks.json")
+        assert manifest.to_json() == written
+        assert (manifest.interval, manifest.total_bytes) == (3, meta.total_bytes)
 
     def test_duplicate_contributor_rejected(self, cluster):
         opal, _ = _opal_on(cluster)
@@ -198,7 +203,7 @@ class TestOpalLayer:
         request = CheckpointRequest(1, cluster.stable_fs, "/snap/r1")
 
         def do_ckpt():
-            ref, _ = yield from opal.entry_point(request)
+            ref, _meta, _manifest = yield from opal.entry_point(request)
             return ref
 
         ref = run_gen(cluster.kernel, do_ckpt())
@@ -264,7 +269,7 @@ class TestCRSComponents:
         request = CheckpointRequest(1, cluster.stable_fs, "/s2")
 
         def do_ckpt():
-            ref, _ = yield from opal.entry_point(request)
+            ref, _meta, _manifest = yield from opal.entry_point(request)
             return ref
 
         ref = run_gen(cluster.kernel, do_ckpt())
@@ -376,11 +381,16 @@ def _opals(job):
 class TestCompareBeforeHashEndToEnd:
     def test_documents_are_byte_identical_to_the_parents(self):
         """full, delta, delta, full, delta of 4 ranks: every
-        ``chunks.json`` and ``metadata.json`` hashes to what the commit
-        before compare-before-hash wrote (pinned from a run of it; the
-        image is a pickle of NumPy arrays, so the pin moves with their
-        pickle format), and the last interval restarts to the
-        uninterrupted result."""
+        ``chunks.json`` hashes to what the commit before compare-before-hash
+        wrote (pinned from a run of it; the image is a pickle of NumPy
+        arrays, so the pin moves with their pickle format), and the last
+        interval restarts to the uninterrupted result.
+
+        Every ``metadata.json`` is the one that commit wrote minus the two
+        keys that listed the manifest's digests a second time
+        (``chunk_hashes``, ``present_chunks``): put back from the
+        manifest beside it, the documents hash to the old pin again, and
+        only then is the new one pinned."""
         universe = make_universe(4, params=INCR)
         job = ompi_run(universe, "churn", 4, args=CHURN16, wait=False)
         handles = [
@@ -391,24 +401,73 @@ class TestCompareBeforeHashEndToEnd:
         assert job.state is JobState.HALTED and len(job.snapshots) == 5
         stable = universe.cluster.stable_fs
         digests = {"chunks.json": hashlib.sha256(), "metadata.json": hashlib.sha256()}
+        parents_metadata = hashlib.sha256()
         kinds = []
         for ref in job.snapshots:
             for rank in range(4):
                 for name, digest in digests.items():
                     digest.update(stable.peek(f"{ref.local_dir(rank)}/{name}"))
-            manifest = chunkstore.ChunkManifest.from_json(
-                stable.peek(f"{ref.local_dir(0)}/chunks.json")
-            )
+                manifest = chunkstore.ChunkManifest.from_json(
+                    stable.peek(f"{ref.local_dir(rank)}/chunks.json")
+                )
+                doc = json.loads(stable.peek(f"{ref.local_dir(rank)}/metadata.json"))
+                assert doc.keys().isdisjoint({"chunk_hashes", "present_chunks"})
+                doc.update(
+                    chunk_hashes=pack_hashes(manifest.hashes), present_chunks=manifest.present
+                )
+                parents_metadata.update(json.dumps(doc, sort_keys=True).encode())
             kinds.append(manifest.kind)
         assert kinds == ["full", "delta", "delta", "full", "delta"]
+        assert parents_metadata.hexdigest() == (
+            "2ae17450d092bf4f110676891a5b44e2a0beb5b38608bda834df19df04c8dfe1"
+        )
         assert {name: d.hexdigest() for name, d in digests.items()} == {
             "chunks.json":
                 "7d3af5b9cef0ec55c25ed9c90ed24d5de2df2db501c0dcc00c3c63ff115cf80f",
             "metadata.json":
-                "2ae17450d092bf4f110676891a5b44e2a0beb5b38608bda834df19df04c8dfe1",
+                "c06fb9a073998dbf9b483f01bf51e72515ec8f245cb20e38d4f57221fa1677d7",
         }
         baseline = ompi_run(make_universe(4), "churn", 4, args=CHURN16).results
         assert ompi_restart(universe, checkpoint_ref(handles[-1])).results == baseline
+
+    @pytest.mark.parametrize("cas", [False, True], ids=["tree", "cas"])
+    def test_rank_metadata_does_not_grow_with_the_chunk_count(self, cas):
+        """A rank's ``metadata.json`` on stable storage and where a
+        restart lands it is the same document at 32-byte chunks (1,900+
+        per image) as at 4096-byte ones (15), once the two numbers that
+        name the geometry and the instant are set aside: every digest is
+        in ``chunks.json`` alone.  And the restart lands two files."""
+        seen: dict[int, list[tuple[int, dict]]] = {}
+        for chunk_bytes in (32, 4096):
+            params = {"filem": "rsh", "crs_base_chunk_bytes": str(chunk_bytes)}
+            if cas:
+                params["snapc_full_cas"] = "1"
+            universe = make_universe(4, params=params)
+            job = ompi_run(universe, "churn", 2, args=CHURN16, wait=False)
+            handle = ompi_checkpoint(universe, job.jobid, at=0.1, wait=False, terminate=True)
+            universe.run_job_to_completion(job)
+            ref = checkpoint_ref(handle)
+            backend = universe.hnp.snapc.stager(universe.hnp).backends[cas]
+            backend.drop_preload = lambda entries: None  # keep what landed
+            restarted = ompi_restart(universe, ref)
+            stable = universe.cluster.stable_fs
+            manifest = chunkstore.ChunkManifest.from_json(
+                stable.peek(f"{ref.local_dir(0)}/chunks.json")
+            )
+            assert manifest.n_chunks == -(-manifest.total_bytes // chunk_bytes)
+            for rank, node in restarted.placements.items():
+                fs = universe.cluster.node(node).local_fs
+                dst = f"/restart/job{restarted.jobid}/rank{rank}"
+                assert fs.list_tree(dst) == [f"{dst}/image.pkl", f"{dst}/metadata.json"]
+                for raw in (fs.peek(f"{dst}/metadata.json"),
+                            stable.peek(f"{ref.local_dir(rank)}/metadata.json")):
+                    doc = json.loads(raw)
+                    assert doc["chunk_bytes"] == chunk_bytes
+                    doc.update(chunk_bytes=0, sim_time=0.0)
+                    seen.setdefault(chunk_bytes, []).append(
+                        (len(json.dumps(doc, sort_keys=True)), doc)
+                    )
+        assert seen[32] == seen[4096]
 
     def test_only_changed_chunks_are_hashed_after_the_first_interval(self):
         """The counted budget: interval 1 hashes all 16 chunks of each

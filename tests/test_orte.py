@@ -250,7 +250,9 @@ class TestFILEM:
             assert universe.cluster.stable_fs.exists(f"/g/rank{i}/f")
 
     def test_rsh_broadcast_preloads(self, universe):
+        # a directory without a manifest lands its image and metadata
         universe.cluster.stable_fs.poke("/g/rank2/image.pkl", b"IMG")
+        universe.cluster.stable_fs.poke("/g/rank2/metadata.json", b"META")
         hnp = universe.hnp
 
         def main():
@@ -259,8 +261,10 @@ class TestFILEM:
             )
             return moved
 
-        assert run_gen(universe.kernel, main()) == 3
-        assert universe.cluster.node("node03").local_fs.peek("/restart/r2/image.pkl") == b"IMG"
+        assert run_gen(universe.kernel, main()) == 7
+        local = universe.cluster.node("node03").local_fs
+        assert local.peek("/restart/r2/image.pkl") == b"IMG"
+        assert local.peek("/restart/r2/metadata.json") == b"META"
 
     def test_remove_cleans_local_trees(self, universe):
         fs = self._seed_local(universe, "node02", "/tmp/ckpt", {"a": b"1", "b": b"2"})

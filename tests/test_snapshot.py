@@ -54,35 +54,46 @@ class TestLocalMeta:
 
     def test_truncated_packed_digests_are_rejected_at_decode(self):
         """A packed digest string that lost characters is still valid
-        JSON; it must not decode to digests of length [64, 59]."""
+        JSON; it must not decode to digests of length [64, 59].  The
+        digests travel in the manifest alone: the local metadata of
+        the same image lists none."""
         hashes = [hash_chunk(b"a"), hash_chunk(b"b")]
         packed = "".join(hashes)
-        local = _local_meta(chunk_hashes=hashes, chunk_bytes=1, total_bytes=2)
         manifest = ChunkManifest(
             kind="full", chunk_bytes=1, total_bytes=2, hashes=hashes, present=[0, 1]
         )
-        for doc, what in (
-            (local, "bad local snapshot metadata"),
-            (manifest, "bad chunk manifest"),
-        ):
-            raw = doc.to_json()
-            assert packed.encode() in raw
-            assert type(doc).from_json(raw) == doc
-            short = raw.replace(packed.encode(), packed[:-5].encode())
-            json.loads(short)  # still JSON
-            with pytest.raises(SnapshotError, match=what):
-                type(doc).from_json(short)
+        raw = manifest.to_json()
+        assert packed.encode() in raw
+        assert ChunkManifest.from_json(raw) == manifest
+        short = raw.replace(packed.encode(), packed[:-5].encode())
+        json.loads(short)  # still JSON
+        with pytest.raises(SnapshotError, match="bad chunk manifest"):
+            ChunkManifest.from_json(short)
+        local = _local_meta(chunk_bytes=1, total_bytes=2).to_json()
+        assert hashes[0][:8].encode() not in local and b"hashes" not in local
 
     def test_short_fixture_digests_round_trip_unpacked(self):
         # one full-width digest among short ones: 64 + 60 + 68 characters
         # would split back into three different "digests" if packed
         for hashes in (["a", "b"], ["a" * 64, "b" * 60, "c" * 68], []):
-            meta = _local_meta(chunk_hashes=hashes)
-            assert LocalSnapshotMeta.from_json(meta.to_json()).chunk_hashes == hashes
             manifest = ChunkManifest(
                 kind="delta", chunk_bytes=4, total_bytes=8, hashes=hashes, present=[]
             )
             assert ChunkManifest.from_json(manifest.to_json()) == manifest
+
+    def test_local_meta_is_a_plain_parse_outside_the_codec(self):
+        """The local metadata no longer grows with the chunk count, so
+        the codec never sees it: a parse per read, each reader its own
+        document, and nothing memoised."""
+        CODEC.clear()
+        meta = _local_meta(app_params={"opt": {"nested": [1]}}, chunk_bytes=32, total_bytes=64)
+        raw = meta.to_json()
+        first = LocalSnapshotMeta.from_json(raw)
+        first.app_params["opt"]["nested"].append(2)
+        assert LocalSnapshotMeta.from_json(raw) == meta
+        assert CODEC.stats() == {
+            "hits": 0, "decode_misses": 0, "encode_misses": 0, "entries": 0
+        }
 
     def test_ref_paths(self):
         ref = LocalSnapshotRef(fs_name="local:node00", path="/ckpt/r0")
@@ -205,7 +216,6 @@ class TestDocumentCodec:
         CODEC.clear()
         raw_manifest = _manifest().to_json()
         raw_local = _local_meta(
-            chunk_hashes=DIGESTS[:3], present_chunks=[0, 2],
             app_params={"opt": {"nested": [1]}}, files=["image.pkl"],
         ).to_json()
         for _ in range(3):
@@ -217,12 +227,8 @@ class TestDocumentCodec:
             manifest.hashes[0] = "junk"
 
             local = LocalSnapshotMeta.from_json(raw_local)
-            assert local.chunk_hashes == DIGESTS[:3]
-            assert local.present_chunks == [0, 2]
             assert local.app_params == {"opt": {"nested": [1]}}
             assert local.files == ["image.pkl"]
-            local.chunk_hashes.reverse()
-            local.present_chunks.append(7)
             local.app_params["opt"]["nested"].append(2)
             local.app_params["more"] = 1
             local.files.clear()
@@ -233,7 +239,9 @@ class TestDocumentCodec:
         assert ChunkManifest.from_json(raw) == _manifest()
         assert doc.to_json() != raw
         stats = CODEC.stats()
-        assert stats["decode_misses"] == 1  # the local metadata, once
+        # the local metadata is parsed on every read, outside the codec
+        # (it was its one decode miss while it listed the digests too)
+        assert stats["decode_misses"] == 0
         assert stats["encode_misses"] == 2
 
     def test_bounded_and_evicts_oldest_first(self):
@@ -325,8 +333,6 @@ def local_metas(draw):
         written_bytes=draw(st.integers(0, 1 << 30)),
         chunk_bytes=manifest.chunk_bytes,
         total_bytes=manifest.total_bytes,
-        chunk_hashes=manifest.hashes,
-        present_chunks=manifest.present,
     )
 
 

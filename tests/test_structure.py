@@ -69,9 +69,10 @@ def test_line_budgets():
     plan left (2 359 and 17 372): deleted lines are not headroom.  One
     periodic checkpointer, one stencil solver and four fewer knobs left
     2 357 and 17 136; one journal funnel in place of five hand-wired
-    writers left 2 289 and 17 119.  The tree's budget holds 200 lines
-    more, granted to the invariant oracle (ROADMAP item 1(a)) and to
-    nothing else."""
+    writers left 2 289 and 17 119; chunk digests listed in ``chunks.json``
+    alone and one restart landing path left 2 281 and 17 093.  The tree's
+    budget holds 200 lines more, granted to the invariant oracle (ROADMAP
+    item 1(a)) and to nothing else."""
     sizes = {path: len(_lines(path)) for path in SRC.rglob("*.py")}
     assert {p.name: n for p, n in sizes.items() if n > 800} == {}
     assert sizes[SNAPC / "staging.py"] <= 650
@@ -84,8 +85,8 @@ def test_line_budgets():
             SRC / "orte" / "errmgr.py",
         )
     )
-    assert around_the_seam <= 2289
-    assert sum(sizes.values()) <= 17119 + 200
+    assert around_the_seam <= 2281
+    assert sum(sizes.values()) <= 17093 + 200
 
 
 def test_snapshot_documents_have_one_memo_and_one_json_site_each():
