@@ -193,10 +193,11 @@ class AppRunner:
             fs = self.universe.cluster.stable_fs
         else:
             fs = self.proc.node.local_fs
-        # One preloaded full image; off stable storage (``shared``
-        # FILEM) a delta's base-chain, oldest full first, newest last.
+        # One preloaded (or kept, checked against *digest*) full image;
+        # off stable storage (``shared`` FILEM) a delta's base-chain,
+        # oldest full first, newest last.
         refs = [LocalSnapshotRef(fs_name=fs.name, path=d) for d in info["chain"]]
-        meta, image = yield from self.opal.crs.restart_extract_chain(fs, refs)
+        meta, image = yield from self.opal.crs.restart_extract_chain(fs, refs, info.get("digest"))
         if not meta.portable and meta.os_tag != self.proc.node.os_tag:
             raise RestartError(
                 f"image from {meta.origin_node} ({meta.os_tag}) is not "

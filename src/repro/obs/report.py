@@ -27,7 +27,6 @@ DEFAULT_PHASES = [
     "filem.fetch",
     "snapc.fanout",
     "snapc.meta",
-    "snapc.admission",
     "snapc.stage",
     "errmgr.detect",
     "errmgr.recover",

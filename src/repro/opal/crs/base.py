@@ -182,7 +182,7 @@ class CRSComponent(Component):
         return ref, meta, manifest
 
     def restart_extract_chain(
-        self, fs: "FS", refs: list[LocalSnapshotRef]
+        self, fs: "FS", refs: list[LocalSnapshotRef], digest: str | None = None
     ) -> SimGen:
         """Read a local snapshot through its delta chain.
 
@@ -190,7 +190,11 @@ class CRSComponent(Component):
         snapshot to restore.  Full snapshots (and pre-incremental
         layouts) work with a single-entry chain; delta snapshots are
         reconstructed by overlaying changed chunks onto the nearest
-        full base.  Returns ``(meta, image_dict)`` for the newest ref.
+        full base.  With *digest* (the committed manifest's digests,
+        folded) the one ref is a full image this node kept since its
+        checkpoint: its image alone is read, and refused unless its
+        chunks fold to *digest*.  Returns ``(meta, image_dict)`` for the
+        newest ref.
         """
         if not refs:
             raise RestartError("empty snapshot chain")
@@ -201,7 +205,17 @@ class CRSComponent(Component):
                 f"snapshot {newest.path} was taken by CRS "
                 f"{meta.crs_component!r}, not {self.name!r}"
             )
-        blob, manifest = yield from chunkstore.reconstruct_chain(fs, [r.path for r in refs])
+        if digest is None:
+            blob, manifest = yield from chunkstore.reconstruct_chain(fs, [r.path for r in refs])
+        else:
+            blob, manifest = (yield from fs.read(vpath.join(newest.path, IMAGE_FILE))), None
+            hash_Bps = self.params.get_float("crs_base_hash_Bps", 4e9)
+            if hash_Bps > 0:
+                yield Delay(len(blob) / hash_Bps)
+            if chunkstore.image_digest(blob, meta.chunk_bytes) != digest:
+                raise RestartError(
+                    f"kept image at {newest.path} does not match its committed manifest"
+                )
         # A preloaded image lands without its manifest: its size is
         # checked against the metadata that landed beside it.
         if manifest is None and len(blob) != meta.total_bytes:

@@ -115,6 +115,29 @@ def read_manifest(fs: FS, snapshot_dir: str) -> SimGen:
     return ChunkManifest.from_json(raw)
 
 
+def fold_digests(hashes: list[str]) -> str:
+    """One digest standing for a whole digest list, in order."""
+    return hash_chunk("".join(hashes).encode())
+
+
+#: host memo of :func:`image_digest`, keyed by the whole image's SHA-256:
+#: a kept image is checked again by every restart that reuses it
+_IMAGE_DIGESTS: dict[tuple[bytes, int], str] = {}
+
+
+def image_digest(blob: bytes, chunk_bytes: int) -> str:
+    """:func:`fold_digests` of *blob*'s chunk digests, each distinct
+    chunk hashed once (a finely chunked image repeats most chunks)."""
+    key = (hashlib.sha256(blob).digest(), chunk_bytes)
+    if key not in _IMAGE_DIGESTS:
+        chunks = split_chunks(blob, chunk_bytes)
+        digest_of = {chunk: hash_chunk(chunk) for chunk in dict.fromkeys(chunks)}
+        if len(_IMAGE_DIGESTS) >= 1024:
+            _IMAGE_DIGESTS.clear()
+        _IMAGE_DIGESTS[key] = fold_digests(list(map(digest_of.__getitem__, chunks)))
+    return _IMAGE_DIGESTS[key]
+
+
 def hash_chunks(
     blob: bytes, chunk_bytes: int, cache: dict | None
 ) -> tuple[list[str], list[int]]:

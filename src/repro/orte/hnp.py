@@ -42,6 +42,7 @@ from repro.util.logging import get_logger
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orte.universe import Universe
     from repro.simenv.process import SimProcess
+    from repro.snapshot import GlobalSnapshotMeta
 
 log = get_logger("orte.hnp")
 
@@ -149,6 +150,60 @@ class HNP:
             )
         return specs
 
+    def plan_restart_placement(
+        self, meta: "GlobalSnapshotMeta", forced: dict | None = None
+    ) -> dict[int, str]:
+        """Map a snapshot's ranks to up nodes, honouring image portability.
+
+        A rank goes back to its origin node while that is up (where the
+        node may have kept its snapshot).  A displaced rank goes to an up
+        node its image runs on (any, if portable) — restarting "in new
+        process topologies" per section 6.3: the first that is no rank's
+        origin and not yet used by the job, so it crowds no rank that
+        stayed, else round-robin over them all.  ``forced`` (rank -> node
+        name) overrides the preference per rank — the migration path —
+        but still respects portability.
+        """
+        up = {n.name: n for n in self.universe.cluster.nodes if n.up}
+        if not up:
+            raise RestartError("no nodes available for restart")
+        forced = {int(k): v for k, v in (forced or {}).items()}
+        taken = {info["node"] for info in meta.locals.values()}
+        placements: dict[int, str] = {}
+        spill = 0
+        for rank in range(meta.n_procs):
+            info = meta.locals.get(rank)
+            if info is None:
+                raise RestartError(f"global snapshot missing rank {rank}")
+            origin, portable, os_tag = info["node"], bool(info.get("portable", True)), info.get("os_tag")
+            if rank in forced:
+                target = up.get(forced[rank])
+                if target is None:
+                    raise RestartError(
+                        f"rank {rank}: requested node {forced[rank]} is not up"
+                    )
+                if not portable and target.os_tag != os_tag:
+                    raise RestartError(
+                        f"rank {rank}: image ({os_tag}) is not "
+                        f"portable to {target.name} ({target.os_tag})"
+                    )
+            elif origin in up:
+                placements[rank] = origin
+                continue
+            else:
+                candidates = [n for n in up.values() if portable or n.os_tag == os_tag]
+                if not candidates:
+                    raise RestartError(
+                        f"rank {rank}: image from {origin} ({os_tag}) "
+                        "has no compatible up node"
+                    )
+                fresh = next((n for n in candidates if n.name not in taken), None)
+                target = fresh or candidates[spill % len(candidates)]
+                spill += 1
+            placements[rank] = target.name
+            taken.add(target.name)
+        return placements
+
     def launch_and_init(self, job: Job, specs: list[ProcSpec]) -> SimGen:
         """PLM launch + the MPI_INIT rendezvous (modex exchange)."""
         job.change(
@@ -201,8 +256,10 @@ class HNP:
         job = self.universe.jobs.get(jobid)
         if job is None:
             return None
-        failed = payload.get("failed", False)
+        failed, was_done = payload.get("failed", False), job.is_done
         job.note_exit(rank, payload.get("result"), failed)
+        if job.state is JobState.FINISHED and not was_done:
+            self.snapc.job_finished(self, job)
         if rank in self.ckpt_ready.get(jobid, ()):
             self.ckpt_ready[jobid] -= {rank}
         if failed:
@@ -341,11 +398,10 @@ class HNP:
         mint a job; (3) error-manager lineages/budgets/episodes and
         scheduler cadence state, which later steps consult; (4)
         checkpointable-rank registrations, filtered to ranks still
-        alive; (5) reclaim admission tokens orphaned by the dead
-        incarnation's transfers, then rebuild staging from the
-        persisted interval records (committed intervals adopted,
-        in-flight ones re-staged idempotently); (6) hand off failures
-        injected while no HNP was alive; (7) re-attach live jobs,
+        alive; (5) rebuild staging from the persisted interval records
+        (committed intervals adopted, in-flight ones re-staged
+        idempotently); (6) hand off failures injected while no HNP was
+        alive; (7) re-attach live jobs,
         re-plan half-launched incarnations, and journal every job as it
         now is; (8) resume recovery episodes the old HNP left unsettled.
         Every table is decoded by its record type's codec, and restoring
@@ -371,13 +427,10 @@ class HNP:
             key: [r for r in ranks if universe.lookup(ProcessName(int(key), r))]
             for key, ranks in tables.get("ready", {}).items()
         })
-        tokens_freed = 0
         restaged = lost = adopted = 0
         stager_fn = getattr(self.snapc, "stager", None)
         if stager_fn is not None:
-            stager = stager_fn(self)
-            tokens_freed = stager.admission.reclaim_all()
-            restaged, lost, adopted = yield from stager.rehydrate(
+            restaged, lost, adopted = yield from stager_fn(self).rehydrate(
                 tables.get("staging", {})
             )
         # Failures injected while no HNP was alive hand off here; one
@@ -391,7 +444,6 @@ class HNP:
         reattached, replanned = self._reattach_jobs()
         self.errmgr.resume_pending()
         span.end(
-            tokens_freed=tokens_freed,
             committed_adopted=adopted,
             restaged=restaged,
             lost=lost,

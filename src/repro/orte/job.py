@@ -38,7 +38,8 @@ class ProcSpec:
     node_name: str
     app: AppSpec
     #: present on the restart path: where the preloaded local snapshot
-    #: lives on the target node ("fs" is "local" or "stable")
+    #: lives on the target node ("fs" is "local" or "stable"), and the
+    #: "digest" a snapshot the node kept since its checkpoint must match
     restart_from: dict | None = None
 
 

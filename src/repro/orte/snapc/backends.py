@@ -18,9 +18,10 @@ Two backends exist, and both carry checked traffic:
   manifest that lists *every* digest, so an interval never depends on
   another directory: its persisted base chain is empty, compaction is
   a metadata change, and restart fetches (and verifies) chunks from
-  the store, listed by the manifests the restart's check read.  Either
-  way a restarting rank finds two files: one full image and its
-  metadata.
+  the store, listed by the manifests the restart's check read — but
+  for a rank back on the node that kept the newest committed interval
+  (:meth:`CasBackend.kept`).  Either way a restarting rank reads two
+  files: one full image and its metadata.
 
 The code picks the backend itself.  At checkpoint time it is CAS iff
 ``snapc_full_cas`` is set, the FILEM component can ship chunks, and
@@ -29,7 +30,7 @@ format falls the whole interval back to the tree); afterwards an
 interval is handled by the backend recorded in ``record.cas`` /
 ``meta.cas``.  The coordinator (:mod:`repro.orte.snapc.staging`) keeps
 everything that does not differ: records, FIFO and slots, full/delta
-planning, admission, the metadata lifecycle and the failover skeleton.
+planning, the metadata lifecycle and the failover skeleton.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.opal.crs import chunks as chunkstore
-from repro.orte.job import ProcSpec
+from repro.orte.job import JobState, ProcSpec
 from repro.simenv.kernel import Delay, SimGen
 from repro.snapshot import (
     IMAGE_FILE,
     LOCAL_META,
+    STAGE_COMMITTED,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
     LocalSnapshotMeta,
@@ -173,10 +175,16 @@ class StagingBackend:
         one full image tree per entry."""
         yield from self.hnp.filem.broadcast(self.hnp, entries)
 
-    def drop_preload(self, entries: list[tuple[str, list[str], str]]) -> None:
-        """Remove the job's staging from every node :meth:`preload`
-        landed on (partial trees too)."""
+    def drop_preload(self, entries: list[tuple[str, list[str], str]], specs, job: "Job") -> None:
+        """Remove the job's staging from every node :meth:`preload` landed
+        on (partial trees too), once the attempt (*specs*, *job*) ended."""
         self.drop_local("restart", ((node, vpath.dirname(dst)) for node, _chain, dst in entries))
+
+    def settled(self, record: "StagingRecord") -> None:
+        """*record* just committed or failed."""
+
+    def finished(self, job: "Job") -> None:
+        """*job* finished, and with it its lineage."""
 
     def drop_local(self, what: str, trees) -> None:
         """Remove node-local *trees* ``(node, dir)``: a thread per tree,
@@ -281,6 +289,13 @@ class CasBackend(StagingBackend):
     """Chunks negotiated against the content-addressed store."""
 
     cas = True
+
+    def __init__(self, stager: "StagingCoordinator"):
+        super().__init__(stager)
+        #: kept trees ``(node, dir)`` whose image failed a restart's check
+        self.dropped: set[tuple[str, str]] = set()
+        #: restart attempt's jobid -> the kept interval its ranks read
+        self.reading: dict[int, "StagingRecord"] = {}
 
     @cached_property
     def store(self) -> ChunkStore:
@@ -439,10 +454,7 @@ class CasBackend(StagingBackend):
                 stable, LocalSnapshotRef(stable.name, dst), local_meta
             )
             yield from store.add_refs(dst, manifest.hashes)
-        # Local staging is no longer needed (kept until now so a failed
-        # ship could retry from the same sources); the interval commits
-        # without waiting for its removal.
-        self.drop_local("stage", ((node, src) for _rank, node, src in entries))
+        # The local trees stay: see :meth:`settled`.
         return None
 
     def compact(self, record: "StagingRecord") -> SimGen:
@@ -515,6 +527,39 @@ class CasBackend(StagingBackend):
                 return f"rank {rank}: {absent} chunk(s) absent from the store"
         return None
 
+    def kept(self, job: "Job", but=None) -> "StagingRecord | None":
+        """The interval whose node-local trees *job*'s lineage keeps: its
+        newest COMMITTED one that recovery may walk back to (in its job's
+        ``snapshots``), none once a job of the lineage finished — either
+        one other than *but*.  The record's ``gather_entries`` name the
+        trees, and replay restores them: a successor HNP reuses and drops
+        the same."""
+        jobs = self.hnp.universe.jobs
+        lineage = [jobs[j] for j in sorted(self.hnp.errmgr.lineage_jobids(job)) if j in jobs]
+        if any(j.state is JobState.FINISHED and j is not but for j in lineage):
+            return None
+        return max((
+            r for j in lineage for r in self.stager.job_records(j.jobid)
+            if r.cas and r.state == STAGE_COMMITTED and r is not but and r.ref in j.snapshots
+        ), key=lambda r: r.committed_at, default=None)
+
+    def _drop_kept(self, record: "StagingRecord | None") -> None:
+        # a restart still reading the trees drops them when it ends
+        if record is not None and all(r is not record for r in self.reading.values()):
+            self.drop_local("stage", ((node, src) for node, src, _dst in record.gather_entries))
+
+    def settled(self, record) -> None:
+        """A COMMITTED interval's trees stay as its lineage's kept level
+        (the paper's local snapshot, left where it was written) and the
+        level they replace goes, so a lineage keeps at most one interval;
+        any other interval's trees go at once."""
+        job = self.hnp.universe.jobs.get(record.jobid)
+        kept = job is not None and self.kept(job) is record
+        self._drop_kept(self.kept(job, but=record) if kept else record)
+
+    def finished(self, job) -> None:
+        self._drop_kept(self.kept(job, but=job))
+
     def plan_restart(self, plan, job, placements) -> SimGen:
         # The rank directories hold only manifests, so a restart that
         # cannot get at the store must be refused before any process is
@@ -524,12 +569,43 @@ class CasBackend(StagingBackend):
                 f"snapshot {plan.ref.path} is CAS-backed but FILEM "
                 f"{self.hnp.filem.name!r} cannot fetch chunks"
             )
-        return (yield from super().plan_restart(plan, job, placements))
+        specs, entries = yield from super().plan_restart(plan, job, placements)
+        # "Reuse local": a rank placed on the node that kept this very
+        # interval's full image reads it there, checked against the
+        # committed manifest's digests (folded into one for the launch).
+        # Every other rank is "land from stable".
+        origin = self.hnp.universe.jobs.get(plan.meta.jobid)
+        kept = self.kept(origin) if origin is not None else None
+        if kept is None or kept.ref != plan.ref:
+            return specs, entries
+        self.reading[job.jobid], land = kept, []
+        for spec, entry, (node, src, _dst) in zip(specs, entries, kept.gather_entries):
+            full = plan.meta.locals[spec.rank].get("kind") == chunkstore.KIND_FULL
+            if spec.node_name != node or (node, src) in self.dropped or not full:
+                land.append(entry)
+                continue
+            hashes = plan.checked[plan.ref.local_dir(spec.rank)].hashes
+            spec.restart_from = {"fs": "local", "chain": [src], "digest": chunkstore.fold_digests(hashes)}
+        return specs, land
 
     def preload(self, plan, entries) -> SimGen:
         """Each distinct chunk is read once and verified on the way out;
         the manifests are the ones :meth:`unusable` read."""
         yield from self.hnp.filem.fetch_chunks(self.hnp, self.store, entries, plan.checked)
+
+    def drop_preload(self, entries, specs, job) -> None:
+        super().drop_preload(entries, specs, job)
+        # a kept image that failed its check goes; the retry lands the rank
+        bad = [
+            (s.node_name, s.restart_from["chain"][0]) for s in specs
+            if "digest" in s.restart_from and s.rank in job.failed_ranks
+        ]
+        self.dropped.update(bad)
+        self.drop_local("kept", bad)
+        read = self.reading.pop(job.jobid, None)
+        origin = read and self.hnp.universe.jobs.get(read.jobid)
+        if read and (origin is None or self.kept(origin) is not read):
+            self._drop_kept(read)  # superseded while this attempt read it
 
     def purge(self, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta) -> SimGen:
         """Release every rank directory's chunk references, remove the

@@ -63,6 +63,9 @@ class SNAPCComponent(Component):
         """Stop background aggregation for a failed job (called by the
         error manager before recovery walks ``job.snapshots``)."""
 
+    def job_finished(self, hnp: "HNP", job: "Job") -> None:
+        """*job* finished: what its lineage kept for a restart can go."""
+
     def usable_snapshot(self, hnp: "HNP", ref: "GlobalSnapshotRef", skip: set[str]) -> SimGen:
         """``(plan, None)`` if *ref* can be restarted from right now, else
         ``(None, why)``; *skip* holds refs known bad this episode.  The

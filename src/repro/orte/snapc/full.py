@@ -71,7 +71,6 @@ from repro.util.errors import (
     NetworkError,
     NotCheckpointableError,
     ReproError,
-    RestartError,
 )
 from repro.util.ids import ProcessName
 from repro.util.logging import get_logger
@@ -110,6 +109,10 @@ class FullSNAPC(SNAPCComponent):
 
     def abort_job(self, hnp: "HNP", jobid: int) -> None:
         self.stager(hnp).abort_job(jobid)
+
+    def job_finished(self, hnp: "HNP", job: "Job") -> None:
+        for backend in self.stager(hnp).backends.values():
+            backend.finished(job)
 
     def usable_snapshot(self, hnp: "HNP", ref: GlobalSnapshotRef, skip: set[str]) -> "SimGen":
         # Nothing is remembered between calls: persisted state is
@@ -426,9 +429,7 @@ class FullSNAPC(SNAPCComponent):
             ] + [ref],
         )
 
-        placements = self._plan_restart_placement(
-            universe, meta, options.get("placement")
-        )
+        placements = hnp.plan_restart_placement(meta, options.get("placement"))
         backend = self.stager(hnp).backends[meta.cas]
         specs, entries = yield from backend.plan_restart(plan, job, placements)
         try:
@@ -441,68 +442,14 @@ class FullSNAPC(SNAPCComponent):
             # mark it failed so retrying recovery can re-plan placement.
             job.mark_failed()
             hnp.errmgr._abort_survivors(job)
-            backend.drop_preload(entries)
+            backend.drop_preload(entries, specs, job)
             raise
         # every rank read its image before it answered INIT_READY
-        backend.drop_preload(entries)
+        backend.drop_preload(entries, specs, job)
         log.info(
             "job %d restarted from %s as job %d", meta.jobid, ref.path, job.jobid
         )
         return job
-
-    @staticmethod
-    def _plan_restart_placement(
-        universe, meta: GlobalSnapshotMeta, forced: dict | None = None
-    ) -> dict[int, str]:
-        """Map ranks to up nodes, honouring image portability.
-
-        Prefer the origin node when it is still up; otherwise place on
-        any up node whose OS tag matches (or any node if the image is
-        portable) — restarting "in new process topologies" per section
-        6.3.  ``forced`` (rank -> node name) overrides the preference
-        per rank — the migration path — but still respects portability.
-        """
-        up = [n for n in universe.cluster.nodes if n.up]
-        if not up:
-            raise RestartError("no nodes available for restart")
-        forced = {int(k): v for k, v in (forced or {}).items()}
-        placements: dict[int, str] = {}
-        spill = 0
-        for rank in range(meta.n_procs):
-            info = meta.locals.get(rank)
-            if info is None:
-                raise RestartError(f"global snapshot missing rank {rank}")
-            if rank in forced:
-                target = next((n for n in up if n.name == forced[rank]), None)
-                if target is None:
-                    raise RestartError(
-                        f"rank {rank}: requested node {forced[rank]} is not up"
-                    )
-                portable = bool(info.get("portable", True))
-                if not portable and target.os_tag != info.get("os_tag"):
-                    raise RestartError(
-                        f"rank {rank}: image ({info.get('os_tag')}) is not "
-                        f"portable to {target.name} ({target.os_tag})"
-                    )
-                placements[rank] = target.name
-                continue
-            origin = info["node"]
-            origin_node = next((n for n in up if n.name == origin), None)
-            if origin_node is not None:
-                placements[rank] = origin
-                continue
-            portable = bool(info.get("portable", True))
-            candidates = [
-                n for n in up if portable or n.os_tag == info.get("os_tag")
-            ]
-            if not candidates:
-                raise RestartError(
-                    f"rank {rank}: image from {origin} ({info.get('os_tag')}) "
-                    "has no compatible up node"
-                )
-            placements[rank] = candidates[spill % len(candidates)].name
-            spill += 1
-        return placements
 
     # ------------------------------------------------------------------
     # Local coordinator (runs in each orted)

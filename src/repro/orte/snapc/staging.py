@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING
 
 from repro.opal.crs.chunks import KIND_DELTA, KIND_FULL
 from repro.orte.job import JobState
-from repro.orte.snapc.admission import StagingAdmission
 from repro.orte.snapc.backends import CasBackend, StagingBackend, TreeBackend
 from repro.orte.statestore import Durable
 from repro.simenv.kernel import SimGen, WaitEvent
@@ -209,19 +208,6 @@ class StagingCoordinator:
             False: TreeBackend(self),
             True: CasBackend(self),
         }
-        #: universe-level admission gate shared by every job's pipeline
-        #: (the per-job depth above bounds one job; this bounds them all).
-        #: Cached on the universe so an HNP failover replaces the
-        #: coordinator but not the gate: counters survive, and the
-        #: rehydrating HNP can reclaim tokens the dead one's transfers
-        #: still held.
-        universe = hnp.universe
-        if universe.staging_admission is None:
-            universe.staging_admission = StagingAdmission(
-                hnp.proc.kernel,
-                tokens=params.get_int("snapc_stage_admission_tokens", 0),
-            )
-        self.admission = universe.staging_admission
         self._jobs: dict[int, _JobStaging] = {}
 
     def backend_for(self, results: dict[int, dict]) -> StagingBackend:
@@ -386,10 +372,6 @@ class StagingCoordinator:
                     daemon=True,
                 )
             self._free_slot(st)
-        # A dead job must not sit on the universe's staging capacity:
-        # force-release any admission tokens its in-flight transfer
-        # holds (the worker's own release then no-ops).
-        self.admission.release_job(jobid)
         log.warning("job %d staging pipeline aborted", jobid)
 
     # -- lookup (restart / tools) ----------------------------------------------
@@ -465,14 +447,7 @@ class StagingCoordinator:
             error = backend.doomed_by(record, st.failed_dirs)
 
         if error is None:
-            # The transfer itself runs under the universe-level
-            # admission gate: a token bounds concurrent stagings across
-            # all jobs (unlimited by default).
-            yield from self.admission.acquire(record.jobid)
-            try:
-                error = yield from backend.stage(record)
-            finally:
-                self.admission.release(record.jobid)
+            error = yield from backend.stage(record)
 
         if error is None and record.compact:
             error = yield from backend.compact(record)
@@ -509,6 +484,7 @@ class StagingCoordinator:
                 record.jobid, record.interval, error,
             )
         span.end(ok=error is None, bytes=record.bytes_moved)
+        backend.settled(record)
         if not record.done.fired:
             record.done.fire(record.state)
         return None

@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.orte.hnp import HNP
     from repro.orte.orted import Orted
     from repro.orte.oob import RML
-    from repro.orte.snapc.admission import StagingAdmission
     from repro.simenv.cluster import Cluster
     from repro.simenv.kernel import SimEvent
     from repro.simenv.process import SimProcess
@@ -76,10 +75,6 @@ class Universe:
         #: in the ErrMgr so campaign threads waiting on an outcome survive
         #: the HNP (and its ErrMgr) being replaced by failover
         self.recovery_outcomes: dict[int, "SimEvent"] = {}
-        #: universe-wide staging admission gate (also HNP-independent:
-        #: replacing it at failover would let a token-limited universe
-        #: briefly double its staging capacity)
-        self.staging_admission: "StagingAdmission | None" = None
         #: injected failures observed while no live HNP existed; the
         #: next incarnation drains them during rehydration
         self._orphaned_failures: list[str] = []

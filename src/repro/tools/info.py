@@ -32,7 +32,6 @@ KNOWN_PARAMS: dict[str, list[tuple[str, str, str]]] = {
         ("snapc_sched_adaptive", "0", "re-tune the cadence per tick to the Young/Daly interval sqrt(2*MTBF*C)"),
         ("snapc_sched_min_every", "0.05", "lower clamp of the adaptive cadence (sim seconds)"),
         ("snapc_sched_max_every", "1.0", "upper clamp of the adaptive cadence (sim seconds; 0 = uncapped)"),
-        ("snapc_stage_admission_tokens", "0", "universe-wide cap on concurrent staging transfers across all jobs (0 = unlimited)"),
     ],
     "filem": [
         ("filem", "rsh", "force FILEM component selection"),

@@ -34,7 +34,7 @@ from tests.test_filem import restart_staging
 CAS = {"snapc_full_cas": "1", "filem": "rsh"}
 #: ~0.55 sim-seconds of runtime, 4 MB of (mostly zero) state per rank
 CHURN = {"loops": 50, "compute_s": 0.01, "state_bytes": 4 << 20}
-JACOBI = {"n_global": 256, "iters": 30000}
+JACOBI = {"n_global": 256, "iters": 500, "iter_compute_s": 6e-4}
 
 
 def _read_manifest(universe, ref, rank):
@@ -445,7 +445,9 @@ class TestCASRestart:
         )
         universe.run_job_to_completion(job)
         assert job.state.value == "halted"
-        new_job = ompi_restart(universe, checkpoint_ref(handle))
+        # every rank one node along, so each is fetched from the store
+        moved = {rank: f"node0{(rank + 1) % 4}" for rank in range(4)}
+        new_job = ompi_restart(universe, checkpoint_ref(handle), placement=moved)
         assert new_job.state.value == "finished"
         assert new_job.results == baseline
 
@@ -510,9 +512,11 @@ def two_intervals(**params):
 
 
 def only_in_newest(universe, job) -> str:
-    """The store path of a chunk interval 2 holds and interval 1 does not."""
+    """The store path of a chunk interval 2 holds and interval 1 does not:
+    one of rank 3's, whose node dies, so a recovery fetches it (ranks 0-2
+    reuse the images their nodes kept)."""
     older = {d for r in range(4) for d in _peek_manifest(universe, job.snapshots[0], r).hashes}
-    newest = _peek_manifest(universe, job.snapshots[1], 1).hashes
+    newest = _peek_manifest(universe, job.snapshots[1], 3).hashes
     return _cas_backend(universe).store.blob_path(next(d for d in newest if d not in older))
 
 
@@ -542,7 +546,7 @@ class TestCASRestartReadsEachChunkOnce:
         universe.run_job_to_completion(job)
         ref = checkpoint_ref(handle)
         backend = _cas_backend(universe)
-        backend.drop_preload = lambda entries: None  # keep what landed to look at
+        backend.drop_preload = lambda *attempt: None  # keep what landed to look at
         store, reads = backend.store, []
         get_many = store.get_many
 
@@ -552,7 +556,9 @@ class TestCASRestartReadsEachChunkOnce:
 
         store.get_many = spy
         universe.kernel.tracer.enable()
-        restarted = ompi_restart(universe, ref)
+        # every rank one node along: none reuses what its node kept
+        moved = {rank: f"node0{(rank + 1) % 4}" for rank in range(4)}
+        restarted = ompi_restart(universe, ref, placement=moved)
         assert restarted.results == ompi_run(make_universe(4), "churn", 4, args=SMALL).results
 
         manifests = [_peek_manifest(universe, ref, rank) for rank in range(4)]
@@ -585,10 +591,10 @@ class TestCASRestartReadsEachChunkOnce:
         backend = _cas_backend(universe)
         drop, staged = backend.drop_preload, {}
 
-        def spy(entries):
+        def spy(entries, *attempt):
             jobdir = vpath.dirname(entries[0][2])
             staged[jobdir] = {p for p in restart_staging(universe) if p.startswith(jobdir)}
-            drop(entries)
+            drop(entries, *attempt)
 
         backend.drop_preload = spy
         rot_newest_at(universe, job, 0.5)
@@ -911,9 +917,9 @@ class TestCASCleanupOffTheCommitPath:
 
     def test_a_source_node_dying_during_cleanup_keeps_the_commit_and_the_restart(self):
         """node03 dies 5 sim-ms into removing its interval-1 source (a
-        removal takes 15): the interval stays committed, no thread
-        crashes, and recovery restarts from it to the undisturbed
-        answers."""
+        removal takes 15), which interval 2's commit set off: both
+        intervals stay committed, no thread crashes, and recovery
+        restarts from the newest to the undisturbed answers."""
         universe = make_universe(4, {**FINE, "orte_errmgr_autorecover": "1"})
         failures, crashed = universe.cluster.failures, []
 
@@ -924,13 +930,14 @@ class TestCASCleanupOffTheCommitPath:
 
         _spy_removals(universe, during)
         job = ompi_run(universe, "churn", 4, args=SMALL, wait=False)
-        ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        for at in (0.1, 0.3):
+            ompi_checkpoint(universe, job.jobid, at=at, wait=False)
         final = settle_lineage(universe, job)
-        [record] = _stager(universe).job_records(job.jobid)
+        record, newest = _stager(universe).job_records(job.jobid)
         assert crashed == [record.gather_entries[3][1]]
-        assert record.state == "committed" and record.committed_at < 0.3
+        assert record.state == newest.state == "committed" and record.committed_at < 0.3
         [episode] = universe.hnp.errmgr.recovery_log
-        assert episode.recovered and episode.snapshot == record.ref.path
+        assert episode.recovered and episode.snapshot == newest.ref.path
         assert final.results == ompi_run(make_universe(4), "churn", 4, args=SMALL).results
 
     def test_a_node_dying_mid_removal_keeps_its_disk(self):
@@ -1017,3 +1024,117 @@ class TestCASConcurrentCheck:
         why, checked = self._unusable(universe, ref)
         assert why is None and len(checked) == 4
         assert flight == {"now": 0, "peak": 2, "reads": 4}
+
+
+#: 1.2 sim-seconds of churn, so a recovered job outlives a checkpoint
+LONG = {**SMALL, "loops": 120}
+
+
+def kept_lineage(flip_at: float | None = None):
+    """A 4-rank CAS churn job on six nodes, checkpointed at 0.1, 0.25 and
+    0.4; node03 dies at 0.5, so interval 3 commits after the job failed
+    and recovery restarts job 2 from interval 2.  With *flip_at*, one bit
+    of the image node01 kept for rank 1 flips then (same length)."""
+    universe = make_universe(6, {**FINE, "orte_errmgr_autorecover": "1"})
+    universe.kernel.tracer.enable()
+    job = ompi_run(universe, "churn", 4, args=LONG, wait=False)
+    for at in (0.1, 0.25, 0.4):
+        ompi_checkpoint(universe, job.jobid, at=at, wait=False)
+    universe.cluster.failures.crash_node_at(0.5, "node03")
+    if flip_at is not None:
+        fs, path = universe.cluster.node("node01").local_fs, "/ckpt/job1/interval2/rank1/image.pkl"
+
+        def flip():
+            image = bytearray(fs.peek(path))
+            image[len(image) // 2] ^= 0x01
+            fs.poke(path, bytes(image))
+
+        universe.kernel.call_at(flip_at, flip)
+    return universe, job
+
+
+def kept_on_disk(universe) -> list[tuple[int, int]]:
+    """``(jobid, interval)`` of every node-local snapshot tree on an up node."""
+    return sorted({
+        (int(job[3:]), int(interval[8:]))
+        for node in universe.cluster.nodes if node.up
+        for _root, job, interval, *_rest in (
+            path.split("/")[1:] for path in node.local_fs.list_tree("/ckpt")
+        )
+    })
+
+
+def fetch_spans(universe):
+    return [s for s in universe.kernel.tracer.spans if s.name == "filem.fetch"]
+
+
+class TestKeptLocalLevel:
+    """The newest committed CAS interval's node-local trees stay on the
+    nodes that wrote them, and a recovered rank back on its own node
+    restarts from its tree instead of from stable storage."""
+
+    def test_only_the_rank_whose_node_died_is_fetched(self):
+        universe, job = kept_lineage()
+        final = settle_lineage(universe, job)
+        assert final.results == ompi_run(make_universe(4), "churn", 4, args=LONG).results
+        [episode] = universe.hnp.errmgr.recovery_log
+        assert episode.snapshot == job.snapshots[1].path and episode.attempts == 1
+        # rank 3 goes to a node that is no rank's origin; 0-2 stay home
+        assert universe.job(2).placements == {0: "node00", 1: "node01", 2: "node02", 3: "node04"}
+        [recovery] = fetch_spans(universe)
+        assert recovery.attrs["entries"] == 1
+
+    def test_a_flipped_bit_in_a_kept_image_falls_back_to_stable_storage(self):
+        """The flipped image is refused by its rank before it is
+        unpickled; the retry restarts the same interval with that rank
+        fetched, and the lineage finishes with the undisturbed answers."""
+        universe, job = kept_lineage(flip_at=0.45)
+        final = settle_lineage(universe, job)
+        assert final.results == ompi_run(make_universe(4), "churn", 4, args=LONG).results
+        [episode] = universe.hnp.errmgr.recovery_log
+        assert episode.attempts == 2 and episode.snapshot == job.snapshots[1].path
+        first, second = recover_spans(universe)
+        assert first.attrs["snapshot"] == second.attrs["snapshot"] == job.snapshots[1].path
+        assert "kept image at /ckpt/job1/interval2/rank1 does not match" in first.attrs["error"]
+        assert [s.attrs["entries"] for s in fetch_spans(universe)] == [1, 2]
+
+    def test_a_lineage_keeps_one_interval_and_none_once_it_finished(self):
+        """Sampled 30 sim-ms after each interval settles (its cleanup takes
+        15): the trees on disk are the kept interval's alone — interval 3,
+        committed after its job failed, drops its own at once — and a
+        checkpoint of the recovered job drops the interval it restarted
+        from.  Nothing is left once the lineage finished."""
+        universe, job = kept_lineage()
+        ompi_checkpoint(universe, 2, at=0.9, wait=False)
+        backend, seen = _cas_backend(universe), []
+        settled = backend.settled
+
+        def spy(record):
+            settled(record)
+            universe.kernel.call_later(0.03, lambda: seen.append(kept_on_disk(universe)))
+
+        backend.settled = spy
+        final = settle_lineage(universe, job)
+        assert final.jobid == 2 and final.state.value == "finished"
+        assert seen == [[(1, 1)], [(1, 2)], [(1, 2)], [(2, 1)]]
+        assert kept_on_disk(universe) == []
+        assert backend.kept(final) is None
+
+    def test_an_interval_committing_mid_restart_keeps_the_trees_it_reads(self):
+        """A tool restart of interval 1 while the job runs on: interval 2
+        commits while the restarted ranks are reading interval 1's kept
+        trees, and their removal waits for the restart to end."""
+        universe = make_universe(6, FINE)
+        universe.kernel.tracer.enable()
+        job = ompi_run(universe, "churn", 4, args=LONG, wait=False)
+        first = ompi_checkpoint(universe, job.jobid, at=0.1, wait=False)
+        ompi_checkpoint(universe, job.jobid, at=0.25, wait=False)
+        universe.kernel.run(until=0.22)
+        restarted = ompi_restart(universe, checkpoint_ref(first), at=0.348)
+        assert restarted.results == ompi_run(make_universe(4), "churn", 4, args=LONG).results
+        assert fetch_spans(universe) == []  # every rank read its node's copy
+        _first, second = _stager(universe).job_records(job.jobid)
+        assert 0.348 < second.committed_at
+        universe.run_job_to_completion(job)
+        _drain_background(universe)
+        assert kept_on_disk(universe) == []

@@ -273,23 +273,35 @@ SEAM_PINS = {
     # (interval 1 1.0543 -> 1.0392, interval 7 2.2921 -> 2.2769);
     # ``now`` 2.2921 -> 2.2769, ``events`` 2789 -> 2781 (one landed
     # write fewer per rank).
+    #
+    # Re-pinned when a displaced rank started going to an up node that is
+    # no rank's origin (each value from two identical runs): job 2's rank
+    # 3 lands on node04, not on node00 behind rank 0 in node00's one
+    # preload stream, so the recovery is 40.97 ms shorter and job 2's
+    # seven ``committed_at`` each move by that (interval 1 1.0392 ->
+    # 0.9982, interval 7 2.2769 -> 2.2359); its metadata names the other
+    # node and instants, so its intervals move -3 to +2 B.  Job 2 spans
+    # five nodes, not four: one more preload stream, launch contact and
+    # preload cleanup, and one more contact and orted worker (and
+    # ``WaitAll``) for each of its seven checkpoints.  ``events`` 2781 ->
+    # 2854, ``threads_spawned`` 307 -> 324, ``waits_all`` 57 -> 64.
     "tree": {
-        "now": 2.2768803654999985,
-        "events": 2781,
-        "threads_spawned": 307,
+        "now": 2.2359061734999983,
+        "events": 2854,
+        "threads_spawned": 324,
         "waits_any": 63,
-        "waits_all": 57,
+        "waits_all": 64,
         "records": [
             (1, 1, "full", "committed", 4202902, 0.31863337608333325),
             (1, 2, "delta", "committed", 271618, 0.4847678778333332),
             (1, 3, "delta", "failed", 0, None),
-            (2, 1, "full", "committed", 4204472, 1.0391673025),
-            (2, 2, "delta", "committed", 273188, 1.2053010672500004),
-            (2, 3, "full", "committed", 273968, 1.4840660210000012),
-            (2, 4, "delta", "committed", 274748, 1.6178595078333344),
-            (2, 5, "full", "committed", 275528, 1.8804482921666679),
-            (2, 6, "delta", "committed", 276308, 2.0142484790000013),
-            (2, 7, "full", "committed", 277450, 2.2768803654999985),
+            (2, 1, "full", "committed", 4204472, 0.9981924134999995),
+            (2, 2, "delta", "committed", 273188, 1.1643269002500003),
+            (2, 3, "full", "committed", 273967, 1.443091859000001),
+            (2, 4, "delta", "committed", 274745, 1.5768853058333343),
+            (2, 5, "full", "committed", 275525, 1.8394740951666677),
+            (2, 6, "delta", "committed", 276307, 1.9732742870000013),
+            (2, 7, "full", "committed", 277452, 2.2359061734999983),
         ],
     },
     # "cas_restage": all seven records as before (no restart precedes
@@ -335,8 +347,15 @@ SEAM_PINS = {
     # stable metadata write is smaller, so each ``committed_at`` is
     # 28-32 us earlier; the explicit restart lands two files a rank,
     # not three: ``now`` 1.7642 -> 1.7541, ``events`` 2532 -> 2524.
+    #
+    # Re-pinned when a lineage started keeping its newest committed
+    # interval's node-local trees: each interval's trees go when the next
+    # one commits, the last one's when job 1 finishes, so the drain before
+    # the explicit restart ends 2.107 ms later and ``now`` moves by that,
+    # 1.7541 -> 1.7562.  The restart itself (job 1 finished, nothing kept)
+    # fetches all four ranks as before; every other value is unchanged.
     "cas_restage": {
-        "now": 1.754125611583335,
+        "now": 1.756232981583335,
         "events": 2524,
         "threads_spawned": 322,
         "waits_any": 45,
@@ -383,23 +402,37 @@ SEAM_PINS = {
     # 1.0329 -> 1.0229, interval 8 2.0877 -> 2.0776); ``now`` 2.4492 ->
     # 2.4291, ``events`` 3653 -> 3637 (two restarts, one landed write
     # fewer per rank each).
+    #
+    # Re-pinned when a recovered rank started reusing the CAS snapshot its
+    # own node kept, and a displaced rank going to a node that is no
+    # rank's origin (each value from two identical runs).  The recovery
+    # fetches rank 0 alone (ranks 1-3 read the interval-1 trees their
+    # nodes kept) and lands it on node04, not node01: 1.85 ms shorter, so
+    # job 2's eight ``committed_at`` each move by that (interval 1 1.0229
+    # -> 1.0210, interval 8 2.0776 -> 2.0758).  Job 2's last interval is
+    # dropped when it finishes, so the explicit restart starts 16.1 ms
+    # later, and ``now`` 2.4291 -> 2.4451.  The recovery's fetch runs 17
+    # threads, not 24, and job 2 spans four nodes, not three: one more
+    # launch contact per restart, and one more contact, orted worker and
+    # ``WaitAll`` for each of its ten checkpoint requests.  ``events``
+    # 3637 -> 3726, ``threads_spawned`` 463 -> 477, ``waits_all`` 73 -> 83.
     "cas_lost": {
-        "now": 2.4290785817499985,
-        "events": 3637,
-        "threads_spawned": 463,
+        "now": 2.4451238521666636,
+        "events": 3726,
+        "threads_spawned": 477,
         "waits_any": 73,
-        "waits_all": 73,
+        "waits_all": 83,
         "records": [
             (1, 1, "full", "committed", 0, 0.27291561425),
             (1, 2, "delta", "failed", 0, None),
-            (2, 1, "full", "committed", 3180, 1.0228568534166669),
-            (2, 2, "delta", "committed", 69496, 1.1776212541666669),
-            (2, 3, "full", "committed", 70276, 1.3276254737500004),
-            (2, 4, "delta", "committed", 71056, 1.4776296766666672),
-            (2, 5, "full", "committed", 71836, 1.627633890416667),
-            (2, 6, "delta", "committed", 72616, 1.7776380941666667),
-            (2, 7, "full", "committed", 73396, 1.9276421629166676),
-            (2, 8, "delta", "committed", 74176, 2.0776465116666665),
+            (2, 1, "full", "committed", 3180, 1.021002193),
+            (2, 2, "delta", "committed", 69496, 1.175767354916667),
+            (2, 3, "full", "committed", 70276, 1.3257715995000006),
+            (2, 4, "delta", "committed", 71056, 1.4757757774166673),
+            (2, 5, "full", "committed", 71836, 1.6257799920000002),
+            (2, 6, "delta", "committed", 72616, 1.77578419075),
+            (2, 7, "full", "committed", 73396, 1.9257884345000003),
+            (2, 8, "delta", "committed", 74176, 2.0757926332499994),
         ],
     },
 }

@@ -338,7 +338,7 @@ class TestChainRestart:
         universe, job, reference, baseline = halted_chain_job()
         stable = universe.cluster.stable_fs
         backend = universe.hnp.snapc.stager(universe.hnp).backends[False]
-        backend.drop_preload = lambda entries: None  # keep what landed to look at
+        backend.drop_preload = lambda *attempt: None  # keep what landed to look at
 
         tracer = universe.kernel.tracer
         tracer.enable()
@@ -593,11 +593,11 @@ class TestLandedImageSize:
 
         backend.preload = truncating
 
-    def _refused(self, universe, reference, cas: bool) -> None:
+    def _refused(self, universe, reference, cas: bool, **options) -> None:
         self._truncate_after_preload(universe, cas)
         with pytest.raises(RestartError, match=r"image at /restart/job\d+/rank1 is \d+ "
                            r"bytes, its metadata says \d+"):
-            ompi_restart(universe, reference)
+            ompi_restart(universe, reference, **options)
         refused = universe.job(max(universe.jobs))
         assert refused.restarted_from == reference
         assert refused.state is JobState.FAILED
@@ -613,7 +613,9 @@ class TestLandedImageSize:
         handle = ompi_checkpoint(universe, job.jobid, at=0.1, wait=False, terminate=True)
         universe.run_job_to_completion(job)
         assert job.state is JobState.HALTED
-        self._refused(universe, checkpoint_ref(handle), cas=True)
+        # every rank one node along: none reuses what its node kept
+        moved = {rank: f"node0{(rank + 1) % 4}" for rank in range(4)}
+        self._refused(universe, checkpoint_ref(handle), cas=True, placement=moved)
 
 
 class TestConcurrency:

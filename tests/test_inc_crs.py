@@ -448,8 +448,9 @@ class TestCompareBeforeHashEndToEnd:
             universe.run_job_to_completion(job)
             ref = checkpoint_ref(handle)
             backend = universe.hnp.snapc.stager(universe.hnp).backends[cas]
-            backend.drop_preload = lambda entries: None  # keep what landed
-            restarted = ompi_restart(universe, ref)
+            backend.drop_preload = lambda *attempt: None  # keep what landed
+            # both ranks two nodes along: none reuses what its node kept
+            restarted = ompi_restart(universe, ref, placement={0: "node02", 1: "node03"})
             stable = universe.cluster.stable_fs
             manifest = chunkstore.ChunkManifest.from_json(
                 stable.peek(f"{ref.local_dir(0)}/chunks.json")

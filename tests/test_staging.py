@@ -422,152 +422,6 @@ class TestIncrementalChain:
         assert new_job.results == expected
 
 
-class TestStagingAdmission:
-    """Universe-level admission control over staging transfers.
-
-    Unit tests drive the gate directly on a bare kernel; the
-    integration test shows two jobs' transfers serializing under a
-    one-token universe.
-    """
-
-    @staticmethod
-    def _gate(kernel, tokens=1):
-        from repro.orte.snapc.admission import StagingAdmission
-
-        return StagingAdmission(kernel, tokens=tokens)
-
-    @staticmethod
-    def _holder(kernel, gate, jobid, hold_s, grants):
-        """A thread that acquires, holds for hold_s, then releases."""
-        from repro.simenv.kernel import Delay
-
-        def gen():
-            yield from gate.acquire(jobid)
-            grants.append((kernel.now, jobid))
-            yield Delay(hold_s)
-            gate.release(jobid)
-            return None
-
-        return kernel.spawn(gen(), name=f"holder-job{jobid}")
-
-    def test_unlimited_gate_never_blocks_or_posts_events(self, kernel):
-        gate = self._gate(kernel, tokens=0)
-        grants = []
-        for jobid in (1, 2, 3):
-            self._holder(kernel, gate, jobid, 0.5, grants)
-        kernel.run()
-        # All granted at t=0: no queueing, no token bookkeeping.
-        assert [t for t, _ in grants] == [0.0, 0.0, 0.0]
-        assert gate.queued == 0 and gate.admitted == 0
-
-    def test_token_exhaustion_queues_staging(self, kernel):
-        gate = self._gate(kernel, tokens=1)
-        grants = []
-        self._holder(kernel, gate, 1, 0.5, grants)
-        self._holder(kernel, gate, 2, 0.5, grants)
-        kernel.run()
-        # Job 2's transfer was admitted only when job 1 released.
-        assert grants == [(0.0, 1), (0.5, 2)]
-        assert gate.queued == 1 and gate.admitted == 2
-        assert gate.waiting == 0 and gate.held_by(1) == 0
-
-    def test_release_wakes_waiters_fifo(self, kernel):
-        from repro.simenv.kernel import Delay
-
-        gate = self._gate(kernel, tokens=1)
-        grants = []
-
-        def staggered():
-            # Queue jobs 2, 3, 4 in that order behind job 1's token.
-            self._holder(kernel, gate, 1, 1.0, grants)
-            yield Delay(0.01)
-            self._holder(kernel, gate, 2, 1.0, grants)
-            yield Delay(0.01)
-            self._holder(kernel, gate, 3, 1.0, grants)
-            yield Delay(0.01)
-            self._holder(kernel, gate, 4, 1.0, grants)
-            return None
-
-        kernel.spawn(staggered(), name="staggered")
-        kernel.run()
-        # Strict FIFO: each release hands the token to the oldest waiter.
-        assert [jobid for _, jobid in grants] == [1, 2, 3, 4]
-        assert [t for t, _ in grants] == [0.0, 1.0, 2.0, 3.0]
-
-    def test_job_death_releases_held_tokens(self, kernel):
-        from repro.simenv.kernel import Delay
-
-        gate = self._gate(kernel, tokens=2)
-        grants = []
-
-        def dead_job():
-            # Job 1 takes both tokens and never releases (it "dies").
-            yield from gate.acquire(1)
-            yield from gate.acquire(1)
-            return None
-
-        def victim():
-            yield from gate.acquire(2)
-            grants.append(kernel.now)
-            gate.release(2)
-            return None
-
-        def reaper():
-            yield Delay(0.3)
-            assert gate.held_by(1) == 2
-            freed = gate.release_job(1)
-            assert freed == 2
-            return None
-
-        kernel.spawn(dead_job(), name="dead-job")
-        kernel.spawn(victim(), name="victim")
-        kernel.spawn(reaper(), name="reaper")
-        kernel.run()
-        # The victim was unblocked by the force-release...
-        assert grants == [0.3]
-        assert gate.held_by(1) == 0
-        # ...and the dead job's own late release is a no-op that cannot
-        # inflate the pool past its capacity.
-        gate.release(1)
-        assert gate._available <= gate.tokens
-
-    def test_two_jobs_serialize_under_one_token(self):
-        """Integration: tokens=1 forces the universe's two staging
-        pipelines to take turns on the transfer phase."""
-        universe = make_universe(
-            4,
-            params={
-                "obs_trace_enabled": "1",
-                "snapc_stage_admission_tokens": "1",
-            },
-        )
-        job_a = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
-        job_b = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
-        h_a = ompi_checkpoint(universe, job_a.jobid, at=0.1, wait=False)
-        h_b = ompi_checkpoint(universe, job_b.jobid, at=0.1, wait=False)
-        universe.run_job_to_completion(job_a)
-        universe.run_job_to_completion(job_b)
-        assert h_a.result()["ok"] and h_b.result()["ok"]
-        admission = universe.hnp.snapc.stager(universe.hnp).admission
-        # One transfer queued behind the other's token and both settled.
-        assert admission.queued >= 1
-        assert admission.waiting == 0
-        assert admission._held == {}
-        # The gathers themselves never overlapped.
-        gathers = filter_spans(
-            universe.kernel.tracer.to_dict(), name="filem.stage_out"
-        )
-        assert len(gathers) >= 2
-        gathers.sort(key=lambda s: s["t0"])
-        for earlier, later in zip(gathers, gathers[1:]):
-            assert earlier["t0"] + earlier["dur"] <= later["t0"] + 1e-12
-        # The queued transfer's wait is visible as an admission span.
-        waits = filter_spans(
-            universe.kernel.tracer.to_dict(), name="snapc.admission"
-        )
-        assert waits and all(w["attrs"]["waited_s"] >= 0 for w in waits)
-
-
 class _TreeCase:
     """Interval 3 is a delta on 2 on 1: losing interval 2's directory
     breaks the chain of 3 and leaves only 1 usable."""
