@@ -33,7 +33,7 @@ from repro.simenv.campaign import (
     run_campaign,
 )
 from repro.simenv.cluster import Cluster, ClusterSpec
-from repro.snapshot import STAGE_COMMITTED, GlobalSnapshotRef, read_global_meta
+from repro.snapshot import STAGE_COMMITTED, read_global_meta
 from repro.tools.api import ompi_run
 
 N_NODES = 6
@@ -71,23 +71,22 @@ def _run_failover_campaign():
 
 
 def _verify_committed_intact(universe) -> int:
-    """Every interval the store calls COMMITTED parses from stable
+    """Every interval the successor holds COMMITTED parses from stable
     storage with committed staging metadata.  Returns the count."""
     kernel = universe.kernel
     stable = universe.cluster.stable_fs
+    stager = universe.hnp.snapc.stager(universe.hnp)
     committed = [
-        value
-        for value in universe.statestore.tables.get("staging", {}).values()
-        if value["state"] == STAGE_COMMITTED
+        record
+        for jobid in universe.jobs
+        for record in stager.job_records(jobid)
+        if record.state == STAGE_COMMITTED
     ]
-    for value in committed:
-        thread = kernel.spawn(
-            read_global_meta(stable, GlobalSnapshotRef(value["path"])),
-            name="verify-meta",
-        )
+    for record in committed:
+        thread = kernel.spawn(read_global_meta(stable, record.ref), name="verify-meta")
         kernel.run_until_complete(thread)
         meta = thread.result
-        assert meta.staging["state"] == STAGE_COMMITTED, value["path"]
+        assert meta.staging["state"] == STAGE_COMMITTED, record.ref.path
     return len(committed)
 
 

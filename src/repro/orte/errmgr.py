@@ -541,4 +541,4 @@ class ErrMgr:
             return
         prefix = list(old.snapshots[: idx + 1])
         tail = [r for r in new_job.snapshots if r not in prefix]
-        new_job.change(snapshots=prefix + tail)
+        new_job.snapshots = prefix + tail

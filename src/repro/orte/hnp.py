@@ -398,12 +398,13 @@ class HNP:
         mint a job; (3) error-manager lineages/budgets/episodes and
         scheduler cadence state, which later steps consult; (4)
         checkpointable-rank registrations, filtered to ranks still
-        alive; (5) rebuild staging from the persisted interval records
-        (committed intervals adopted, in-flight ones re-staged
-        idempotently); (6) hand off failures injected while no HNP was
-        alive; (7) re-attach live jobs,
-        re-plan half-launched incarnations, and journal every job as it
-        now is; (8) resume recovery episodes the old HNP left unsettled.
+        alive; (5) rebuild staging from the global metadata on stable
+        storage (committed intervals adopted, in-flight ones re-staged
+        idempotently, node-local trees nothing needs swept); (6) hand off
+        failures injected while no HNP was alive; (7) re-attach live
+        jobs, re-plan half-launched incarnations, and journal every job
+        as it now is; (8) resume recovery episodes the old HNP left
+        unsettled.
         Every table is decoded by its record type's codec, and restoring
         goes through the funnel, which journals nothing already held.
         """
@@ -427,12 +428,10 @@ class HNP:
             key: [r for r in ranks if universe.lookup(ProcessName(int(key), r))]
             for key, ranks in tables.get("ready", {}).items()
         })
-        restaged = lost = adopted = 0
+        restaged = lost = adopted = swept = 0
         stager_fn = getattr(self.snapc, "stager", None)
         if stager_fn is not None:
-            restaged, lost, adopted = yield from stager_fn(self).rehydrate(
-                tables.get("staging", {})
-            )
+            restaged, lost, adopted, swept = yield from stager_fn(self).rehydrate()
         # Failures injected while no HNP was alive hand off here; one
         # zero-delay hop lets the spawned handlers mark their jobs
         # FAILED before the re-attach pass assesses states.
@@ -447,6 +446,7 @@ class HNP:
             committed_adopted=adopted,
             restaged=restaged,
             lost=lost,
+            swept=swept,
             orphaned=len(orphaned),
             reattached=reattached,
             replanned=replanned,

@@ -86,7 +86,8 @@ class Job(Durable):
         self.halting = False
         #: checkpoint interval counter (paper section 4: logical ordering)
         self.next_interval = 1
-        #: global snapshot refs taken of this job, in interval order
+        #: global snapshot refs taken of this job, in interval order (not
+        #: journalled: a successor HNP finds them on stable storage)
         self.snapshots: list["GlobalSnapshotRef"] = []
         #: restarted-from reference, if this job came from ompi-restart
         self.restarted_from: "GlobalSnapshotRef | None" = None
@@ -110,7 +111,6 @@ class Job(Durable):
                 self.restarted_from.path if self.restarted_from else None
             ),
             "next_interval": self.next_interval,
-            "snapshots": [ref.path for ref in self.snapshots],
         }
 
     @property

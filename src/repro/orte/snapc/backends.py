@@ -109,7 +109,6 @@ class StagingBackend:
     def compact(self, record: "StagingRecord") -> SimGen:
         """Make a staged delta restartable on its own; returns an error."""
         record.meta.kind = chunkstore.KIND_FULL
-        record.change(kind=chunkstore.KIND_FULL)
         record.meta.base_interval = None
         record.meta.base_chain = []
         return None
@@ -296,6 +295,9 @@ class CasBackend(StagingBackend):
         self.dropped: set[tuple[str, str]] = set()
         #: restart attempt's jobid -> the kept interval its ranks read
         self.reading: dict[int, "StagingRecord"] = {}
+        #: kept interval's rank directory -> its committed digests folded
+        #: into one, until its trees are dropped (they never change)
+        self.folded: dict[str, str] = {}
 
     @cached_property
     def store(self) -> ChunkStore:
@@ -475,14 +477,8 @@ class CasBackend(StagingBackend):
         snapshot, so the ship negotiation can restart from the nodes
         that still hold bytes.
         """
-        ranks = sorted(record.meta.locals)
-        if len(ranks) != len(record.gather_entries):
-            return (
-                f"persisted record lists {len(record.gather_entries)} "
-                f"gather entries for {len(ranks)} ranks"
-            )
         for rank, (node_name, src, _dst) in zip(
-            ranks, record.gather_entries
+            sorted(record.meta.locals), record.gather_entries
         ):
             try:
                 node = self.hnp.universe.cluster.node(node_name)
@@ -532,8 +528,8 @@ class CasBackend(StagingBackend):
         newest COMMITTED one that recovery may walk back to (in its job's
         ``snapshots``), none once a job of the lineage finished — either
         one other than *but*.  The record's ``gather_entries`` name the
-        trees, and replay restores them: a successor HNP reuses and drops
-        the same."""
+        trees, and its metadata rebuilds them: a successor HNP reuses and
+        drops the same."""
         jobs = self.hnp.universe.jobs
         lineage = [jobs[j] for j in sorted(self.hnp.errmgr.lineage_jobids(job)) if j in jobs]
         if any(j.state is JobState.FINISHED and j is not but for j in lineage):
@@ -547,6 +543,8 @@ class CasBackend(StagingBackend):
         # a restart still reading the trees drops them when it ends
         if record is not None and all(r is not record for r in self.reading.values()):
             self.drop_local("stage", ((node, src) for node, src, _dst in record.gather_entries))
+            for rank in record.meta.locals:
+                self.folded.pop(record.ref.local_dir(rank), None)
 
     def settled(self, record) -> None:
         """A COMMITTED interval's trees stay as its lineage's kept level
@@ -584,8 +582,10 @@ class CasBackend(StagingBackend):
             if spec.node_name != node or (node, src) in self.dropped or not full:
                 land.append(entry)
                 continue
-            hashes = plan.checked[plan.ref.local_dir(spec.rank)].hashes
-            spec.restart_from = {"fs": "local", "chain": [src], "digest": chunkstore.fold_digests(hashes)}
+            rank_dir = plan.ref.local_dir(spec.rank)
+            if rank_dir not in self.folded:
+                self.folded[rank_dir] = chunkstore.fold_digests(plan.checked[rank_dir].hashes)
+            spec.restart_from = {"fs": "local", "chain": [src], "digest": self.folded[rank_dir]}
         return specs, land
 
     def preload(self, plan, entries) -> SimGen:

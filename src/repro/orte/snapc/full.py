@@ -56,12 +56,14 @@ from repro.orte.snapc.staging import (
 )
 from repro.simenv.kernel import Delay, WaitAll, WaitAny
 from repro.snapshot import (
+    SNAPSHOT_ROOT,
     STAGE_COMMITTED,
     STAGE_FAILED,
     STAGE_STAGING,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
     global_snapshot_dirname,
+    local_snapshot_dir,
     parse_global_dirname,
     read_global_meta,
     staging_state,
@@ -84,8 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = get_logger("orte.snapc")
 
-SNAPSHOT_ROOT = "/snapshots"
-LOCAL_STAGING_ROOT = "/ckpt"
 #: how long a request waits for readiness registrations still in flight
 READY_GRACE_S = 0.05
 
@@ -259,12 +259,7 @@ class FullSNAPC(SNAPCComponent):
                 else:
                     targets[rank] = {
                         "fs": "local",
-                        "dir": vpath.join(
-                            LOCAL_STAGING_ROOT,
-                            f"job{job.jobid}",
-                            f"interval{interval}",
-                            f"rank{rank}",
-                        ),
+                        "dir": local_snapshot_dir(job.jobid, interval, rank),
                     }
             try:
                 _, reply = yield from hnp.rml.rpc(
@@ -361,26 +356,7 @@ class FullSNAPC(SNAPCComponent):
             cas=backend.cas,
             staging=staging_state(STAGE_STAGING),
         )
-        gather_entries = [
-            (results[rank]["node"], results[rank]["path"], ref.local_dir(rank))
-            for rank in sorted(results)
-        ]
-        record = StagingRecord(
-            jobid=job.jobid,
-            interval=interval,
-            ref=ref,
-            meta=meta,
-            kind=plan["kind"],
-            base_chain=list(plan["base_chain"]),
-            compact=plan["compact"],
-            gather_entries=gather_entries,
-            cas=backend.cas,
-            terminate=terminate,
-            done=hnp.proc.kernel.event(
-                f"snapc.commit.job{job.jobid}.{interval}"
-            ),
-            enqueued_at=hnp.proc.kernel.now,
-        )
+        record = StagingRecord.of(ref, meta, hnp.proc.kernel)
         backend.describe(record, results)
         # Figure 1-F: the application resumes normal operation NOW; the
         # aggregation runs in the background staging worker (our slot

@@ -39,20 +39,24 @@ looked up by ``record.cas`` / ``meta.cas``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.opal.crs.chunks import KIND_DELTA, KIND_FULL
 from repro.orte.job import JobState
 from repro.orte.snapc.backends import CasBackend, StagingBackend, TreeBackend
-from repro.orte.statestore import Durable
+from repro.orte.statestore import IllegalTransition
 from repro.simenv.kernel import SimGen, WaitEvent
 from repro.snapshot import (
+    LOCAL_STAGING_ROOT,
+    SNAPSHOT_ROOT,
     STAGE_COMMITTED,
     STAGE_FAILED,
     STAGE_STAGING,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
+    local_snapshot_dir,
     parse_global_dirname,
     read_global_meta,
     staging_state,
@@ -65,12 +69,13 @@ from repro.util.errors import (
     VFSError,
 )
 from repro.util.logging import get_logger
+from repro.vfs import path as vpath
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orte.hnp import HNP
-    from repro.orte.job import Job
     from repro.orte.snapc.full import FullSNAPC
     from repro.simenv.kernel import Kernel, Queue, SimEvent
+    from repro.vfs.fsbase import FS
 
 log = get_logger("orte.snapc.stage")
 
@@ -80,93 +85,122 @@ FULL_PLAN = {
     "kind": KIND_FULL,
     "base_interval": None,
     "base_chain": [],
-    "compact": False,
 }
 
 
 #: each state -> the states an interval may move to
 STAGE_LIFECYCLE = {STAGE_STAGING: {STAGE_COMMITTED, STAGE_FAILED}}
+#: a node-local snapshot tree of one interval: (tree, jobid, interval)
+_LOCAL_TREE = re.compile(rf"^({LOCAL_STAGING_ROOT}/job(\d+)/interval(\d+))/")
 
 
 @dataclass
-class StagingRecord(Durable):
-    """One interval's journey from local snapshots to stable storage (a
-    ``staging`` row, journalled at dispatch, compaction and settle, so a
-    failed-over HNP knows which intervals were in flight and which are
-    durable: the COMMITTED rows are the never-re-ship contract)."""
+class StagingRecord:
+    """One interval's journey from local snapshots to stable storage.
 
-    TABLE = "staging"
-    LIFECYCLE = STAGE_LIFECYCLE
+    Its lifecycle state is ``meta.staging``, and the interval's global
+    ``metadata.json`` is its one durable form: a failed-over HNP rebuilds
+    the record from that document (:meth:`StagingCoordinator.rehydrate`),
+    and the COMMITTED documents are the never-re-ship contract.
+    """
 
-    jobid: int
-    interval: int
     ref: GlobalSnapshotRef
     meta: GlobalSnapshotMeta
-    #: "full" or "delta" (what the ranks were asked to write)
-    kind: str
     #: global snapshot dirs this interval depends on (oldest first)
     base_chain: list[str]
-    #: rewrite this interval as a full image during commit
-    compact: bool
-    #: FILEM work: (node_name, local_src_dir, stable_dst_dir); empty
-    #: when snapshots were written directly to stable storage
-    gather_entries: list[tuple[str, str, str]]
-    terminate: bool
     done: "SimEvent"
     enqueued_at: float
-    #: which backend stores this interval (False: tree, True: CAS)
-    cas: bool = False
     #: what the backend's ``describe`` kept of the ranks' replies
-    #: (opaque to the coordinator; never journalled)
+    #: (opaque to the coordinator; never persisted)
     rank_manifests: dict = field(default_factory=dict)
-    state: str = STAGE_STAGING
-    error: str | None = None
     bytes_moved: int = 0
     #: sum of the ranks' logical image sizes (set by the CAS backend;
     #: the dedup ratio is bytes_logical / bytes_moved)
     bytes_logical: int = 0
     committed_at: float | None = None
 
+    @classmethod
+    def of(cls, ref: GlobalSnapshotRef, meta: GlobalSnapshotMeta, kernel: "Kernel") -> "StagingRecord":
+        """The record *meta* describes: a new interval's, or one a
+        failed-over HNP rebuilds from its ``metadata.json``."""
+        return cls(
+            ref=ref, meta=meta, base_chain=list(meta.base_chain),
+            done=kernel.event(f"snapc.commit.job{meta.jobid}.{meta.interval}"),
+            enqueued_at=meta.sim_time,
+            committed_at=meta.staging.get("committed_sim_time"),
+        )
+
+    @property
+    def jobid(self) -> int:
+        return self.meta.jobid
+
+    @property
+    def interval(self) -> int:
+        return self.meta.interval
+
+    @property
+    def state(self) -> str:
+        return self.meta.staging["state"]
+
+    @property
+    def error(self) -> str | None:
+        return self.meta.staging.get("error")
+
+    @property
+    def kind(self) -> str:
+        """Full or delta: what the ranks were asked to write."""
+        return self.meta.kind
+
+    @property
+    def cas(self) -> bool:
+        """Which backend stores this interval (False: tree, True: CAS)."""
+        return self.meta.cas
+
     @property
     def settled(self) -> bool:
         return self.state != STAGE_STAGING
 
-    def durable_key(self) -> str:
-        return f"{self.jobid}.{self.interval}"
+    @property
+    def gather_entries(self) -> list[tuple[str, str, str]]:
+        """FILEM work, by rank: ``(node, local source dir, stable dir)``."""
+        return [
+            (info["node"], local_snapshot_dir(self.jobid, self.interval, rank),
+             self.ref.local_dir(rank))
+            for rank, info in sorted(self.meta.locals.items())
+        ]
 
-    def to_durable(self) -> dict:
-        """The lifecycle state journalled to the control-plane store."""
-        return {
-            "jobid": self.jobid,
-            "interval": self.interval,
-            "path": self.ref.path,
-            "kind": self.kind,
-            "base_chain": list(self.base_chain),
-            "compact": self.compact,
-            "gather_entries": [list(e) for e in self.gather_entries],
-            "cas": self.cas,
-            "terminate": self.terminate,
-            "state": self.state,
-            "error": self.error,
-            "committed_at": self.committed_at,
-        }
+    def move(self, stable: "FS", state: str, error: str | None = None) -> SimGen:
+        """The one lifecycle change: check the :data:`STAGE_LIFECYCLE`
+        edge, and return the write of the new ``meta.staging`` to *stable*
+        (its value is the error if stable storage bounced it, else None).
+        A FAILED interval is failed at once; a COMMITTED one only once its
+        metadata landed, so it is never observable as stable before it is."""
+        if state not in STAGE_LIFECYCLE.get(self.state, ()):
+            raise IllegalTransition(f"staging: {self.state} -> {state}")
+        if state == STAGE_FAILED:
+            self.meta.staging = staging_state(state, error)
+            return self.persist(stable)
+        return self._commit(stable, staging_state(state, committed_sim_time=stable.kernel.now))
 
-    @classmethod
-    def from_durable(
-        cls,
-        value: dict,
-        *,
-        meta: GlobalSnapshotMeta,
-        done: "SimEvent",
-        now: float,
-    ) -> "StagingRecord":
-        """Rebuild a record from its :meth:`to_durable` form; *meta*,
-        *done* and *now* are the fields that never persist."""
-        fields = {**value, "meta": meta, "done": done, "enqueued_at": now}
-        fields["ref"] = GlobalSnapshotRef(fields.pop("path"))
-        fields["base_chain"] = list(value["base_chain"])
-        fields["gather_entries"] = [tuple(e) for e in value["gather_entries"]]
-        return cls(**fields)
+    def _commit(self, stable: "FS", staging: dict) -> SimGen:
+        bounced = yield from self.persist(stable, replace(self.meta, staging=staging))
+        if bounced is None:
+            self.meta.staging, self.committed_at = staging, stable.kernel.now
+        return bounced
+
+    def persist(self, stable: "FS", meta: GlobalSnapshotMeta | None = None) -> SimGen:
+        """Write *meta* (the record's own by default) as the interval's
+        ``metadata.json``; returns the error if stable storage bounced it."""
+        meta = meta or self.meta
+        span = stable.kernel.tracer.begin(
+            "snapc.meta", cat="snapc", jobid=self.jobid, interval=self.interval,
+        )
+        try:
+            yield from write_global_meta(stable, self.ref, meta)
+        except (VFSError, NetworkError) as exc:
+            return str(exc)
+        span.end(state=meta.staging.get("state"))
+        return None
 
 
 @dataclass
@@ -218,6 +252,10 @@ class StagingCoordinator:
     def _kernel(self) -> "Kernel":
         return self.hnp.proc.kernel
 
+    @property
+    def _stable(self) -> "FS":
+        return self.hnp.universe.cluster.stable_fs
+
     def _state(self, jobid: int) -> _JobStaging:
         st = self._jobs.get(jobid)
         if st is None:
@@ -256,7 +294,7 @@ class StagingCoordinator:
     def plan_interval(self, jobid: int) -> dict:
         """Decide full vs delta for the next interval (no state change).
 
-        Returns ``{"kind", "base_interval", "base_chain", "compact"}``.
+        Returns ``{"kind", "base_interval", "base_chain"}``.
         """
         st = self._state(jobid)
         incremental = (
@@ -272,40 +310,16 @@ class StagingCoordinator:
             "kind": KIND_DELTA,
             "base_interval": st.last_interval,
             "base_chain": list(st.chain_dirs),
-            "compact": len(st.chain_dirs) + 1 > self.max_chain,
         }
 
-    # -- durable state -------------------------------------------------------
+    def _compacts(self, record: StagingRecord) -> bool:
+        """A delta whose chain would grow past ``max_chain`` is rewritten
+        as a full image during its commit."""
+        return record.kind == KIND_DELTA and len(record.base_chain) + 1 > self.max_chain
 
-    def _record_from(
-        self, value: dict, meta: GlobalSnapshotMeta | None = None
-    ) -> StagingRecord:
-        """A journalled record brought back to life in this incarnation.
-
-        Without *meta* (a settled record adopted as bookkeeping, or one
-        whose real file is unreadable) it carries a placeholder: needed
-        structurally, while the ``metadata.json`` the previous
-        incarnation wrote stays authoritative.
-        """
-        jobid, interval = int(value["jobid"]), int(value["interval"])
-        if meta is None:
-            meta = GlobalSnapshotMeta(
-                jobid=jobid, interval=interval, n_procs=0,
-                sim_time=0.0, app_name="",
-            )
-        record = StagingRecord.from_durable(
-            value,
-            meta=meta,
-            done=self._kernel.event(f"snapc.commit.job{jobid}.{interval}"),
-            now=self._kernel.now,
-        )
-        record.store = self.hnp.statestore
-        return record
-
-    def _fail(self, st: _JobStaging, record: StagingRecord, error: str) -> None:
-        """Settle *record* FAILED: anything chained on it is doomed and
-        the next checkpoint is forced to a full image."""
-        record.change(STAGE_FAILED, error=error)
+    def _doom(self, st: _JobStaging, record: StagingRecord) -> None:
+        """*record* failed: anything chained on it is doomed and the next
+        checkpoint is forced to a full image."""
         st.failed_dirs.add(record.ref.path)
         st.force_full = True
 
@@ -320,15 +334,13 @@ class StagingCoordinator:
         st = self._state(record.jobid)
         st.records[record.interval] = record
         st.last_interval = record.interval
-        if record.kind == KIND_FULL or record.compact:
+        if record.kind == KIND_FULL or self._compacts(record):
             st.since_full = 0
             st.chain_dirs = [record.ref.path]
             st.force_full = False
         else:
             st.since_full += 1
             st.chain_dirs.append(record.ref.path)
-        record.store = self.hnp.statestore
-        record.change()  # journalled as dispatched, STAGING
         st.queue.put(record)
         if not st.worker_started:
             st.worker_started = True
@@ -361,13 +373,13 @@ class StagingCoordinator:
             ok, record = st.queue.try_get()
             if not ok:
                 break
-            record.meta.staging = staging_state(STAGE_FAILED, self._ABORT_ERROR)
-            self._fail(st, record, self._ABORT_ERROR)
+            write = record.move(self._stable, STAGE_FAILED, self._ABORT_ERROR)
+            self._doom(st, record)
             if not record.done.fired:
                 record.done.fire(record.state)
             if self.hnp.proc.alive:
                 self.hnp.proc.spawn_thread(
-                    self._write_meta(record),
+                    write,
                     name=f"snapc-stage-abort-{record.jobid}.{record.interval}",
                     daemon=True,
                 )
@@ -395,29 +407,11 @@ class StagingCoordinator:
         if live is not None and live.state != STAGE_COMMITTED:
             return None
         try:
-            meta = yield from read_global_meta(
-                self.hnp.universe.cluster.stable_fs, GlobalSnapshotRef(path)
-            )
+            meta = yield from read_global_meta(self._stable, GlobalSnapshotRef(path))
         except ReproError:
             return None
         state = (meta.staging or {}).get("state", STAGE_COMMITTED)
         return meta if state == STAGE_COMMITTED else None
-
-    def _write_meta(self, record: StagingRecord) -> SimGen:
-        """Persist ``record.meta``; returns the error if stable storage
-        bounced the write (the record still knows its state), else None."""
-        span = self._kernel.tracer.begin(
-            "snapc.meta", cat="snapc", jobid=record.jobid,
-            interval=record.interval,
-        )
-        try:
-            yield from write_global_meta(
-                self.hnp.universe.cluster.stable_fs, record.ref, record.meta
-            )
-        except (VFSError, NetworkError) as exc:
-            return str(exc)
-        span.end(state=record.meta.staging.get("state"))
-        return None
 
     # -- the worker ------------------------------------------------------------
 
@@ -439,8 +433,7 @@ class StagingCoordinator:
         # Persist the in-flight state first so the interval is never
         # observable as stable before it is.  An injected stable-storage
         # write fault here fails the interval, not the worker thread.
-        record.meta.staging = staging_state(STAGE_STAGING)
-        bounced = yield from self._write_meta(record)
+        bounced = yield from record.persist(self._stable)
         if bounced:
             error = f"staging metadata write failed: {bounced}"
         else:
@@ -449,14 +442,11 @@ class StagingCoordinator:
         if error is None:
             error = yield from backend.stage(record)
 
-        if error is None and record.compact:
+        if error is None and self._compacts(record):
             error = yield from backend.compact(record)
 
         if error is None:
-            record.meta.staging = staging_state(
-                STAGE_COMMITTED, committed_sim_time=self._kernel.now
-            )
-            bounced = yield from self._write_meta(record)
+            bounced = yield from record.move(self._stable, STAGE_COMMITTED)
             if bounced:
                 # The data landed but the commit record did not: the
                 # interval is not observably stable, so it fails (and
@@ -464,21 +454,19 @@ class StagingCoordinator:
                 error = f"commit metadata write failed: {bounced}"
 
         if error is None:
-            record.change(STAGE_COMMITTED, committed_at=self._kernel.now)
             job = self.hnp.universe.jobs.get(record.jobid)
             # HALTED jobs (checkpoint-and-terminate) still collect their
             # final commit; FAILED jobs must not — recovery may already
             # be walking job.snapshots.
             if job is not None and not st.aborted and job.state != JobState.FAILED:
-                job.change(snapshots=[*job.snapshots, record.ref])
+                job.snapshots = [*job.snapshots, record.ref]
             log.info(
                 "job %d interval %d committed to stable storage (%s, %d bytes)",
                 record.jobid, record.interval, record.kind, record.bytes_moved,
             )
         else:
-            record.meta.staging = staging_state(STAGE_FAILED, error)
-            yield from self._write_meta(record)
-            self._fail(st, record, error)
+            yield from record.move(self._stable, STAGE_FAILED, error)
+            self._doom(st, record)
             log.warning(
                 "job %d interval %d failed to stage: %s",
                 record.jobid, record.interval, error,
@@ -491,75 +479,68 @@ class StagingCoordinator:
 
     # -- HNP failover rehydration -------------------------------------------------
 
-    def rehydrate(self, table: dict) -> SimGen:
-        """Rebuild the staging pipeline from the durable store.
+    def rehydrate(self) -> SimGen:
+        """Rebuild the staging pipeline from stable storage (new HNP).
 
-        Returns ``(restaged, lost, adopted)``: in-flight STAGING
-        intervals re-dispatched through the normal worker, STAGING
-        intervals that could not be rebuilt (source node gone, local
-        snapshots unreadable — failed durably, never silently dropped),
-        and settled records adopted as bookkeeping.  COMMITTED
-        intervals are **never re-shipped**: adoption only reinstates
-        the record and the ``job.snapshots`` entry; the bytes already
-        on stable storage are the source of truth.  Re-dispatch itself
-        is idempotent — every backend's ``stage`` skips what already
-        landed — so an interval half-staged by the dead HNP finishes
-        instead of doubling.
+        Lists the global snapshot root once and reads each interval's
+        ``metadata.json``, the one durable record of its lifecycle.
+        Returns ``(restaged, lost, adopted, swept)``: STAGING intervals
+        re-dispatched through the normal worker; STAGING intervals that
+        could not be (source node gone, local snapshots unreadable, or a
+        newer interval of the job already COMMITTED), failed durably and
+        never silently dropped; COMMITTED and FAILED intervals adopted as
+        bookkeeping; and the node-local trees :meth:`_sweep` removed.
+        COMMITTED intervals are **never re-shipped**: the bytes already
+        on stable storage are the source of truth.  Re-dispatch itself is
+        idempotent — every backend's ``stage`` skips what already landed
+        — so an interval half-staged by the dead HNP finishes instead of
+        doubling.
         """
+        stable = self._stable
+        names = yield from stable.listdir(SNAPSHOT_ROOT)
+        records = []
+        for _parsed, name in sorted((p, n) for n in names if (p := parse_global_dirname(n))):
+            ref = GlobalSnapshotRef(vpath.join(SNAPSHOT_ROOT, name))
+            try:
+                meta = yield from read_global_meta(stable, ref)
+            except (SnapshotError, VFSError) as exc:
+                log.warning("%s not rehydrated: %s", ref.path, exc)
+                continue
+            records.append(StagingRecord.of(ref, meta, self._kernel))
+        newest = {r.jobid: r.interval for r in records if r.state == STAGE_COMMITTED}
         restaged = lost = adopted = 0
-        records = sorted(
-            table.values(),
-            key=lambda v: (int(v["jobid"]), int(v["interval"])),
-        )
-        for value in records:
-            jobid = int(value["jobid"])
-            interval = int(value["interval"])
-            st = self._state(jobid)
+        for record in records:
+            st = self._state(record.jobid)
             # Delta-chain planning state died with the old HNP; the
             # next checkpoint of every rehydrated job is forced full.
             st.force_full = True
-            if st.last_interval is None or interval > st.last_interval:
-                st.last_interval = interval
-            job = self.hnp.universe.jobs.get(jobid)
-            if job is not None and job.next_interval <= interval:
-                job.change(next_interval=interval + 1)
-            if value.get("state") in (STAGE_COMMITTED, STAGE_FAILED):
-                self._adopt_settled(st, value, job)
+            st.last_interval = max(st.last_interval or 0, record.interval)
+            job = self.hnp.universe.jobs.get(record.jobid)
+            if record.settled:
+                record.done.fire(record.state)
+                st.records[record.interval] = record
+                if record.state == STAGE_FAILED:
+                    st.failed_dirs.add(record.ref.path)
+                elif job is not None and record.ref not in job.snapshots:
+                    # Records arrive in interval order, so the newest
+                    # committed interval lands last — what restart picks.
+                    job.snapshots = [*job.snapshots, record.ref]
                 adopted += 1
-            elif (yield from self._restage(st, value)):
+            elif (yield from self._restage(st, record, newest.get(record.jobid, 0))):
                 restaged += 1
             else:
                 lost += 1
-        return restaged, lost, adopted
+        return restaged, lost, adopted, self._sweep()
 
-    def _adopt_settled(
-        self, st: _JobStaging, value: dict, job: "Job | None"
-    ) -> None:
-        """Reinstate a COMMITTED/FAILED record without touching bytes."""
-        record = self._record_from(value)
-        record.done.fire(record.state)
-        st.records[record.interval] = record
-        if record.state == STAGE_FAILED:
-            st.failed_dirs.add(record.ref.path)
-        elif job is not None and all(
-            s.path != record.ref.path for s in job.snapshots
-        ):
-            # Records arrive in interval order, so the newest committed
-            # interval lands last — exactly what restart picks.
-            job.change(snapshots=[*job.snapshots, record.ref])
-
-    def _restage(self, st: _JobStaging, value: dict) -> SimGen:
-        """Re-dispatch one in-flight interval; True if it re-entered
-        the pipeline, False if it had to be failed durably."""
-        try:
-            meta = yield from read_global_meta(
-                self.hnp.universe.cluster.stable_fs,
-                GlobalSnapshotRef(value["path"]),
-            )
-        except (SnapshotError, VFSError) as exc:
-            meta, error = None, f"global metadata lost across failover: {exc}"
+    def _restage(self, st: _JobStaging, record: StagingRecord, newest: int) -> SimGen:
+        """Re-dispatch one in-flight interval; True if it re-entered the
+        pipeline, False if it had to be failed durably.  One older than
+        the job's *newest* COMMITTED interval (its FAILED write bounced
+        before the old HNP died) is failed: restaging it would put an
+        older snapshot after a newer one in ``job.snapshots``."""
+        if record.interval < newest:
+            error = f"superseded by committed interval {newest}"
         else:
-            record = self._record_from(value, meta)
             error = yield from self.backends[record.cas].resume(record)
         if error is None:
             yield from self.acquire_slot(st.jobid)
@@ -570,21 +551,37 @@ class StagingCoordinator:
             )
             return True
         # Unrecoverable: ``staging.state = failed`` goes into the global
-        # metadata so an explicit ``ompi-restart`` never picks the
-        # interval up — into what the previous incarnation wrote when
-        # that was readable (updated, never clobbered), into a
-        # placeholder only when it was not.
-        record = self._record_from(value, meta)
-        record.meta.staging = staging_state(STAGE_FAILED, error)
+        # metadata (updated, never clobbered) so an explicit
+        # ``ompi-restart`` never picks the interval up.
         st.records[record.interval] = record
-        self._fail(st, record, error)
+        write = record.move(self._stable, STAGE_FAILED, error)
+        self._doom(st, record)
         record.done.fire(record.state)
-        yield from self._write_meta(record)
+        yield from write
         log.warning(
             "job %d interval %d lost across HNP failover: %s",
             st.jobid, record.interval, error,
         )
         return False
+
+    def _sweep(self) -> int:
+        """Remove every node-local ``/ckpt/job<J>/interval<K>`` tree that
+        no restaged interval and no lineage's kept level needs — one
+        whose interval the old HNP forgot, failed, or was still removing
+        when it died — through the FILEM; returns how many."""
+        cas = self.backends[True]
+        keep = {(r.jobid, r.interval) for st in self._jobs.values() for r in st.records.values() if not r.settled}
+        keep |= {(k.jobid, k.interval) for job in self.hnp.universe.jobs.values() if (k := cas.kept(job))}
+        trees = sorted({
+            (node.name, match[1])
+            for node in self.hnp.universe.cluster.nodes
+            if node.up and node.local_fs is not None
+            for path in node.local_fs.list_tree(LOCAL_STAGING_ROOT)
+            if (match := _LOCAL_TREE.match(path))
+            and (int(match[2]), int(match[3])) not in keep
+        })
+        cas.drop_local("sweep", trees)
+        return len(trees)
 
     def job_records(self, jobid: int) -> list[StagingRecord]:
         """All staging records of *jobid*, in interval order."""

@@ -1,7 +1,7 @@
 """Durable control-plane state store (write-ahead, crash-consistent).
 
 The paper's global coordinator keeps everything that matters — the job
-table, recovery lineages, the staging queue — in mpirun's memory, so
+table, recovery lineages, checkpoint cadence — in mpirun's memory, so
 the HNP's node is the one machine whose death kills the universe.
 Skjellum & Schafer's critique of C/R libraries applies to the C/R
 runtime itself: the recovery machinery must survive its own failures.
@@ -41,11 +41,12 @@ storage.
 
 Every value reaches :meth:`StateStore.put` through one funnel,
 :meth:`StateStore.journal`, which puts a row only when it differs from
-what the key holds.  A :class:`Durable` record (a job, a staging
-interval, a recovery episode, a cadence estimator) changes, checks its
-edge and is journalled whole in one :meth:`Durable.change`; a
-:class:`DurableMap` journals each row it assigns.  :data:`TABLES`
-declares the tables, in the order a successor replays them.
+what the key holds.  A :class:`Durable` record (a job, a recovery
+episode, a cadence estimator) changes, checks its edge and is journalled
+whole in one :meth:`Durable.change`; a :class:`DurableMap` journals each
+row it assigns.  :data:`TABLES` declares the tables, in the order a
+successor replays them.  A checkpoint interval has no table: its global
+``metadata.json`` on stable storage is its one durable record.
 
 With ``orte_hnp_failover`` off the universe carries a
 :class:`NullStateStore`, which performs no I/O, posts no kernel events
@@ -91,7 +92,6 @@ _ABSENT = object()
 #: the journal's tables, in the order a successor replays them
 TABLES = (
     "jobs", "lineage", "attempts", "failures", "episodes", "sched", "ready",
-    "staging",
 )
 
 
@@ -403,10 +403,7 @@ class Durable:
         the states it may move to), set *fields*, journal the record."""
         if state is not None:
             if state not in self.LIFECYCLE.get(self.state, ()):
-                raise IllegalTransition(
-                    f"{self.TABLE}: {getattr(self.state, 'value', self.state)}"
-                    f" -> {getattr(state, 'value', state)}"
-                )
+                raise IllegalTransition(f"{self.TABLE}: {self.state.value} -> {state.value}")
             fields["state"] = state
         for attr, value in fields.items():
             setattr(self, attr, value)

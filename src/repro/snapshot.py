@@ -251,9 +251,20 @@ class GlobalSnapshotRef:
         return self.path
 
 
+#: where global snapshot directories live on stable storage
+SNAPSHOT_ROOT = "/snapshots"
+#: where ranks write their local snapshots on their node's disk
+LOCAL_STAGING_ROOT = "/ckpt"
+
+
 def global_snapshot_dirname(jobid: int, interval: int) -> str:
     """Canonical global snapshot directory name."""
     return f"ompi_global_snapshot_{jobid}.{interval}"
+
+
+def local_snapshot_dir(jobid: int, interval: int, rank: int) -> str:
+    """Where *rank* writes its local snapshot of *interval* on its node."""
+    return vpath.join(LOCAL_STAGING_ROOT, f"job{jobid}", f"interval{interval}", f"rank{rank}")
 
 
 def parse_global_dirname(path: str) -> tuple[int, int] | None:

@@ -246,6 +246,17 @@ class FS:
         }
         return len(victims)
 
+    def listdir(self, path: str) -> SimGen:
+        """The names directly under *path*, sorted: one metadata operation."""
+        self._check()
+        inside = vpath.normalize(path).rstrip("/") + "/"
+        yield Delay(self.op_latency_s)
+        return sorted({
+            entry[len(inside):].split("/", 1)[0]
+            for entries in (self._files, self._dirs)
+            for entry in entries if entry.startswith(inside)
+        })
+
     # -- instantaneous metadata operations --------------------------------------
 
     def mkdir(self, path: str) -> None:

@@ -10,6 +10,8 @@ only unique chunks, so it commits even faster than plain staging).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.opal.crs import chunks as chunkstore
@@ -1097,6 +1099,24 @@ class TestKeptLocalLevel:
         assert first.attrs["snapshot"] == second.attrs["snapshot"] == job.snapshots[1].path
         assert "kept image at /ckpt/job1/interval2/rank1 does not match" in first.attrs["error"]
         assert [s.attrs["entries"] for s in fetch_spans(universe)] == [1, 2]
+
+    def test_each_kept_rank_directory_is_folded_once(self, monkeypatch):
+        """The flipped-bit lineage restarts interval 2 twice: ranks 0-2
+        reuse their kept trees the first time, ranks 0 and 2 the second.
+        Each reused rank directory's committed digests are folded into one
+        once, by the first restart, and the second reuses the value."""
+        fold, callers = chunkstore.fold_digests, []
+
+        def spy(hashes):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return fold(hashes)
+
+        monkeypatch.setattr(chunkstore, "fold_digests", spy)
+        universe, job = kept_lineage(flip_at=0.45)
+        settle_lineage(universe, job)
+        first, second = recover_spans(universe)
+        assert first.attrs["snapshot"] == second.attrs["snapshot"] == job.snapshots[1].path
+        assert callers.count("repro.orte.snapc.backends") == 3
 
     def test_a_lineage_keeps_one_interval_and_none_once_it_finished(self):
         """Sampled 30 sim-ms after each interval settles (its cleanup takes

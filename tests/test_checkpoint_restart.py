@@ -75,7 +75,8 @@ class TestCheckpointContinue:
 
     def test_multiple_intervals_numbered(self):
         universe = make_universe(4)
-        args = {"n_global": 256, "iters": 80000}
+        # short jacobi: 0.64 sim-s, so both instants land mid-run
+        args = {"n_global": 256, "iters": 1000, "iter_compute_s": 6e-4}
         job = ompi_run(universe, "jacobi", 4, args=args, wait=False)
         h1 = ompi_checkpoint(universe, job.jobid, at=0.05, wait=False)
         h2 = ompi_checkpoint(universe, job.jobid, at=0.30, wait=False)

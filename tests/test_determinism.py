@@ -354,20 +354,34 @@ SEAM_PINS = {
     # the explicit restart ends 2.107 ms later and ``now`` moves by that,
     # 1.7541 -> 1.7562.  The restart itself (job 1 finished, nothing kept)
     # fetches all four ranks as before; every other value is unchanged.
+    #
+    # Re-pinned when the interval's global metadata became its one durable
+    # record (each value from two identical runs).  The WAL the successor
+    # replays at 0.65 holds 12 records, not 16 (no ``staging`` rows, and a
+    # commit no longer rewrites the job row): 33.63 -> 25.21 ms.  It lists
+    # ``/snapshots`` (2.0 ms) and reads intervals 1 and 2's metadata instead
+    # of interval 2's alone, so the failover is 55.76 -> 51.45 ms and every
+    # later instant moves by -4.31 ms: interval 2 commits at 0.7392 ->
+    # 0.7349, interval 7 at 1.5474 -> 1.5431.  Captured that much earlier,
+    # intervals 3-7 each ship 65,510 B more (one chunk fewer is already in
+    # the store).  Interval 1, adopted, takes ``committed_at`` from its
+    # metadata's ``committed_sim_time``, stamped when the commit write
+    # starts: 0.27292 -> 0.27081 (one metadata write, 2.107 ms).  ``now``
+    # 1.7562 -> 1.7577, ``events`` 2524 -> 2498 (fewer appends).
     "cas_restage": {
-        "now": 1.756232981583335,
-        "events": 2524,
+        "now": 1.7577250324166678,
+        "events": 2498,
         "threads_spawned": 322,
         "waits_any": 45,
         "waits_all": 48,
         "records": [
-            (1, 1, "full", "committed", 0, 0.27291561425),
-            (1, 2, "delta", "committed", 0, 0.7392061483333338),
-            (1, 3, "full", "committed", 71460, 0.9455969192500002),
-            (1, 4, "delta", "committed", 72240, 1.097410074000001),
-            (1, 5, "full", "committed", 73020, 1.2474142927500014),
-            (1, 6, "delta", "committed", 73800, 1.3974184915000012),
-            (1, 7, "full", "committed", 74580, 1.547422735250001),
+            (1, 1, "full", "committed", 0, 0.27080824425),
+            (1, 2, "delta", "committed", 0, 0.7348998583333335),
+            (1, 3, "full", "committed", 136970, 0.94129062925),
+            (1, 4, "delta", "committed", 137750, 1.0931038140000007),
+            (1, 5, "full", "committed", 138530, 1.2431079985833342),
+            (1, 6, "delta", "committed", 139310, 1.3931122223333339),
+            (1, 7, "full", "committed", 140090, 1.5431164502500005),
         ],
     },
     # "cas_lost": job 1 as before; the recovery is 12.94 ms shorter (one
@@ -416,23 +430,33 @@ SEAM_PINS = {
     # launch contact per restart, and one more contact, orted worker and
     # ``WaitAll`` for each of its ten checkpoint requests.  ``events``
     # 3637 -> 3726, ``threads_spawned`` 463 -> 477, ``waits_all`` 73 -> 83.
+    #
+    # Re-pinned with "cas_restage" when the interval's global metadata
+    # became its one durable record: the same 12-record replay, the listing
+    # and two metadata reads make the failover 37.84 -> 33.54 ms, so job
+    # 2's eight ``committed_at`` each move by -4.31 ms (interval 1 1.0210
+    # -> 1.0167, interval 8 2.0758 -> 2.0715); job 1's interval 1 is
+    # adopted at its ``committed_sim_time``, 0.27292 -> 0.27081.  The
+    # successor sweeps the lost interval 2's trees on the three surviving
+    # nodes (``threads_spawned`` 477 -> 480).  ``now`` 2.4451 -> 2.4408,
+    # ``events`` 3726 -> 3685.
     "cas_lost": {
-        "now": 2.4451238521666636,
-        "events": 3726,
-        "threads_spawned": 477,
+        "now": 2.4408172871666634,
+        "events": 3685,
+        "threads_spawned": 480,
         "waits_any": 73,
         "waits_all": 83,
         "records": [
-            (1, 1, "full", "committed", 0, 0.27291561425),
+            (1, 1, "full", "committed", 0, 0.27080824425),
             (1, 2, "delta", "failed", 0, None),
-            (2, 1, "full", "committed", 3180, 1.021002193),
-            (2, 2, "delta", "committed", 69496, 1.175767354916667),
-            (2, 3, "full", "committed", 70276, 1.3257715995000006),
-            (2, 4, "delta", "committed", 71056, 1.4757757774166673),
-            (2, 5, "full", "committed", 71836, 1.6257799920000002),
-            (2, 6, "delta", "committed", 72616, 1.77578419075),
-            (2, 7, "full", "committed", 73396, 1.9257884345000003),
-            (2, 8, "delta", "committed", 74176, 2.0757926332499994),
+            (2, 1, "full", "committed", 3180, 1.0166959379999996),
+            (2, 2, "delta", "committed", 69496, 1.1714610907500003),
+            (2, 3, "full", "committed", 70276, 1.321465245333334),
+            (2, 4, "delta", "committed", 71056, 1.4714695082500004),
+            (2, 5, "full", "committed", 71836, 1.6214737270000001),
+            (2, 6, "delta", "committed", 72616, 1.77147792575),
+            (2, 7, "full", "committed", 73396, 1.9214821145),
+            (2, 8, "delta", "committed", 74176, 2.0714863382499993),
         ],
     },
 }

@@ -4,7 +4,7 @@ Covers the write-ahead state store (ordered appends, torn-record
 cutoff, WAL gaps from dropped appends, compaction), the deterministic
 lowest-vpid election among surviving orteds, and the rehydration
 contract: an HNP-node crash mid-checkpoint, mid-stage, or mid-recovery
-ends with the lineage finished and every interval the store calls
+ends with the lineage finished and every interval whose metadata says
 COMMITTED intact on stable storage — never re-shipped, never lost.
 """
 
@@ -18,7 +18,7 @@ from repro.mca.params import MCAParams
 from repro.obs.report import filter_spans
 from repro.orte.job import AppSpec, Job, JobState
 from repro.opal.crs.chunks import ChunkManifest
-from repro.orte.snapc.backends import CasBackend
+from repro.orte.snapc.backends import CasBackend, TreeBackend
 from repro.orte.snapc.staging import StagingRecord
 from repro.orte.statestore import DEFAULT_ROOT, IllegalTransition, StateStore
 from repro.simenv.campaign import (
@@ -31,15 +31,19 @@ from repro.simenv.campaign import (
 )
 from repro.simenv.kernel import Kernel, WaitEvent
 from repro.snapshot import (
+    SNAPSHOT_ROOT,
     STAGE_COMMITTED,
     STAGE_FAILED,
     STAGE_STAGING,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
+    parse_global_dirname,
     read_global_meta,
+    staging_state,
 )
 from repro.tools.api import ompi_restart, ompi_run
 from repro.util.errors import DeadlockError, ReproError
+from repro.vfs.sharedfs import SharedFS
 from tests.conftest import make_universe, run_gen
 
 CHURN = {"loops": 150, "compute_s": 0.01, "state_bytes": 1 << 20}
@@ -74,37 +78,44 @@ def settle_lineage(universe, job):
 
 
 def assert_committed_consistent(universe) -> int:
-    """Every interval the store calls COMMITTED is intact on disk.
+    """Every interval whose metadata on stable storage says COMMITTED is
+    intact there and COMMITTED in the live staging records, and every
+    COMMITTED record's metadata says so.
 
     Returns how many committed intervals were checked — the zero-lost
     guarantee is only meaningful when there was something to lose.
     """
     stable = universe.cluster.stable_fs
-    table = universe.statestore.tables.get("staging", {})
-    committed = [
-        v for v in table.values() if v["state"] == STAGE_COMMITTED
-    ]
-    for value in committed:
-        ref = GlobalSnapshotRef(value["path"])
+    durable = set()
+    for path in stable.list_tree(SNAPSHOT_ROOT):
+        ref = GlobalSnapshotRef(path.rsplit("/", 1)[0])
+        if path != ref.meta_path or parse_global_dirname(ref.path) is None:
+            continue
         meta = run_gen(
             universe.kernel,
             read_global_meta(stable, ref),
             name="verify-meta",
         )
-        assert meta.staging["state"] == STAGE_COMMITTED, value["path"]
-        assert meta.jobid == value["jobid"]
-        assert meta.interval == value["interval"]
-    return len(committed)
+        assert (meta.jobid, meta.interval) == parse_global_dirname(ref.path)
+        if meta.staging["state"] == STAGE_COMMITTED:
+            durable.add((meta.jobid, meta.interval))
+    stager = universe.hnp.snapc.stager(universe.hnp)
+    live = {
+        (r.jobid, r.interval)
+        for jobid in universe.jobs for r in stager.job_records(jobid)
+        if r.state == STAGE_COMMITTED
+    }
+    assert live == durable
+    return len(durable)
 
 
 def live_tables(universe) -> dict:
     """What the journal should hold for the live control plane now: every
     durable record and row, each encoded by its own record type."""
     hnp = universe.hnp
-    errmgr, stager = hnp.errmgr, hnp.snapc.stager(hnp)
+    errmgr = hnp.errmgr
     records = [
         *universe.jobs.values(),
-        *(r for jobid in universe.jobs for r in stager.job_records(jobid)),
         *errmgr.recovery_log,
         *hnp.ckpt_scheduler._estimators.values(),
     ]
@@ -264,39 +275,6 @@ class TestStateStore:
         assert fresh.tables["t"]["k"] == {"i": 0}
 
 
-@pytest.mark.parametrize("cas", [False, True], ids=["plain", "cas"])
-def test_staging_record_durable_roundtrip(cas):
-    """``from_durable(to_durable(r))`` restores every persisted field,
-    through the store's own JSON encoding."""
-    kernel = Kernel()
-    meta = GlobalSnapshotMeta(
-        jobid=3, interval=2, n_procs=2, sim_time=0.4, app_name="churn"
-    )
-    record = StagingRecord(
-        jobid=3,
-        interval=2,
-        ref=GlobalSnapshotRef("/snapshots/job3/2"),
-        meta=meta,
-        kind="delta",
-        base_chain=["/snapshots/job3/1"],
-        compact=True,
-        gather_entries=[("node1", "/tmp/r0", "/snapshots/job3/2/r0")],
-        terminate=True,
-        done=kernel.event("done"),
-        enqueued_at=0.5,
-        cas=cas,
-        state=STAGE_COMMITTED,
-        error="late",
-        committed_at=0.75,
-    )
-    value = json.loads(json.dumps(record.to_durable()))
-    again = StagingRecord.from_durable(
-        value, meta=meta, done=record.done, now=record.enqueued_at
-    )
-    assert again == record
-    assert again.to_durable() == value
-
-
 def test_an_illegal_edge_raises_and_changes_nothing():
     kernel = Kernel()
     job = Job(1, AppSpec("churn"), 1, MCAParams())
@@ -306,31 +284,46 @@ def test_an_illegal_edge_raises_and_changes_nothing():
         job.change(JobState.RUNNING)
     assert job.state is JobState.FINISHED
     meta = GlobalSnapshotMeta(
-        jobid=1, interval=1, n_procs=1, sim_time=0.1, app_name="churn"
+        jobid=1, interval=1, n_procs=1, sim_time=0.1, app_name="churn",
+        staging=staging_state(STAGE_STAGING),
     )
-    record = StagingRecord(
-        jobid=1, interval=1, ref=GlobalSnapshotRef("/snapshots/job1/1"),
-        meta=meta, kind="full", base_chain=[], compact=False,
-        gather_entries=[], terminate=False, done=kernel.event("done"),
-        enqueued_at=0.1,
-    )
-    record.change(STAGE_COMMITTED, committed_at=0.2)
+    stable = SharedFS(kernel)
+    record = StagingRecord.of(GlobalSnapshotRef("/snapshots/ompi_global_snapshot_1.1"), meta, kernel)
+    assert run_gen(kernel, record.move(stable, STAGE_COMMITTED)) is None
+    committed = (record.state, record.committed_at)
+    assert committed[0] == STAGE_COMMITTED
     with pytest.raises(IllegalTransition, match="staging: committed -> staging"):
-        record.change(STAGE_STAGING, committed_at=None)
-    assert (record.state, record.committed_at) == (STAGE_COMMITTED, 0.2)
+        record.move(stable, STAGE_STAGING)
+    assert (record.state, record.committed_at) == committed
 
 
-#: the journal census scenarios: churn np=4 with (fault, instant) pairs
+#: the journal census scenarios: churn np=4 with (fault, instant) pairs,
+#: and the ``{table: (puts, bytes)}`` each journals (deterministic).  An
+#: interval's lifecycle lives in its global metadata, not in a
+#: ``staging`` table, and a commit does not rewrite its job's row: with
+#: no fault 59 puts / 21,775 B became 32 / 4,761 (``staging`` 18 /
+#: 10,675 gone, ``jobs`` 23 / 9,591 -> 14 / 3,252); node03 at 0.4 s plus
+#: the HNP node at 0.6 s 99 / 27,736 -> 70 / 8,767.
 CENSUS = {
-    "no fault": [],
-    "HNP node at 0.3 s": [("hnp", 0.3)],
-    "node03 at 0.4 s": [("node03", 0.4)],
-    "node03 at 0.4 s, HNP node at 0.6 s": [("node03", 0.4), ("hnp", 0.6)],
+    "no fault": ([], {
+        "jobs": (14, 3252), "ready": (8, 50), "sched": (10, 1459),
+    }),
+    "HNP node at 0.3 s": ([("hnp", 0.3)], {
+        "failures": (1, 12), "jobs": (5, 1123), "ready": (8, 50), "sched": (2, 124),
+    }),
+    "node03 at 0.4 s": ([("node03", 0.4)], {
+        "attempts": (1, 1), "episodes": (3, 517), "failures": (1, 5),
+        "jobs": (19, 4803), "lineage": (1, 1), "ready": (15, 98), "sched": (11, 1678),
+    }),
+    "node03 at 0.4 s, HNP node at 0.6 s": ([("node03", 0.4), ("hnp", 0.6)], {
+        "attempts": (2, 2), "episodes": (6, 1085), "failures": (2, 30),
+        "jobs": (23, 5822), "lineage": (2, 2), "ready": (24, 150), "sched": (11, 1676),
+    }),
 }
 
 
-@pytest.mark.parametrize("faults", CENSUS.values(), ids=list(CENSUS))
-def test_no_put_rewrites_the_value_its_key_holds(faults):
+@pytest.mark.parametrize("faults, census", CENSUS.values(), ids=list(CENSUS))
+def test_no_put_rewrites_the_value_its_key_holds(faults, census):
     universe = failover_universe()
     rows = journal_census(universe)
     job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
@@ -341,6 +334,7 @@ def test_no_put_rewrites_the_value_its_key_holds(faults):
             universe.cluster.failures.crash_node_at(at, target)
     settle_lineage(universe, job)
     assert rows and {t: r["unchanged"] for t, r in rows.items() if r["unchanged"]} == {}
+    assert {t: (r["puts"], r["bytes"]) for t, r in rows.items()} == census
     assert_journal_matches_live(universe)
 
 
@@ -498,6 +492,60 @@ class TestFailoverScenarios:
         restarted = ompi_restart(universe, final.snapshots[-1])
         assert restarted.state.value == "finished"
         assert restarted.results == final.results
+        assert_journal_matches_live(universe)
+
+    def test_a_staging_interval_older_than_a_commit_is_failed_not_restaged(
+        self, monkeypatch
+    ):
+        """Interval 2 fails to stage and its FAILED metadata write bounces,
+        so stable storage still says STAGING when interval 3 commits and
+        mpirun dies.  The successor fails interval 2 instead of restaging
+        it behind interval 3."""
+        stage, persist, staged, bounced = TreeBackend.stage, StagingRecord.persist, [], []
+
+        def stage_spy(backend, record):
+            staged.append((backend.hnp.recovered, record.interval))
+            if record.interval == 2:
+                return "injected gather failure"
+            return (yield from stage(backend, record))
+
+        def bouncing(record, stable, meta=None):
+            if record.interval == 2 and record.state == STAGE_FAILED and not bounced:
+                bounced.append(record.error)
+                return "injected bounce"
+            return (yield from persist(record, stable, meta))
+
+        monkeypatch.setattr(TreeBackend, "stage", stage_spy)
+        monkeypatch.setattr(StagingRecord, "persist", bouncing)
+        universe = failover_universe(obs_trace_enabled="1")
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        stable, killed = universe.cluster.stable_fs, []
+
+        def kill():
+            hnp = universe.hnp
+            third = hnp.snapc.stager(hnp).record_for(job.jobid, 3)
+            if third is None or not third.settled or universe.statestore._pending:
+                universe.kernel.call_later(0.001, kill)
+                return
+            killed.append(third.state)
+            hnp.proc.kill(ReproError("mpirun killed"))
+
+        universe.kernel.call_at(0.5, kill)
+        final = settle_lineage(universe, job)
+        assert final.state.value == "finished" and killed == [STAGE_COMMITTED]
+        assert bounced == ["injected gather failure"]
+        (span,) = filter_spans(universe.kernel.tracer.to_dict(), name="hnp.failover")
+        assert span["attrs"]["lost"] == 1 and (True, 2) not in staged
+        ref = GlobalSnapshotRef(f"{SNAPSHOT_ROOT}/ompi_global_snapshot_{job.jobid}.2")
+        meta = run_gen(universe.kernel, read_global_meta(stable, ref))
+        assert meta.staging == {
+            "state": STAGE_FAILED, "committed_sim_time": None,
+            "error": "superseded by committed interval 3",
+        }
+        assert ref not in final.snapshots
+        intervals = [parse_global_dirname(r.path)[1] for r in final.snapshots]
+        assert intervals == sorted(intervals)
+        assert_committed_consistent(universe)
         assert_journal_matches_live(universe)
 
     def test_a_moved_statestore_root_holds_the_whole_journal(self):
@@ -706,13 +754,38 @@ class TestCasStagingAcrossFailover:
         meta = run_gen(universe.kernel, read_global_meta(stable, record.ref))
         assert meta.staging["state"] == STAGE_FAILED
         assert "unreadable" in meta.staging["error"]
-        replayed = assert_journal_matches_live(universe)
-        [row] = [
-            v for v in replayed["staging"].values()
-            if v["jobid"] == caught.jobid and v["interval"] == caught.interval
-        ]
-        assert row["state"] == STAGE_FAILED
+        assert_journal_matches_live(universe)
+        hnp = universe.hnp
+        live = hnp.snapc.stager(hnp).record_for(caught.jobid, caught.interval)
+        assert (live.state, live.error) == (STAGE_FAILED, meta.staging["error"])
         assert record.ref not in final.snapshots
+        assert_committed_consistent(universe)
+
+    def test_an_interval_mpirun_forgot_leaves_no_local_tree(self):
+        """mpirun dies at 0.201 s with interval 1 dispatched but neither
+        its metadata nor its journal appends on stable storage: the
+        successor knows nothing of it and sweeps its node-local trees."""
+        universe = failover_universe(**self.PARAMS)
+        universe.kernel.tracer.enable()
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        stable, at_kill = universe.cluster.stable_fs, []
+
+        def kill():
+            hnp = universe.hnp
+            [record] = hnp.snapc.stager(hnp).job_records(job.jobid)
+            at_kill.append((record.interval, record.state, stable.exists(record.ref.meta_path)))
+            hnp.proc.kill(ReproError("mpirun killed"))
+
+        universe.kernel.call_at(0.201, kill)
+        final = settle_lineage(universe, job)
+        assert final.state.value == "finished" and universe.failovers == 1
+        assert at_kill == [(1, STAGE_STAGING, False)]
+        [span] = [s for s in universe.kernel.tracer.spans if s.name == "hnp.failover"]
+        assert span.attrs["swept"] == 4  # one tree per rank
+        assert [
+            path for node in universe.cluster.nodes if node.up
+            for path in node.local_fs.list_tree("/ckpt/job1/interval1")
+        ] == []
         assert_committed_consistent(universe)
 
 

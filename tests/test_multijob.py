@@ -11,7 +11,8 @@ from repro.tools.api import (
 from tests.conftest import make_universe
 
 ARGS_A = {"loops": 60, "compute_s": 0.01, "msgs_per_loop": 2}
-ARGS_B = {"n_global": 256, "iters": 40000}
+#: a short jacobi (0.64 sim-s) that overlaps the whole churn job
+ARGS_B = {"n_global": 256, "iters": 1000, "iter_compute_s": 6e-4}
 
 
 class TestConcurrentJobs:

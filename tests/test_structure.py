@@ -73,7 +73,9 @@ def test_line_budgets():
     alone and one restart landing path left 2 281 and 17 093; the kept
     local level, paid for by deleting the staging admission gate (and
     restart placement moving next to launch placement in ``hnp.py``),
-    left 2 280 and 17 031.  The tree's budget holds 200 lines more,
+    left 2 280 and 17 031; each interval's global metadata as its one
+    durable record (no ``staging`` journal table) left 2 253 and
+    17 023.  The tree's budget holds 200 lines more,
     granted to the invariant oracle (ROADMAP item 1(a)) and to nothing
     else."""
     sizes = {path: len(_lines(path)) for path in SRC.rglob("*.py")}
@@ -88,8 +90,8 @@ def test_line_budgets():
             SRC / "orte" / "errmgr.py",
         )
     )
-    assert around_the_seam <= 2280
-    assert sum(sizes.values()) <= 17031 + 200
+    assert around_the_seam <= 2253
+    assert sum(sizes.values()) <= 17023 + 200
 
 
 def test_snapshot_documents_have_one_memo_and_one_json_site_each():
@@ -246,15 +248,11 @@ def _durable_fields() -> set[str]:
     from repro.orte.errmgr import RecoveryRecord
     from repro.orte.job import AppSpec, Job
     from repro.orte.scheduler import DalyEstimator
-    from repro.orte.snapc.staging import StagingRecord
 
     job = Job(1, AppSpec("churn"), 1, MCAParams())
     names = {name for name in job.to_durable() if hasattr(job, name)}
     names |= set(DalyEstimator(0.1, 0.1, 0.1).to_durable())
     names |= {f.name for f in dataclasses.fields(RecoveryRecord)}
-    names |= {f.name for f in dataclasses.fields(StagingRecord)} & set(
-        StagingRecord.to_durable.__code__.co_names
-    )
     return names
 
 
@@ -277,10 +275,12 @@ def test_the_journal_has_one_funnel():
     ``put`` is called from one place, the funnel ``StateStore.journal``;
     ``setattr`` in ``orte`` only in ``Durable.change``; and a journalled
     field (a job's or an interval's ``state`` among them) is assigned or
-    mutated in place nowhere but in its record's constructor."""
+    mutated in place nowhere but in its record's constructor.  (An
+    interval's state is its ``meta.staging``, changed only by
+    ``StagingRecord.move``.)"""
     puts, setattrs, assigned = [], [], []
     fields = _durable_fields()
-    assert {"state", "snapshots", "next_interval", "committed_at", "costs"} <= fields
+    assert {"state", "next_interval", "costs", "error"} <= fields
     for path in sorted(SRC.rglob("*.py")):
         where = path.relative_to(SRC).as_posix()
         for name, node in _functions(path):
@@ -307,6 +307,15 @@ def test_the_journal_has_one_funnel():
     assert puts == [("orte/statestore.py", "journal")]
     assert setattrs == [("orte/statestore.py", "change")]
     assert assigned == []
+    staged = {
+        (path.relative_to(SRC).as_posix(), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name, node in _functions(path) if isinstance(node, ast.Assign)
+        for target in node.targets
+        for one in (target.elts if isinstance(target, ast.Tuple) else [target])
+        if ast.unparse(one).endswith("meta.staging")
+    }
+    assert staged == {("orte/snapc/staging.py", "move"), ("orte/snapc/staging.py", "_commit")}
 
 
 def test_the_docs_name_the_declared_tables_and_edges():
