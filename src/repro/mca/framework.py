@@ -36,8 +36,9 @@ class Framework(Generic[C]):
     each MPI process).
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, default: str = "", help: str = ""):
         self.name = name
+        self.default, self.help = default, help  # of the selector key, for ompi-info
         self._factories: dict[str, Callable[[MCAParams], C]] = {}
         self._selected: C | None = None
 

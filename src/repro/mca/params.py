@@ -6,7 +6,8 @@ Parameters are string-keyed.  Conventional keys::
     <framework>_<component>_<p>  component-specific knob
     <framework>_base_<p>         framework-wide knob
 
-Values are stored as strings (like Open MPI) with typed accessors.
+Values are stored as strings (like Open MPI) with typed accessors.  The
+code that reads a parameter declares it once, as a :class:`Param`.
 A parameter set is attached to a universe/job at launch and recorded in
 global snapshot metadata so ``ompi-restart`` can re-create the job with
 the same configuration (paper section 4: the user need not remember the
@@ -105,3 +106,27 @@ class MCAParams:
 
     def copy(self) -> "MCAParams":
         return MCAParams(self._values)
+
+
+#: every declared parameter by key (a declaration runs when its module imports)
+DECLARED: dict[str, "Param"] = {}
+_TYPED = {bool: MCAParams.get_bool, int: MCAParams.get_int, float: MCAParams.get_float}
+
+
+class Param:
+    """One MCA parameter, declared once beside the code that reads it.
+    Its type is its default's: ``bool``, ``int``, ``float`` or ``str``."""
+
+    def __init__(self, key: str, default: bool | int | float | str, help: str):
+        self.key, self.default, self.help = key, default, help
+        DECLARED[key] = self
+
+    def read(self, params: MCAParams):
+        """The value *params* gives this parameter (an empty string is unset)."""
+        get = _TYPED.get(type(self.default))
+        return get(params, self.key, self.default) if get else params.get(self.key) or self.default
+
+    @property
+    def default_text(self) -> str:
+        """The default as ``--mca`` spells it."""
+        return str(int(self.default)) if isinstance(self.default, bool) else str(self.default)

@@ -22,10 +22,11 @@ class FrameworkRegistry:
     def __init__(self) -> None:
         self._frameworks: dict[str, Framework] = {}
 
-    def define(self, name: str) -> Framework:
+    def define(self, name: str, default: str = "", help: str = "") -> Framework:
+        """A framework selected by the key *name*, which *default* and *help* document."""
         if name in self._frameworks:
             raise ValueError(f"framework {name!r} already defined")
-        fw: Framework = Framework(name)
+        fw: Framework = Framework(name, default, help or f"force {name.upper()} component selection")
         self._frameworks[name] = fw
         return fw
 
@@ -65,8 +66,11 @@ def default_registry() -> FrameworkRegistry:
     from repro.ompi.pml.base import register_pml_components
 
     reg = FrameworkRegistry()
-    for name in ("crs", "snapc", "filem", "plm", "pml", "btl", "crcp", "coll"):
-        reg.define(name)
+    for name, default in (
+        ("crs", "simcr"), ("snapc", "full"), ("filem", "rsh"), ("plm", "rsh"),
+        ("pml", "ob1"), ("btl", "tcp,ib,sm"), ("crcp", "coord"), ("coll", "basic"),
+    ):
+        reg.define(name, default, "BTL include list" if name == "btl" else "")  # multi-select
     register_crs_components(reg)
     register_snapc_components(reg)
     register_filem_components(reg)

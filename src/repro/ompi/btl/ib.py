@@ -18,8 +18,3 @@ from repro.ompi.btl.base import BTLComponent
 class IbBTL(BTLComponent):
     fabric_name = "ib"
     checkpointable = False
-
-    def query(self, context: object | None = None) -> bool:
-        if self.params.get_bool("btl_ib_disable", False):
-            return False
-        return super().query(context)

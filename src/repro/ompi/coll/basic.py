@@ -1,10 +1,9 @@
 """``basic`` collective component: textbook algorithms over p2p.
 
 Tree-based broadcast/reduce (binomial), dissemination barrier, ring
-allgather, linear gather/scatter/alltoall, linear scan.  The bcast and
-reduce algorithms can be forced to ``linear`` via
-``coll_basic_bcast_algorithm``/``coll_basic_reduce_algorithm`` for the
-algorithm-choice ablation bench.
+allgather, linear gather/scatter/alltoall, linear scan.  The bcast
+algorithm can be forced to ``linear`` via ``coll_basic_bcast_algorithm``
+for the algorithm-choice ablation bench.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.mca.component import component_of
+from repro.mca.params import Param
 from repro.ompi.coll.base import (
     SUM,
     TAG_ALLGATHER,
@@ -27,6 +27,8 @@ from repro.ompi.coll.base import (
 from repro.ompi.datatype import copy_payload
 from repro.ompi.ops import OpIRecv, OpISend, OpWait
 from repro.util.errors import MPIError
+
+BCAST_ALGORITHM = Param("coll_basic_bcast_algorithm", "binomial", "bcast: binomial|linear")
 
 
 def _send(comm, dst, tag, payload):
@@ -48,12 +50,7 @@ def _recv(comm, src, tag):
 class BasicColl(CollComponent):
     def open(self, context: object | None = None) -> None:
         super().open(context)
-        self.bcast_algorithm = (
-            self.params.get("coll_basic_bcast_algorithm", "binomial") or "binomial"
-        )
-        self.reduce_algorithm = (
-            self.params.get("coll_basic_reduce_algorithm", "binomial") or "binomial"
-        )
+        self.bcast_algorithm = BCAST_ALGORITHM.read(self.params)
 
     # -- barrier: dissemination --------------------------------------------------
 
@@ -116,16 +113,6 @@ class BasicColl(CollComponent):
         if not (0 <= root < size):
             raise MPIError(f"reduce: bad root {root}")
         acc = copy_payload(value)
-        if self.reduce_algorithm == "linear":
-            if rank == root:
-                for src in range(size):
-                    if src == root:
-                        continue
-                    contrib = yield from _recv(comm, src, TAG_REDUCE)
-                    acc = op(acc, contrib)
-                return acc
-            yield from _send(comm, root, TAG_REDUCE, acc)
-            return None
         # Binomial tree fold toward vrank 0.
         vrank = (rank - root) % size
         mask = 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.ft_event import FTState, drive_ft_event
+from repro.mca.params import Param
 from repro.ompi.communicator import Communicator
 from repro.ompi.constants import CID_WORLD
 from repro.ompi.crcp.wrapper import CRCPWrapperPML
@@ -34,6 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simenv.process import SimProcess
 
 log = get_logger("ompi.layer")
+
+CR_ENABLED = Param("ompi_cr_enabled", True, "build with C/R support (wrapper PML installed)")
 
 
 class _PMLContributor:
@@ -75,7 +78,7 @@ class OmpiLayer:
         self.requests = RequestTable(self.kernel)
         self.btls = registry.framework("btl").open_all(params, context=self)
         self.pml_base = registry.framework("pml").open(params, context=self)
-        self.ft_enabled = params.get_bool("ompi_cr_enabled", True)
+        self.ft_enabled = CR_ENABLED.read(params)
         if self.ft_enabled:
             self.crcp = registry.framework("crcp").open(params, context=self)
             self.pml = CRCPWrapperPML(self.pml_base, self.crcp)

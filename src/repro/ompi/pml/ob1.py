@@ -35,6 +35,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.mca.component import component_of
+from repro.mca.params import Param
 from repro.core.ft_event import drive_ft_event
 from repro.ompi.constants import ANY_SOURCE, MSG_HEADER_BYTES
 from repro.ompi.datatype import copy_payload, nbytes_of
@@ -52,12 +53,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = get_logger("ompi.pml.ob1")
 
+EAGER_LIMIT = Param("pml_ob1_eager_limit", 65536, "eager/rendezvous threshold (bytes)")
+
 
 @component_of("pml", "ob1", priority=10)
 class Ob1PML(PMLComponent):
     def open(self, context: object | None = None) -> None:
         super().open(context)
-        self.eager_limit = self.params.get_int("pml_ob1_eager_limit", 65536)
+        self.eager_limit = EAGER_LIMIT.read(self.params)
 
     def setup(self, ompi: "OmpiLayer") -> None:
         self.ompi = ompi

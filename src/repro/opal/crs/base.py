@@ -18,6 +18,7 @@ import pickle
 from typing import TYPE_CHECKING, Any
 
 from repro.mca.component import Component
+from repro.mca.params import Param
 from repro.opal.crs import chunks as chunkstore
 from repro.simenv.kernel import Delay, SimGen
 from repro.snapshot import (
@@ -34,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mca.registry import FrameworkRegistry
     from repro.opal.layer import CheckpointRequest, OpalLayer
     from repro.vfs.fsbase import FS
+
+CHUNK_BYTES = Param("crs_base_chunk_bytes", chunkstore.DEFAULT_CHUNK_BYTES, "image chunk size (bytes)")
+HASH_BPS = 4e9  # modelled chunk-hashing throughput (bytes per sim-second), paid per image byte
 
 
 class CRSComponent(Component):
@@ -99,16 +103,12 @@ class CRSComponent(Component):
 
         options = request.options or {}
         base_interval = options.get("base_interval")
-        chunk_bytes = self.params.get_int(
-            "crs_base_chunk_bytes", chunkstore.DEFAULT_CHUNK_BYTES
-        )
+        chunk_bytes = CHUNK_BYTES.read(self.params)
         cache = opal.incr_chunk_cache
         span = tracer.begin("crs.hash", cat="crs", rank=rank, bytes=len(blob))
         # The modelled pass reads every byte, however many digests the
         # host takes over from the cache.
-        hash_Bps = self.params.get_float("crs_base_hash_Bps", 4e9)
-        if hash_Bps > 0:
-            yield Delay(len(blob) / hash_Bps)
+        yield Delay(len(blob) / HASH_BPS)
         hashes, dirty = chunkstore.hash_chunks(blob, chunk_bytes, cache)
         span.end()
         tracer.count("crs.chunks_hashed", len(dirty))
@@ -209,9 +209,7 @@ class CRSComponent(Component):
             blob, manifest = yield from chunkstore.reconstruct_chain(fs, [r.path for r in refs])
         else:
             blob, manifest = (yield from fs.read(vpath.join(newest.path, IMAGE_FILE))), None
-            hash_Bps = self.params.get_float("crs_base_hash_Bps", 4e9)
-            if hash_Bps > 0:
-                yield Delay(len(blob) / hash_Bps)
+            yield Delay(len(blob) / HASH_BPS)
             if chunkstore.image_digest(blob, meta.chunk_bytes) != digest:
                 raise RestartError(
                     f"kept image at {newest.path} does not match its committed manifest"

@@ -19,10 +19,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.mca.component import component_of
+from repro.mca.params import Param
 from repro.opal.crs.base import CRSComponent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.opal.layer import CheckpointRequest, OpalLayer
+
+PORTABLE = Param("crs_simcr_portable", True, "allow simcr images to restart across OS tags")
 
 
 @component_of("crs", "simcr", priority=20)
@@ -31,7 +34,7 @@ class SimCR(CRSComponent):
 
     def open(self, context: object | None = None) -> None:
         super().open(context)
-        self.portable_images = self.params.get_bool("crs_simcr_portable", True)
+        self.portable_images = PORTABLE.read(self.params)
 
     def capture(self, opal: "OpalLayer", request: "CheckpointRequest") -> dict[str, Any]:
         image: dict[str, Any] = {}

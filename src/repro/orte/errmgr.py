@@ -13,8 +13,7 @@ Schafer call out for C/R libraries):
 * **Bounded, backoff-paced retry** — a lineage (the original job plus
   every job recovered from it) gets ``orte_errmgr_max_recoveries``
   restart attempts total; retries after a failed attempt are paced by
-  an exponential backoff starting at ``orte_errmgr_backoff`` simulated
-  seconds.
+  an exponential backoff starting at ``BACKOFF_S`` simulated seconds.
 * **Node death during recovery** — a node dying while the restart is
   in flight fails that attempt; the next attempt re-plans placement,
   which only ever uses nodes that are still up.
@@ -43,6 +42,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
+from repro.mca.params import Param
 from repro.orte.job import Job, JobState
 from repro.orte.statestore import Durable, DurableMap
 from repro.simenv.kernel import Delay, SimGen
@@ -56,6 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simenv.kernel import SimEvent
 
 log = get_logger("orte.errmgr")
+
+AUTORECOVER = Param("orte_errmgr_autorecover", False, "restart failed jobs from their last snapshot")
+MAX_RECOVERIES = Param("orte_errmgr_max_recoveries", 5, "restart attempts allowed per job lineage")
+BACKOFF_S = 0.05  # base retry pacing in sim seconds (doubles per retry)
 
 
 @dataclass
@@ -116,16 +120,8 @@ class ErrMgr:
 
     def __init__(self, hnp: "HNP"):
         self.hnp = hnp
-        params = hnp.universe.params
-        self.autorecover = params.get_bool("orte_errmgr_autorecover", False)
-        #: restart attempts allowed per job lineage
-        self.max_recoveries = max(
-            1, params.get_int("orte_errmgr_max_recoveries", 5)
-        )
-        #: base retry pacing (exponential: backoff, 2x, 4x, ...)
-        self.backoff = max(
-            0.0, params.get_float("orte_errmgr_backoff", 0.05)
-        )
+        self.autorecover = AUTORECOVER.read(hnp.universe.params)
+        self.max_recoveries = max(1, MAX_RECOVERIES.read(hnp.universe.params))
         store = hnp.statestore
         #: one record per failure episode, recovered or not
         self.recovery_log: list[RecoveryRecord] = []
@@ -439,7 +435,7 @@ class ErrMgr:
                 # Back off first: the restart acts on a check made after
                 # the sleep, never on one the sleep has made stale.
                 if retry:
-                    yield Delay(self.backoff * (2 ** (retry - 1)))
+                    yield Delay(BACKOFF_S * (2 ** (retry - 1)))
                 plan = yield from self._pick_snapshot(job, skip)
                 if plan is None:
                     record.change(

@@ -1,7 +1,7 @@
 """``rsh`` FILEM component (the paper's first implementation).
 
 Remote-execution + copy semantics: bytes stream over the Ethernet
-model, every rsh session pays ``filem_rsh_session_cost`` to set up, and
+model, every rsh session pays ``SESSION_COST_S`` to set up, and
 ``filem_rsh_max_concurrent`` bounds how many transfers run at once so
 simultaneous copies don't model an impossible network.  What is charged
 and what is bounded depends on the operation:
@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.mca.component import component_of
+from repro.mca.params import Param
 from repro.opal.crs import chunks as chunkstore
 from repro.orte.filem.base import FILEMComponent, node_local_fs
 from repro.simenv.kernel import Delay, SimGen
@@ -39,6 +40,9 @@ from repro.vfs.transfer import copy_tree
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orte.hnp import HNP
 
+SESSION_COST_S = 0.020  # rsh session setup latency (sim seconds)
+MAX_CONCURRENT = Param("filem_rsh_max_concurrent", 4, "concurrent trees on gather/stage-out, node streams on broadcast")
+
 
 @component_of("filem", "rsh", priority=10)
 class RshFILEM(FILEMComponent):
@@ -46,8 +50,7 @@ class RshFILEM(FILEMComponent):
 
     def open(self, context: object | None = None) -> None:
         super().open(context)
-        self.session_cost_s = self.params.get_float("filem_rsh_session_cost", 0.020)
-        self.max_concurrent = self.params.get_int("filem_rsh_max_concurrent", 4)
+        self.max_concurrent = MAX_CONCURRENT.read(self.params)
 
     def _eth_bw(self, hnp: "HNP") -> float:
         return hnp.universe.cluster.eth.model.bandwidth_Bps
@@ -77,7 +80,7 @@ class RshFILEM(FILEMComponent):
         moved = yield from copy_tree(
             src_fs, src_dir, dst_fs, dst_dir,
             extra_net_Bps=self._eth_bw(hnp),
-            extra_latency_s=self.session_cost_s,
+            extra_latency_s=SESSION_COST_S,
             link_ok=self._link_check(hnp, node_name),
         )
         span.end(bytes=moved)
@@ -155,7 +158,7 @@ class RshFILEM(FILEMComponent):
             link_ok()
             payloads = yield from chunkstore.load_chunks(src_fs, src_dir, manifest, indices)
             hnp.proc.kernel.tracer.count("filem.sessions")
-            yield Delay(self.session_cost_s)
+            yield Delay(SESSION_COST_S)
             link_ok()
             # one aggregate wire delay + one batched store write:
             # O(1) kernel events per entry instead of O(chunks)
@@ -214,7 +217,7 @@ class RshFILEM(FILEMComponent):
         def land(node_name: str, dst_fs, dst_dir: str, tree: dict) -> SimGen:
             inner = tracer.begin("filem.transfer", cat="filem", op="fetch", node=node_name)
             tracer.count("filem.sessions")
-            yield Delay(self.session_cost_s)
+            yield Delay(SESSION_COST_S)
             moved = yield from self._land(hnp, node_name, dst_fs, dst_dir, tree)
             inner.end(bytes=moved)
             return moved
@@ -261,7 +264,7 @@ class RshFILEM(FILEMComponent):
             # One session per node; its ranks follow in entry order.
             self._link_check(hnp, node_name)()
             tracer.count("filem.sessions")
-            yield Delay(self.session_cost_s)
+            yield Delay(SESSION_COST_S)
             moved = 0
             for chain, dst_dir in pairs:
                 moved += yield from land(node_name, chain, dst_fs, dst_dir)

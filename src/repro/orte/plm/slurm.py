@@ -10,7 +10,10 @@ environment-sensing selection.
 from __future__ import annotations
 
 from repro.mca.component import component_of
+from repro.mca.params import Param
 from repro.orte.plm.base import PLMComponent
+
+JOBID = Param("plm_slurm_jobid", "", "set to select the slurm launcher")
 
 
 @component_of("plm", "slurm", priority=20)
@@ -19,4 +22,4 @@ class SlurmPLM(PLMComponent):
     max_concurrency = 64
 
     def query(self, context: object | None = None) -> bool:
-        return "plm_slurm_jobid" in self.params
+        return bool(JOBID.read(self.params))

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from repro.mca.params import Param
 from repro.orte.job import Job, JobState
 from repro.orte.statestore import Durable
 from repro.simenv.kernel import SimGen, WaitAny
@@ -57,6 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.orte.hnp import HNP
 
 log = get_logger("orte.sched")
+
+EVERY = Param("snapc_full_checkpoint_every", 0.0, "checkpoint cadence in sim seconds (0 = off; adaptive cold start)")
+ADAPTIVE = Param("snapc_sched_adaptive", False, "re-tune the cadence per tick to Young/Daly's sqrt(2*MTBF*C)")
+MIN_EVERY = Param("snapc_sched_min_every", 0.05, "lower clamp of the adaptive cadence (sim s)")
+MAX_EVERY = Param("snapc_sched_max_every", 1.0, "upper clamp of the adaptive cadence (sim s; 0 = uncapped)")
 
 
 class DalyEstimator(Durable):
@@ -122,12 +128,10 @@ class CheckpointScheduler:
     def __init__(self, hnp: "HNP"):
         self.hnp = hnp
         params = hnp.universe.params
-        self.every = params.get_float("snapc_full_checkpoint_every", 0.0)
-        self.adaptive = params.get_bool("snapc_sched_adaptive", False)
-        self.min_every = max(
-            1e-6, params.get_float("snapc_sched_min_every", 0.05)
-        )
-        self.max_every = params.get_float("snapc_sched_max_every", 1.0)
+        self.every = EVERY.read(params)
+        self.adaptive = ADAPTIVE.read(params)
+        self.min_every = max(1e-6, MIN_EVERY.read(params))
+        self.max_every = MAX_EVERY.read(params)
         #: successful ticks: (jobid, snapshot path)
         self.taken: list[tuple[int, str]] = []
         #: skipped/failed ticks: (jobid, reason)

@@ -39,6 +39,7 @@ from dataclasses import replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from repro.mca.params import Param
 from repro.opal.crs import chunks as chunkstore
 from repro.orte.job import JobState, ProcSpec
 from repro.simenv.kernel import Delay, SimGen
@@ -61,8 +62,7 @@ from repro.util.errors import (
 )
 from repro.util.logging import get_logger
 from repro.vfs import path as vpath
-from repro.vfs.cas import DEFAULT_ROOT as CAS_ROOT
-from repro.vfs.cas import ChunkStore
+from repro.vfs.cas import DEFAULT_ROOT, ChunkStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orte.job import Job
@@ -71,6 +71,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = get_logger("orte.snapc.stage")
 
+USE_CAS = Param("snapc_full_cas", False, "stage through the content-addressed store (FILEM must ship chunks)")
+CAS_ROOT = Param("snapc_full_cas_root", DEFAULT_ROOT, "stable-storage directory of the chunk store")
 RESTART_STAGING_ROOT = "/restart"
 #: retries of a failed staging transfer before the interval is FAILED
 STAGE_RETRIES = 1
@@ -308,8 +310,7 @@ class CasBackend(StagingBackend):
         new coordinator, a test, ``ompi-restart`` after HNP loss) sees
         the same blobs and references.
         """
-        root = self.stager.snapc.params.get("snapc_full_cas_root", CAS_ROOT)
-        return ChunkStore(self.stable, root=root)
+        return ChunkStore(self.stable, root=CAS_ROOT.read(self.stager.snapc.params))
 
     @property
     def _filem_moves_chunks(self) -> bool:
@@ -319,7 +320,7 @@ class CasBackend(StagingBackend):
         """The checkpoint-time selection rule: opted in, a FILEM that
         ships chunks, and chunk digests from every rank."""
         return (
-            self.stager.snapc.params.get_bool("snapc_full_cas", False)
+            USE_CAS.read(self.stager.snapc.params)
             and self._filem_moves_chunks
             and all(reply.get("hashes") for reply in results.values())
         )

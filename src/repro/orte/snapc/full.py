@@ -251,16 +251,14 @@ class FullSNAPC(SNAPCComponent):
             yield WaitAll(abort_events)
             return None
 
+        # where each rank writes its local snapshot
+        targets = {
+            rank: {"fs": "stable", "dir": ref.local_dir(rank)} if direct_stable
+            else {"fs": "local", "dir": local_snapshot_dir(job.jobid, interval, rank)}
+            for rank in range(job.np)
+        }
+
         def contact(node_name: str, ranks: list[int]) -> "SimGen":
-            targets = {}
-            for rank in ranks:
-                if direct_stable:
-                    targets[rank] = {"fs": "stable", "dir": ref.local_dir(rank)}
-                else:
-                    targets[rank] = {
-                        "fs": "local",
-                        "dir": local_snapshot_dir(job.jobid, interval, rank),
-                    }
             try:
                 _, reply = yield from hnp.rml.rpc(
                     self._daemon_for(hnp, node_name),
@@ -269,7 +267,7 @@ class FullSNAPC(SNAPCComponent):
                         "jobid": job.jobid,
                         "interval": interval,
                         "ranks": ranks,
-                        "targets": targets,
+                        "targets": {rank: targets[rank] for rank in ranks},
                         "terminate": terminate,
                         "options": dict(rank_options),
                     },
@@ -313,6 +311,10 @@ class FullSNAPC(SNAPCComponent):
             if job.state == JobState.CHECKPOINTING:
                 job.change(JobState.RUNNING)
             stager.release_slot(job.jobid)
+            # no record names what the ranks wrote: it goes now, on threads nobody waits for
+            local = [] if direct_stable else [(n, targets[r]["dir"]) for r, n in job.placements.items()]
+            stager.backends[False].drop_local("fanout", local)
+            hnp.proc.spawn_thread(stable.remove_tree(global_dir), name="fanout-cleanup", daemon=True)
             ckpt_span.end(ok=False)
             raise CheckpointError(
                 f"checkpoint of job {job.jobid} failed: "

@@ -19,18 +19,16 @@ the application is never touched; the interval is simply not usable
 and the next checkpoint is forced to a full image).
 
 Ordering and backpressure: one worker per job drains a FIFO queue, so
-intervals commit in request order; at most ``snapc_full_stage_depth``
-intervals may be in flight (queued or staging), and a new checkpoint
-request blocks — *before* the application is disturbed — until a slot
-frees up.
+intervals commit in request order; at most ``STAGE_DEPTH`` intervals may
+be in flight (queued or staging), and a new checkpoint request blocks —
+*before* the application is disturbed — until a slot frees up.
 
 The coordinator also owns the incremental-checkpoint planning state:
 which interval the next delta should diff against, the base-chain of
 global directories a delta interval depends on, full-image cadence
 (``snapc_full_interval_every``), and when a chain is compacted
 (``snapc_full_max_chain`` — a chain that would grow past the bound is
-reset during the newest interval's commit, without touching the
-application).
+reset during the newest interval's commit, leaving the app alone).
 
 *How* an interval's bytes are moved, compacted, checked and brought back
 is the business of its :class:`~repro.orte.snapc.backends.StagingBackend`,
@@ -43,6 +41,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from repro.mca.params import Param
 from repro.opal.crs.chunks import KIND_DELTA, KIND_FULL
 from repro.orte.job import JobState
 from repro.orte.snapc.backends import CasBackend, StagingBackend, TreeBackend
@@ -78,6 +77,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.vfs.fsbase import FS
 
 log = get_logger("orte.snapc.stage")
+
+FULL_EVERY = Param("snapc_full_interval_every", 1, "every Nth interval is full, the rest deltas (1 = always full)")
+MAX_CHAIN = Param("snapc_full_max_chain", 4, "delta-chain length past which a commit compacts the newest interval")
+STAGE_DEPTH = 2  # intervals one job may have queued or staging before a new request blocks
 
 #: the plan of an interval that stands on its own (plans and records
 #: speak of kinds in the chunk format's words, KIND_FULL / KIND_DELTA)
@@ -233,10 +236,8 @@ class StagingCoordinator:
     def __init__(self, snapc: "FullSNAPC", hnp: "HNP"):
         self.snapc = snapc
         self.hnp = hnp
-        params = snapc.params
-        self.depth = max(1, params.get_int("snapc_full_stage_depth", 2))
-        self.every = max(1, params.get_int("snapc_full_interval_every", 1))
-        self.max_chain = max(1, params.get_int("snapc_full_max_chain", 4))
+        self.every = max(1, FULL_EVERY.read(snapc.params))
+        self.max_chain = max(1, MAX_CHAIN.read(snapc.params))
         #: ``record.cas`` / ``meta.cas`` -> the backend storing that interval
         self.backends: dict[bool, StagingBackend] = {
             False: TreeBackend(self),
@@ -270,9 +271,9 @@ class StagingCoordinator:
     # -- backpressure --------------------------------------------------------
 
     def acquire_slot(self, jobid: int) -> SimGen:
-        """Block until fewer than ``depth`` intervals are in flight."""
+        """Block until fewer than ``STAGE_DEPTH`` intervals are in flight."""
         st = self._state(jobid)
-        while st.inflight >= self.depth:
+        while st.inflight >= STAGE_DEPTH:
             yield WaitEvent(st.slot_event)
         st.inflight += 1
         return None

@@ -65,6 +65,7 @@ import json
 from collections import UserDict, deque
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
+from repro.mca.params import Param
 from repro.simenv.kernel import Delay, SimGen, WaitEvent
 from repro.util.errors import VFSError
 from repro.util.logging import get_logger
@@ -79,6 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover
 log = get_logger("orte.statestore")
 
 DEFAULT_ROOT = "/universe/statestore"
+ROOT = Param("statestore_root", DEFAULT_ROOT, "stable-storage directory of the control-plane store")
 BASE_FILE = "base.json"
 WAL_DIR = "wal"
 #: writer back-off while stable storage refuses a record, sim seconds
@@ -431,9 +433,6 @@ class DurableMap(UserDict):
             self[int(key)] = self.decode(value)
 
 
-def build_statestore(universe: "Universe") -> "StateStore | NullStateStore":
-    """The universe's store per its MCA params (Null when disabled)."""
-    params = universe.params
-    if not params.get_bool("orte_hnp_failover", False):
-        return NullStateStore()
-    return StateStore(universe, root=params.get("statestore_root", DEFAULT_ROOT))
+def build_statestore(universe: "Universe", enabled: bool) -> "StateStore | NullStateStore":
+    """The universe's store: Null unless HNP failover is *enabled*."""
+    return StateStore(universe, root=ROOT.read(universe.params)) if enabled else NullStateStore()

@@ -14,10 +14,11 @@ paper's command-line tools talk to ``mpirun`` (Figure 1-A).
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from typing import TYPE_CHECKING, Callable
 
-from repro.mca.params import MCAParams
+from repro.mca.params import DECLARED, MCAParams, Param
 from repro.orte.job import AppSpec, Job
 from repro.util.errors import LaunchError
 from repro.util.ids import ProcessName, daemon_name, hnp_name
@@ -37,6 +38,23 @@ log = get_logger("orte.universe")
 #: jobid used for tool processes (ompi-checkpoint etc.)
 TOOL_JOBID = 999
 
+TRACE = Param("obs_trace_enabled", False, "enable the structured span/counter tracer at universe start")
+FAILOVER = Param("orte_hnp_failover", False, "elect a new HNP when its node dies; journal control-plane state")
+HEARTBEAT_S = Param("orte_hnp_heartbeat_s", 0.25, "failover probe cadence in sim seconds (no timers while healthy)")
+#: the modules that declare MCA parameters (tests pin this to the source)
+DECLARING_MODULES = tuple(f"repro.{m}" for m in (
+    "opal.crs.base", "opal.crs.simcr", "ompi.layer", "ompi.coll.basic", "ompi.pml.ob1",
+    "orte.universe", "orte.errmgr", "orte.scheduler", "orte.statestore", "orte.filem.rsh",
+    "orte.plm.rsh", "orte.plm.slurm", "orte.snapc.backends", "orte.snapc.staging",
+))
+
+
+def declared_params() -> dict[str, Param]:
+    """Every declared MCA parameter by key (importing what declares them)."""
+    for module in DECLARING_MODULES:
+        importlib.import_module(module)
+    return dict(sorted(DECLARED.items()))
+
 
 class Universe:
     """One booted runtime over one cluster."""
@@ -53,9 +71,10 @@ class Universe:
         self.cluster = cluster
         self.kernel = cluster.kernel
         self.params = params or MCAParams()
-        if self.params.get_bool("obs_trace_enabled", False):
+        if TRACE.read(self.params):
             self.kernel.tracer.enable()
         self.make_registry = make_registry or default_registry
+        self.refuse_unknown(self.params)
         self._next_jobid = itertools.count(1)
         self._next_tool_vpid = itertools.count(0)
         self.jobs: dict[int, Job] = {}
@@ -64,13 +83,11 @@ class Universe:
         self.hnp: "HNP | None" = None
         self.orteds: dict[str, "Orted"] = {}
         #: orteds elect a successor HNP on HNP-node death
-        self.failover_enabled = self.params.get_bool("orte_hnp_failover", False)
+        self.failover_enabled = FAILOVER.read(self.params)
         #: failover-window probe pacing (the healthy path posts no timers)
-        self.heartbeat_s = max(
-            0.01, self.params.get_float("orte_hnp_heartbeat_s", 0.25)
-        )
-        #: durable control-plane store (Null unless failover/statestore on)
-        self.statestore = build_statestore(self)
+        self.heartbeat_s = max(0.01, HEARTBEAT_S.read(self.params))
+        #: durable control-plane store (Null unless failover is on)
+        self.statestore = build_statestore(self, self.failover_enabled)
         #: failed jobid -> recovery outcome event; lives here rather than
         #: in the ErrMgr so campaign threads waiting on an outcome survive
         #: the HNP (and its ErrMgr) being replaced by failover
@@ -146,8 +163,16 @@ class Universe:
         job.change(**durable)
         return job
 
+    def refuse_unknown(self, params: MCAParams) -> None:
+        """Refuse a key neither declared nor a framework: it would ride unread into snapshots."""
+        unknown = set(params) - declared_params().keys() - set(self.make_registry().framework_names)
+        if unknown:
+            raise ValueError(f"unknown MCA parameter(s) {', '.join(sorted(unknown))}: see ompi-info")
+
     def submit(self, app: AppSpec, np: int, params: MCAParams | None = None) -> Job:
         """Create a job and hand it to the HNP for launching."""
+        if params is not None:
+            self.refuse_unknown(params)
         job = self.create_job(app, np, params)
         assert self.hnp is not None
         self.hnp.submit(job)

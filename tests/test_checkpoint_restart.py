@@ -16,7 +16,11 @@ from repro.util.errors import CheckpointError, RestartError
 from tests.conftest import make_universe, run_gen
 from tests.test_pml import define_app
 
-JACOBI = {"n_global": 256, "iters": 30000}
+#: ends at 0.333 sim-s undisturbed, so every checkpoint (0.04-0.08 s)
+#: and crash (0.1-0.25 s) instant below lands mid-run
+JACOBI = {"n_global": 256, "iters": 500, "iter_compute_s": 6e-4}
+#: the same on two ranks (0.333 sim-s)
+JACOBI2 = {"n_global": 128, "iters": 500, "iter_compute_s": 6e-4}
 
 
 def baseline_jacobi():
@@ -88,11 +92,10 @@ class TestCheckpointContinue:
 
     def test_staged_local_snapshots_cleaned_after_gather(self):
         universe = make_universe(2)
-        job = ompi_run(
-            universe, "jacobi", 2, args={"n_global": 128, "iters": 40000}, wait=False
-        )
+        job = ompi_run(universe, "jacobi", 2, args=JACOBI2, wait=False)
         ompi_checkpoint(universe, job.jobid, at=0.05, wait=False)
         universe.run_job_to_completion(job)
+        assert len(job.snapshots) == 1  # an interval was staged
         for node in universe.cluster.nodes:
             assert node.local_fs.list_tree("/ckpt") == []
 
@@ -112,9 +115,7 @@ class TestCheckpointTerminate:
 
     def test_restart_allocates_new_jobid(self):
         universe = make_universe(2)
-        job = ompi_run(
-            universe, "jacobi", 2, args={"n_global": 128, "iters": 40000}, wait=False
-        )
+        job = ompi_run(universe, "jacobi", 2, args=JACOBI2, wait=False)
         handle = ompi_checkpoint(
             universe, job.jobid, at=0.05, terminate=True, wait=False
         )
@@ -132,7 +133,7 @@ class TestCheckpointTerminate:
             universe,
             "jacobi",
             2,
-            args={"n_global": 128, "iters": 40000},
+            args=JACOBI2,
             params=params,
             wait=False,
         )
@@ -180,9 +181,7 @@ class TestRestartTopologies:
 class TestVetoRule:
     def test_crs_none_vetoes_whole_request(self):
         universe = make_universe(2, params={"crs": "none", "ompi_cr_enabled": "0"})
-        job = ompi_run(
-            universe, "jacobi", 2, args={"n_global": 128, "iters": 60000}, wait=False
-        )
+        job = ompi_run(universe, "jacobi", 2, args=JACOBI2, wait=False)
         handle = ompi_checkpoint(universe, job.jobid, at=0.05, wait=False)
         universe.run_job_to_completion(job)
         assert job.state.value == "finished"  # no process affected
@@ -220,17 +219,11 @@ class TestVetoRule:
         assert job.state.value == "finished"
 
 
-#: ends at 0.333 sim-s undisturbed: the checkpoint at 0.04 s commits and
-#: the crash at 0.25 s lands mid-run
-SHORT_JACOBI = {"n_global": 256, "iters": 500, "iter_compute_s": 6e-4}
-
-
 class TestAutorecovery:
     def test_node_crash_triggers_recovery(self):
         universe = make_universe(4, params={"orte_errmgr_autorecover": "1"})
-        args = SHORT_JACOBI
-        expected = ompi_run(make_universe(4), "jacobi", 4, args=args).results
-        job = ompi_run(universe, "jacobi", 4, args=args, wait=False)
+        expected = ompi_run(make_universe(4), "jacobi", 4, args=JACOBI).results
+        job = ompi_run(universe, "jacobi", 4, args=JACOBI, wait=False)
         ompi_checkpoint(universe, job.jobid, at=0.04, wait=False)
         universe.cluster.failures.crash_node_at(0.25, "node03")
         universe.run_job_to_completion(job)
@@ -243,7 +236,7 @@ class TestAutorecovery:
 
     def test_no_recovery_without_snapshot(self):
         universe = make_universe(4, params={"orte_errmgr_autorecover": "1"})
-        job = ompi_run(universe, "jacobi", 4, args=SHORT_JACOBI, wait=False)
+        job = ompi_run(universe, "jacobi", 4, args=JACOBI, wait=False)
         universe.cluster.failures.crash_node_at(0.1, "node01")
         universe.run_job_to_completion(job)
         assert job.state.value == "failed"
@@ -251,7 +244,7 @@ class TestAutorecovery:
 
     def test_no_recovery_when_disabled(self):
         universe = make_universe(4)
-        job = ompi_run(universe, "jacobi", 4, args=SHORT_JACOBI, wait=False)
+        job = ompi_run(universe, "jacobi", 4, args=JACOBI, wait=False)
         ompi_checkpoint(universe, job.jobid, at=0.04, wait=False)
         universe.cluster.failures.crash_node_at(0.25, "node03")
         universe.run_job_to_completion(job)
@@ -395,9 +388,7 @@ class TestSelfCRS:
 class TestToolVisibility:
     def test_ps_shows_snapshots_and_states(self):
         universe = make_universe(2)
-        job = ompi_run(
-            universe, "jacobi", 2, args={"n_global": 128, "iters": 40000}, wait=False
-        )
+        job = ompi_run(universe, "jacobi", 2, args=JACOBI2, wait=False)
         ompi_checkpoint(universe, job.jobid, at=0.05, wait=False)
         universe.run_job_to_completion(job)
         rows = ompi_ps(universe)

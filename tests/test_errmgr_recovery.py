@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.orte import errmgr
 from repro.simenv.kernel import WaitEvent
 from repro.snapshot import (
     STAGE_STAGING,
@@ -183,12 +184,13 @@ class TestSnapshotWalkBack:
 
 class TestBackoff:
     @pytest.mark.parametrize("backoff", [0.25, 0.5])
-    def test_a_retry_sleeps_then_checks_then_restarts(self, backoff):
-        """``orte_errmgr_backoff`` paces the second attempt: the check
+    def test_a_retry_sleeps_then_checks_then_restarts(self, backoff, monkeypatch):
+        """``BACKOFF_S`` paces the second attempt: the check
         that picks its snapshot runs exactly *backoff* after the first
         attempt failed — after the sleep, so the restart never acts on a
         verdict the sleep has made stale — and the restart follows it."""
-        universe, job = two_intervals(orte_errmgr_backoff=repr(backoff))
+        monkeypatch.setattr(errmgr, "BACKOFF_S", backoff)
+        universe, job = two_intervals()
         rot_newest_at(universe, job, 0.5)  # the first attempt fails
         snapc, checks, restarted = universe.hnp.snapc, [], []
         usable, restart = snapc.usable_snapshot, snapc.global_restart

@@ -37,6 +37,7 @@ from repro.snapshot import (
     STAGE_STAGING,
     GlobalSnapshotMeta,
     GlobalSnapshotRef,
+    global_snapshot_dirname,
     parse_global_dirname,
     read_global_meta,
     staging_state,
@@ -786,6 +787,29 @@ class TestCasStagingAcrossFailover:
             path for node in universe.cluster.nodes if node.up
             for path in node.local_fs.list_tree("/ckpt/job1/interval1")
         ] == []
+        assert_committed_consistent(universe)
+
+    def test_a_failed_fanout_leaves_no_snapshot_behind(self):
+        """No fault: the scheduler's interval 10 at 1.53 s fails as the
+        ranks exit, after they wrote their local snapshots.  No record
+        names those trees, so the request removes them as it fails, and
+        the global directory it made on stable storage too."""
+        universe = failover_universe(**self.PARAMS)
+        universe.kernel.tracer.enable()
+        job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)
+        final = settle_lineage(universe, job)
+        assert final.state.value == "finished"
+        spans = universe.kernel.tracer.spans
+        [failed] = [s for s in spans if s.name == "snapc.checkpoint" and not s.attrs["ok"]]
+        [fanout] = [s for s in spans if s.name == "snapc.fanout" and s.attrs["interval"] == 10]
+        assert failed.attrs["interval"] == 10 and fanout.attrs["errors"] == 4
+        assert [
+            path for node in universe.cluster.nodes if node.up
+            for path in node.local_fs.list_tree("/ckpt")
+        ] == []
+        stable = universe.cluster.stable_fs
+        assert not stable.exists(f"{SNAPSHOT_ROOT}/{global_snapshot_dirname(job.jobid, 10)}")
+        assert stable.exists(job.snapshots[-1].path)
         assert_committed_consistent(universe)
 
 

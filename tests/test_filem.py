@@ -21,6 +21,7 @@ import math
 import pytest
 
 from repro.opal.crs import chunks as chunkstore
+from repro.orte.filem import rsh as filem_rsh
 from repro.orte.job import JobState
 from repro.simenv.kernel import Delay, WaitAll
 from repro.tools.api import checkpoint_ref, ompi_checkpoint, ompi_restart, ompi_run
@@ -28,7 +29,7 @@ from repro.util.errors import NetworkError, RestartError, SnapshotError, VFSErro
 from repro.vfs.cas import ChunkStore, chunk_digest
 from tests.conftest import make_universe, run_gen
 
-SESSION_S = 0.020  # the filem_rsh_session_cost default
+SESSION_S = 0.020  # the rsh session cost, ``filem_rsh.SESSION_COST_S``
 MARKER = "metadata.json"  # the last file of a rank directory to land
 TREE = ("image.pkl", MARKER)  # what a landed rank holds
 SNAPSHOT = ("image.pkl", "chunks.json", MARKER)  # what a rank's checkpoint writes
@@ -251,20 +252,17 @@ class TestPricing:
         blob, manifest = run_gen(universe.kernel, chunkstore.reconstruct_chain(fs, [dst]))
         assert (blob, manifest) == (image, None)
 
-    def test_session_cost_moves_a_single_wave_by_exactly_its_delta(self):
-        """``filem_rsh_session_cost`` is charged once per stream: four
+    def test_session_cost_moves_a_single_wave_by_exactly_its_delta(self, monkeypatch):
+        """``SESSION_COST_S`` is charged once per stream: four
         streams in one wave end Δ later, four streams one at a time
         4 × Δ later."""
         entries = [(f"node0{i}", [f"/g/rank{i}"], f"/restart/rank{i}") for i in range(4)]
         delta = 0.125  # a power of two, so the float sums stay comparable
 
         def end(session: float, limit: int) -> float:
+            monkeypatch.setattr(filem_rsh, "SESSION_COST_S", session)
             universe = seeded(
-                entries, trace=False,
-                params={
-                    "filem_rsh_session_cost": repr(session),
-                    "filem_rsh_max_concurrent": str(limit),
-                },
+                entries, trace=False, params={"filem_rsh_max_concurrent": str(limit)},
             )
             broadcast(universe, entries)
             return universe.kernel.now
@@ -821,17 +819,22 @@ RANKS, SHARED, OWN, SLOTS = 6, 9, 8, 4
 UNION = SHARED + RANKS * OWN  # 57 distinct chunks
 
 
+@pytest.fixture
+def pow2_session(monkeypatch):
+    """An rsh session of ``POW2_SESSION``, for ``cas_universe``."""
+    monkeypatch.setattr(filem_rsh, "SESSION_COST_S", POW2_SESSION)
+
+
 def cas_universe(trace=True):
     """``RANKS`` CAS rank directories ``/g/rank<R>`` on stable storage
     and their chunks in the store: the first ``SHARED`` chunks of every
     image are the same, the next ``OWN`` are the rank's alone.  Ranks
-    alternate between node01 and node02.  Returns ``(universe, store,
-    entries)``."""
+    alternate between node01 and node02; every cost is a power of two
+    (the session too, under the ``pow2_session`` fixture).  Returns
+    ``(universe, store, entries)``."""
+    assert filem_rsh.SESSION_COST_S == POW2_SESSION, "use the pow2_session fixture"
     universe = make_universe(
-        4, params={
-            "filem_rsh_max_concurrent": str(SLOTS),
-            "filem_rsh_session_cost": repr(POW2_SESSION),
-        },
+        4, params={"filem_rsh_max_concurrent": str(SLOTS)},
         stable_Bps=POW2_BPS, local_disk_Bps=POW2_BPS,
     )
     cluster = universe.cluster
@@ -877,6 +880,7 @@ def cas_tree(universe, store, src: str) -> dict:
     return chunkstore.full_image_tree(image, stable.peek(f"{src}/{MARKER}"))
 
 
+@pytest.mark.usefixtures("pow2_session")
 class TestFetch:
     def test_reads_then_the_longest_stripe_then_landing_waves(self):
         """6 ranks sharing 9 of their 17 chunks, 4 transfer slots: two
@@ -945,6 +949,7 @@ class TestFetch:
         assert tracer.spans == [] and tracer.counters == {}
 
 
+@pytest.mark.usefixtures("pow2_session")
 class TestFetchFailures:
     @pytest.mark.parametrize(
         "harm, error",

@@ -1,14 +1,17 @@
 """Heterogeneous-cluster restart gating (paper section 4) and the
 command-line tool entry points."""
 
+import ast
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
 import repro
 from repro.mca.params import MCAParams
-from repro.orte.universe import Universe
+from repro.mca.registry import default_registry
+from repro.orte.universe import DECLARING_MODULES, Universe, declared_params
 from repro.simenv.cluster import Cluster, ClusterSpec
 from repro.tools import cli
 from repro.tools.api import (
@@ -18,7 +21,7 @@ from repro.tools.api import (
     ompi_restart,
     ompi_run,
 )
-from repro.tools.info import BASE_PARAMS, KNOWN_PARAMS, render_info
+from repro.tools.info import render_info
 from repro.util.errors import RestartError
 from tests.conftest import make_universe
 
@@ -157,25 +160,86 @@ class TestCLI:
         assert "migrated to job" in out
 
 
-def test_every_read_mca_param_is_listed():
-    """``ompi-info`` documents exactly the MCA parameters the code reads:
-    none unlisted, and none listed that nothing reads (a framework's
-    own name, the component selector, is read by the framework)."""
-    read_site = re.compile(
-        r'params\.get\w*\(\s*"([a-z]+_\w+)"|"([a-z]+_\w+)" in self\.params'
-    )
+def _declarations():
+    """``(module, name, key)`` of every module-level ``NAME = Param(...)``
+    in ``src/repro``, and every module's parsed tree."""
     src = pathlib.Path(repro.__file__).parent
-    read = {
-        name
-        for path in src.rglob("*.py")
-        for pair in read_site.findall(path.read_text())
-        for name in pair
-        if name
+    trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text()) for path in src.rglob("*.py")}
+    found = [
+        (module, node.targets[0].id, node.value.args[0].value)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "Param"
+    ]
+    return found, trees
+
+
+def test_every_read_mca_param_is_listed():
+    """Each MCA parameter is declared once, in the module that reads it,
+    and read only through its declaration: no read names a key directly
+    (so none reads an undeclared one), every declaration is read, and
+    ``ompi-info`` lists exactly the declarations and the selectors."""
+    found, trees = _declarations()
+    keys = [key for _, _, key in found]
+    assert len(keys) == len(set(keys)) and set(keys) == set(declared_params())
+    modules = {"repro." + module[:-3].replace("/", ".") for module, _, _ in found}
+    assert modules == set(DECLARING_MODULES)
+    # a key is written once outside the places that set it (presets'
+    # dict keys, ``setdefault``): in its declaration, with its default
+    settings = {
+        id(part) for tree in trees.values() for node in ast.walk(tree)
+        for part in (
+            node.keys if isinstance(node, ast.Dict) else node.args[:1]
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"
+            else ()
+        )
     }
+    literals = Counter(
+        node.value for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in settings
+    )
+    assert {key: literals[key] for key in keys} == {key: 1 for key in keys}
+    direct = [
+        (module, ast.unparse(node))
+        for module, tree in trees.items() if module != "mca/params.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("get", "get_int", "get_float", "get_bool", "get_list")
+        and "params" in ast.unparse(node.func.value)
+        and node.args and isinstance(node.args[0], ast.Constant)
+        or isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+        and "params" in ast.unparse(node.comparators[0])
+    ]
+    assert direct == []
+    unread = [
+        (module, name) for module, name, _ in found
+        if not any(
+            isinstance(node, ast.Attribute) and node.attr == "read"
+            and getattr(node.value, "id", None) == name
+            for node in ast.walk(trees[module])
+        )
+    ]
+    assert unread == []
     listing = render_info()
-    unlisted = sorted(n for n in read if f" {n} (default " not in listing)
-    assert unlisted == []
-    listed = {key for key, _, _ in BASE_PARAMS} | {
-        key for params in KNOWN_PARAMS.values() for key, _, _ in params
-    }
-    assert listed - set(KNOWN_PARAMS) == read
+    listed = re.findall(r"^      (\w+) \(default ", listing, re.M)
+    assert sorted(listed) == sorted([*keys, *default_registry().framework_names])
+    assert len(listed) == 30
+
+
+@pytest.mark.parametrize("where", ["universe", "submit"])
+def test_an_unknown_mca_key_is_refused(where):
+    """A key no component declares and no framework selects by is an
+    error naming it, not a silent passenger in snapshot metadata."""
+    typo = {"pml_ob1_eagr_limit": "1024"}
+    with pytest.raises(ValueError, match="pml_ob1_eagr_limit"):
+        if where == "universe":
+            make_universe(2, params=typo)
+        else:
+            ompi_run(make_universe(2), "churn", 2, params=MCAParams(typo))
+    # the declared key and a selector go through
+    ompi_run(
+        make_universe(2), "churn", 2, args={"loops": 2},
+        params=MCAParams({"pml_ob1_eager_limit": "1024", "crs": "simcr"}),
+    )

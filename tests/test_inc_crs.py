@@ -3,6 +3,7 @@ and the compare-before-hash pass of ``CRSComponent.checkpoint``."""
 
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from repro.core.ft_event import FTState, drive_ft_event
 from repro.core.inc import INCStack
 from repro.mca.params import MCAParams
 from repro.mca.registry import default_registry
+from repro.opal.crs import base as crs_base
 from repro.opal.crs import chunks as chunkstore
 from repro.opal.crs.none_crs import NoneCRS
 from repro.opal.crs.self_cb import SELF_STATE_KEY, SelfCRS
@@ -556,12 +558,12 @@ class TestChunkCacheLifetime:
 
 
 class TestHashRate:
-    """``crs_base_hash_Bps`` prices the modelled hash pass over every
-    byte of the image; what the host re-hashes does not enter it."""
+    """``HASH_BPS`` prices the modelled hash pass over every byte of the
+    image; what the host re-hashes does not enter it."""
 
     N_CHUNKS = 64
 
-    def _spans(self, hash_Bps, churn):
+    def _spans(self, monkeypatch, hash_Bps, churn):
         """Three checkpoints of one 256 KiB image on a disk whose costs
         are powers of two (exact float times); *churn* rewrites the whole
         image between them.  Returns ``(crs.hash durations, reused)``."""
@@ -569,10 +571,8 @@ class TestHashRate:
         kernel = cluster.kernel
         kernel.tracer.enable()
         proc = SimProcess(cluster.nodes[0], ProcessName(1, 0), label="t")
-        params = MCAParams({
-            "crs": "simcr", "crs_base_chunk_bytes": "4096",
-            "crs_base_hash_Bps": repr(hash_Bps),
-        })
+        monkeypatch.setattr(crs_base, "HASH_BPS", hash_Bps)
+        params = MCAParams({"crs": "simcr", "crs_base_chunk_bytes": "4096"})
         opal = OpalLayer(proc, default_registry(), params)
         state = FakeContributor("sub.a", bytes(self.N_CHUNKS * 4096 - 64))
         opal.register_contributor(state)
@@ -593,14 +593,15 @@ class TestHashRate:
         }
         return [s.t1 - s.t0 for s in spans], kernel.tracer.counters["crs.chunks_reused"]
 
-    def test_halving_the_rate_doubles_every_hash_span(self):
-        full, _ = self._spans(2.0**22, churn=False)
-        half, _ = self._spans(2.0**21, churn=False)
+    def test_halving_the_rate_doubles_every_hash_span(self, monkeypatch):
+        full, _ = self._spans(monkeypatch, 2.0**22, churn=False)
+        half, _ = self._spans(monkeypatch, 2.0**21, churn=False)
         assert all(d > 0 for d in full) and half == [2 * d for d in full]
-        assert self._spans(0, churn=False)[0] == [0, 0, 0]
+        # an infinitely fast hash pass costs nothing
+        assert self._spans(monkeypatch, math.inf, churn=False)[0] == [0, 0, 0]
 
-    def test_the_span_does_not_follow_the_host_saving(self):
-        still, reused_still = self._spans(2.0**22, churn=False)
-        moved, reused_moved = self._spans(2.0**22, churn=True)
+    def test_the_span_does_not_follow_the_host_saving(self, monkeypatch):
+        still, reused_still = self._spans(monkeypatch, 2.0**22, churn=False)
+        moved, reused_moved = self._spans(monkeypatch, 2.0**22, churn=True)
         assert reused_still == 2 * self.N_CHUNKS and reused_moved == 0
         assert still == moved

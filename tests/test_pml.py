@@ -237,7 +237,7 @@ class TestBTLSelection:
         universe = make_universe(2)
         record = {}
         define_app("t_btl2", self._stats_app(record))
-        ompi_run(universe, "t_btl2", 2, params=MCAParams({"btl_ib_disable": "1"}))
+        ompi_run(universe, "t_btl2", 2, params=MCAParams({"btl": "tcp,sm"}))
         assert "ib" not in record
         assert record["tcp"] >= 1
 

@@ -29,15 +29,49 @@ class TestInfo:
             assert needle in text
 
     def test_documented_params_cover_real_defaults(self):
-        """Every documented component name must actually exist."""
-        from repro.tools.info import KNOWN_PARAMS
+        """Every selector's documented default names a real component,
+        and every declared parameter's listed default reads back as the
+        default its component uses."""
+        from repro.mca.params import MCAParams
+        from repro.orte.universe import declared_params
 
-        for framework, params in KNOWN_PARAMS.items():
-            forced = [p for p in params if p[0] == framework]
-            assert forced, framework
+        for info in collect_info():
+            forced = [p for p in info.params if p[0] == info.name]
+            assert forced, info.name
             default = forced[0][1]
             for comp in default.split(","):
-                assert component_exists(framework, comp), (framework, comp)
+                assert component_exists(info.name, comp), (info.name, comp)
+        for key, param in declared_params().items():
+            assert param.read(MCAParams()) == param.default, key
+            spelt = MCAParams({key: param.default_text})
+            assert param.read(spelt) == param.default, key
+
+    def test_each_selector_default_is_what_selection_opens(self):
+        """A job run with no parameters opens, in every framework, the
+        component ``ompi-info`` lists as the selector's default; the BTL
+        default includes every component, as an unset include list does."""
+        from repro.mca.params import MCAParams
+        from repro.mca.registry import default_registry
+        from repro.orte.universe import Universe
+        from repro.simenv.cluster import Cluster, ClusterSpec
+
+        registries = []
+
+        def recording():
+            registries.append(default_registry())
+            return registries[-1]
+
+        universe = Universe(Cluster(ClusterSpec(n_nodes=2)), MCAParams(), make_registry=recording)
+        ompi_run(universe, "churn", 2, args={"loops": 2})
+        opened: dict[str, set[str]] = {}
+        for reg in registries:
+            for fw in map(reg.framework, reg.framework_names):
+                if fw.is_open:
+                    opened.setdefault(fw.name, set()).add(fw.module.name)
+        defaults = {info.name: info.params[0][1] for info in collect_info()}
+        btl = defaults.pop("btl")
+        assert opened == {name: {default} for name, default in defaults.items()}
+        assert sorted(btl.split(",")) == default_registry().framework("btl").component_names
 
 
 class TestChainedRestarts:

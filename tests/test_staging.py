@@ -18,6 +18,7 @@ import pytest
 
 from repro.obs.report import filter_spans
 from repro.opal.crs import chunks as chunkstore
+from repro.orte.snapc import staging
 from repro.orte.snapc.backends import StagingBackend
 from repro.simenv.kernel import Delay
 from repro.snapshot import (
@@ -37,7 +38,13 @@ from tests.conftest import make_universe, run_gen
 from tests.test_filem import restart_staging
 
 CHURN = {"loops": 80, "compute_s": 0.01, "state_bytes": 4 << 20}
-DEPTH_ONE = {"obs_trace_enabled": "1", "snapc_full_stage_depth": "1"}
+TRACED = {"obs_trace_enabled": "1"}
+
+
+@pytest.fixture
+def depth_one(monkeypatch):
+    """One interval in flight per job: the next request waits for it."""
+    monkeypatch.setattr(staging, "STAGE_DEPTH", 1)
 
 
 def churn_baseline(np: int = 4, args: dict | None = None) -> dict:
@@ -167,8 +174,8 @@ class TestAsyncStaging:
             make_universe(4, params={"obs_trace_enabled": "1"})
         )
 
-    def test_backpressure_depth_one_serializes_stages(self):
-        check_backpressure_serializes(make_universe(4, params=DEPTH_ONE))
+    def test_backpressure_depth_one_serializes_stages(self, depth_one):
+        check_backpressure_serializes(make_universe(4, params=TRACED))
 
     def test_wait_stable_restores_synchronous_reply(self):
         universe = make_universe(4, params={"obs_trace_enabled": "1"})
@@ -223,17 +230,18 @@ class TestCoordinatorAlone:
             "/snapshots/ompi_global_snapshot_1.1/rank0"
         )
 
-    def test_backpressure_without_storage(self):
-        universe = make_universe(4, params=DEPTH_ONE)
+    def test_backpressure_without_storage(self, depth_one):
+        universe = make_universe(4, params=TRACED)
         fake = delay_only(universe)
         check_backpressure_serializes(universe)
         assert fake.staged == [1, 2]
 
-    def test_abort_fails_queued_intervals_and_frees_their_slots(self):
+    def test_abort_fails_queued_intervals_and_frees_their_slots(self, monkeypatch):
         """Intervals still queued when the job is aborted fail at once
         and give their slots back; the one already staging settles on
         its own merits but is never appended to ``job.snapshots``."""
-        universe = make_universe(4, params={"snapc_full_stage_depth": "3"})
+        monkeypatch.setattr(staging, "STAGE_DEPTH", 3)
+        universe = make_universe(4)
         fake = delay_only(universe, delay_s=0.5)
         stager = universe.hnp.snapc.stager(universe.hnp)
         job = ompi_run(universe, "churn", 4, args=CHURN, wait=False)

@@ -75,7 +75,9 @@ def test_line_budgets():
     restart placement moving next to launch placement in ``hnp.py``),
     left 2 280 and 17 031; each interval's global metadata as its one
     durable record (no ``staging`` journal table) left 2 253 and
-    17 023.  The tree's budget holds 200 lines more,
+    17 023; each MCA parameter declared once beside its reader (a
+    generated ``ompi-info``, six test-only knobs made constants) left
+    2 253 and 17 022.  The tree's budget holds 200 lines more,
     granted to the invariant oracle (ROADMAP item 1(a)) and to nothing
     else."""
     sizes = {path: len(_lines(path)) for path in SRC.rglob("*.py")}
@@ -91,7 +93,7 @@ def test_line_budgets():
         )
     )
     assert around_the_seam <= 2253
-    assert sum(sizes.values()) <= 17023 + 200
+    assert sum(sizes.values()) <= 17022 + 200
 
 
 def test_snapshot_documents_have_one_memo_and_one_json_site_each():
@@ -335,3 +337,34 @@ def test_the_docs_name_the_declared_tables_and_edges():
         declared = {(name(old), name(new)) for old, news in graph.items() for new in news}
         drawn = re.findall(r"^([A-Z]+) +-> ([A-Z]+) ", (docs / doc).read_text(), re.M)
         assert len(drawn) == len(set(drawn)) and set(drawn) == declared, doc
+
+
+def test_the_docs_knob_tables_are_the_declared_parameters():
+    """Every row of a ``| parameter | default | ... |`` table in
+    ``docs/*.md`` names a declared MCA parameter (or a selector), and
+    its default reads as the declaration's."""
+    from repro.mca.params import MCAParams
+    from repro.mca.registry import default_registry
+    from repro.orte.universe import declared_params
+
+    declared = declared_params()
+    selectors = {
+        name: default_registry().framework(name).default
+        for name in default_registry().framework_names
+    }
+    rows = []
+    for doc in sorted((SRC.parents[1] / "docs").glob("*.md")):
+        for table in re.findall(
+            r"^\| (?:MCA )?parameter \| default \|.*\n\|[-|]+\|\n((?:\|.*\n)*)", doc.read_text(), re.M
+        ):
+            rows += [(doc.name, *row) for row in re.findall(r"^\| `(\w+)` \| `?([^|`]*?)`? \|", table, re.M)]
+    assert len(rows) >= 14  # the tables were found
+    wrong = [
+        (doc, key, default) for doc, key, default in rows
+        if not (
+            key in declared
+            and declared[key].read(MCAParams({key: default})) == declared[key].default
+            or selectors.get(key) == default
+        )
+    ]
+    assert wrong == []
